@@ -180,8 +180,7 @@ func BenchmarkTriggerRealThroughput(b *testing.B) {
 			var delivered sync.WaitGroup
 			tr, err := trigger.New(f, trigger.Config{
 				ID: "bench", Topic: "trig", BatchSize: 1000,
-				BatchWindow: 100 * time.Microsecond, MaxConcurrency: parts,
-				MinConcurrency: parts,
+				MaxConcurrency: parts, MinConcurrency: parts,
 			}, func(inv *trigger.Invocation) error {
 				delivered.Add(-len(inv.Events))
 				return nil
@@ -337,7 +336,9 @@ func BenchmarkAblationAggregation(b *testing.B) {
 }
 
 // BenchmarkAblationPatternAtFabricVsConsumer compares filtering inside
-// the trigger runtime against shipping everything to a consumer.
+// the trigger runtime against shipping everything to a consumer. The
+// filter's own cost (and its 0 allocs/op gate) is BenchmarkMatchJSON in
+// internal/pattern.
 func BenchmarkAblationPatternAtFabricVsConsumer(b *testing.B) {
 	pat := pattern.MustCompile(`{"value": {"event_type": ["created"]}}`)
 	docs := make([][]byte, 1000)
@@ -402,6 +403,11 @@ func BenchmarkEventMarshal(b *testing.B) {
 	}
 }
 
+// BenchmarkPatternMatch is a two-field pattern on a hand-written
+// document; the per-event cost on generated fsmon documents, kept and
+// dropped, is gated by BenchmarkMatchJSON in internal/pattern, and the
+// trigger's produce->action latency by BenchmarkTriggerWakeLatency in
+// internal/trigger.
 func BenchmarkPatternMatch(b *testing.B) {
 	pat := pattern.MustCompile(`{"value": {"event_type": ["created"], "size": [{"numeric": [">", 0]}]}}`)
 	doc := []byte(`{"value": {"event_type": "created", "size": 4096, "path": "/data/x.tif"}}`)

@@ -67,7 +67,7 @@ func TestFullStackScenario(t *testing.T) {
 	oct.Triggers.RegisterAction("chain-derived", trigger.Chain(oct.Fabric, "instrument-derived"))
 	code, body = restCall(t, web.URL, "PUT", "/trigger", alice.Token.Value, ows.TriggerRequest{
 		ID: "derive", Topic: "instrument", Action: "chain-derived",
-		Pattern: `{"value": {"event_type": ["created"]}}`, BatchWindowMs: 1,
+		Pattern: `{"value": {"event_type": ["created"]}}`,
 	})
 	if code != http.StatusOK {
 		t.Fatalf("trigger deploy: %d %v", code, body)

@@ -288,7 +288,6 @@ func (t *Topic) AddTrigger(id string, opts TriggerOptions, fn trigger.Action) (*
 		PatternJSON:    opts.Pattern,
 		BatchSize:      opts.BatchSize,
 		MaxConcurrency: opts.MaxConcurrency,
-		BatchWindow:    5 * time.Millisecond,
 		EvalInterval:   50 * time.Millisecond,
 		OnBehalfOf:     t.user.Identity.ID,
 	}

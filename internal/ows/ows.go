@@ -331,13 +331,16 @@ func (s *Server) createKey(w http.ResponseWriter, _ *http.Request, tok *auth.Tok
 
 // TriggerRequest is the body of PUT /trigger and POST /trigger/{id}.
 type TriggerRequest struct {
-	ID             string `json:"id"`
-	Topic          string `json:"topic"`
-	Action         string `json:"action"`
-	Pattern        string `json:"pattern,omitempty"`
-	BatchSize      int    `json:"batch_size,omitempty"`
-	BatchWindowMs  int    `json:"batch_window_ms,omitempty"`
-	MaxConcurrency int    `json:"max_concurrency,omitempty"`
+	ID        string `json:"id"`
+	Topic     string `json:"topic"`
+	Action    string `json:"action"`
+	Pattern   string `json:"pattern,omitempty"`
+	BatchSize int    `json:"batch_size,omitempty"`
+	// BatchWindowMs is the trigger's idle re-check and retry back-off
+	// interval (trigger.Config.BatchWindow; 0 keeps the 100 ms default).
+	// It is not a delivery latency: an append wakes the trigger itself.
+	BatchWindowMs  int `json:"batch_window_ms,omitempty"`
+	MaxConcurrency int `json:"max_concurrency,omitempty"`
 }
 
 // TriggerResponse describes a deployed trigger.

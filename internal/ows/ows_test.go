@@ -227,9 +227,8 @@ func TestTriggerRoutes(t *testing.T) {
 	// Deploy (Listing 1 pattern).
 	code, body := fx.call(t, "PUT", "/trigger", TriggerRequest{
 		ID: "transfer", Topic: "fs", Action: "noop",
-		Pattern:       `{"value": {"event_type": ["created"]}}`,
-		BatchSize:     50,
-		BatchWindowMs: 1,
+		Pattern:   `{"value": {"event_type": ["created"]}}`,
+		BatchSize: 50,
 	}, fx.token)
 	if code != http.StatusOK {
 		t.Fatalf("deploy: %d %v", code, body)

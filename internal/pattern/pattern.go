@@ -17,30 +17,66 @@
 //	{"exists": true}                   field presence test
 //
 // An array of matchers is an OR; fields are combined with AND.
+//
+// Events are matched on their raw bytes (MatchJSON, in scan.go): a
+// trigger drops most of what it reads, so the filter builds no document.
 package pattern
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"sort"
 )
 
 // Pattern is a compiled event pattern.
 type Pattern struct {
-	fields map[string]*fieldPattern
+	// fields are the keys the pattern names, sorted.
+	fields []field
+	// absentFail has bit i set when fields[i] fails on a document that
+	// lacks the key: the state a scan of an object starts from.
+	absentFail []uint64
 }
 
-type fieldPattern struct {
+type field struct {
+	key string
 	// nested is non-nil when the field recurses into a sub-object.
 	nested *Pattern
-	// matchers is the OR-list of leaf matchers.
+	// matchers is the OR-list of leaf matchers over a present value; the
+	// two exists tests are the flags below.
 	matchers []matcher
+	// anyPresent: the list holds {"exists": true}.
+	anyPresent bool
+	// absentOK: the list holds {"exists": false}.
+	absentOK bool
+}
+
+// kind classifies a JSON value for the leaf matchers.
+type kind uint8
+
+const (
+	kindNull kind = iota
+	kindString
+	kindNumber
+	kindBool
+	// kindOther is an object, or an array inside an array: no literal
+	// equals it, so of all matchers only anything-but accepts it.
+	kindOther
+)
+
+// value is one scalar of an event as the matchers see it. s holds the
+// decoded bytes of a string and may alias the event.
+type value struct {
+	kind kind
+	s    []byte
+	f    float64
+	b    bool
 }
 
 type matcher interface {
-	match(v any, present bool) bool
+	match(v value) bool
 }
 
 // Compile parses a JSON pattern document.
@@ -65,48 +101,74 @@ func compileObject(doc map[string]any) (*Pattern, error) {
 	if len(doc) == 0 {
 		return nil, errors.New("pattern: empty pattern object")
 	}
-	p := &Pattern{fields: make(map[string]*fieldPattern, len(doc))}
-	for key, raw := range doc {
-		switch v := raw.(type) {
+	keys := make([]string, 0, len(doc))
+	for key := range doc {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	p := &Pattern{
+		fields:     make([]field, len(keys)),
+		absentFail: make([]uint64, (len(keys)+63)/64),
+	}
+	for i, key := range keys {
+		f := &p.fields[i]
+		f.key = key
+		switch v := doc[key].(type) {
 		case map[string]any:
 			nested, err := compileObject(v)
 			if err != nil {
 				return nil, fmt.Errorf("pattern: field %q: %w", key, err)
 			}
-			p.fields[key] = &fieldPattern{nested: nested}
+			f.nested = nested
 		case []any:
 			if len(v) == 0 {
 				return nil, fmt.Errorf("pattern: field %q: matcher list is empty", key)
 			}
-			fp := &fieldPattern{}
 			for _, m := range v {
-				cm, err := compileMatcher(m)
-				if err != nil {
+				if err := f.addMatcher(m); err != nil {
 					return nil, fmt.Errorf("pattern: field %q: %w", key, err)
 				}
-				fp.matchers = append(fp.matchers, cm)
 			}
-			p.fields[key] = fp
 		default:
 			return nil, fmt.Errorf("pattern: field %q: value must be an object or an array of matchers", key)
+		}
+		if !f.absentOK {
+			p.absentFail[i/64] |= 1 << (i % 64)
 		}
 	}
 	return p, nil
 }
 
-func compileMatcher(m any) (matcher, error) {
-	switch v := m.(type) {
-	case string, float64, bool, nil:
-		return literalMatcher{want: v}, nil
-	case map[string]any:
-		if len(v) != 1 {
-			return nil, errors.New("matcher object must have exactly one operator")
-		}
-		for op, arg := range v {
-			return compileOp(op, arg)
-		}
+// addMatcher compiles one entry of a leaf field's OR-list.
+func (f *field) addMatcher(m any) error {
+	if v, ok := scalarOf(m); ok {
+		f.matchers = append(f.matchers, literalMatcher(v))
+		return nil
 	}
-	return nil, fmt.Errorf("unsupported matcher %v", m)
+	obj, ok := m.(map[string]any)
+	if !ok {
+		return fmt.Errorf("unsupported matcher %v", m)
+	}
+	if len(obj) != 1 {
+		return errors.New("matcher object must have exactly one operator")
+	}
+	for op, arg := range obj {
+		if op == "exists" {
+			b, ok := arg.(bool)
+			if !ok {
+				return errors.New("exists operand must be a bool")
+			}
+			f.anyPresent = f.anyPresent || b
+			f.absentOK = f.absentOK || !b
+			return nil
+		}
+		cm, err := compileOp(op, arg)
+		if err != nil {
+			return err
+		}
+		f.matchers = append(f.matchers, cm)
+	}
+	return nil
 }
 
 func compileOp(op string, arg any) (matcher, error) {
@@ -134,22 +196,19 @@ func compileOp(op string, arg any) (matcher, error) {
 		if !ok {
 			return nil, errors.New("wildcard operand must be a string")
 		}
-		return wildcardMatcher(s), nil
+		return compileGlob(s), nil
 	case "anything-but":
-		var list []any
-		switch a := arg.(type) {
-		case []any:
-			list = a
-		default:
-			list = []any{a}
-		}
-		return anythingButMatcher{not: list}, nil
-	case "exists":
-		b, ok := arg.(bool)
+		list, ok := arg.([]any)
 		if !ok {
-			return nil, errors.New("exists operand must be a bool")
+			list = []any{arg}
 		}
-		return existsMatcher(b), nil
+		m := make(anythingButMatcher, len(list))
+		for i, n := range list {
+			if m[i], ok = scalarOf(n); !ok {
+				return nil, errors.New("anything-but operands must be strings, numbers, booleans or null")
+			}
+		}
+		return m, nil
 	case "numeric":
 		terms, ok := arg.([]any)
 		if !ok || len(terms) == 0 || len(terms)%2 != 0 {
@@ -177,143 +236,155 @@ func compileOp(op string, arg any) (matcher, error) {
 	return nil, fmt.Errorf("unsupported operator %q", op)
 }
 
-// Match reports whether the event document satisfies the pattern.
+// scalarOf converts a decoded JSON scalar; an object or array reports
+// false and converts to kindOther.
+func scalarOf(v any) (value, bool) {
+	switch x := v.(type) {
+	case nil:
+		return value{kind: kindNull}, true
+	case string:
+		return value{kind: kindString, s: []byte(x)}, true
+	case float64:
+		return value{kind: kindNumber, f: x}, true
+	case bool:
+		return value{kind: kindBool, b: x}, true
+	}
+	return value{kind: kindOther}, false
+}
+
+// Match reports whether the decoded event document satisfies the
+// pattern. It is the reference MatchJSON is tested against; nothing on
+// the serving path builds a document.
 func (p *Pattern) Match(doc map[string]any) bool {
-	for key, fp := range p.fields {
-		v, present := doc[key]
-		if fp.nested != nil {
+	for i := range p.fields {
+		f := &p.fields[i]
+		v, present := doc[f.key]
+		switch {
+		case f.nested != nil:
 			sub, ok := v.(map[string]any)
-			if !ok || !fp.nested.Match(sub) {
+			if !ok || !f.nested.Match(sub) {
 				return false
 			}
-			continue
-		}
-		if !matchField(fp.matchers, v, present) {
-			return false
+		case !present:
+			if !f.absentOK {
+				return false
+			}
+		default:
+			if !f.matchDecoded(v) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// MatchJSON parses raw JSON and evaluates the pattern against it.
-func (p *Pattern) MatchJSON(raw []byte) bool {
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return false
+// matchDecoded evaluates a leaf field over a present, decoded value. If
+// the value is an array, any element matching is a match, and an empty
+// array stands for null (EventBridge semantics).
+func (f *field) matchDecoded(v any) bool {
+	if f.anyPresent {
+		return true
 	}
-	return p.Match(doc)
-}
-
-// matchField evaluates the OR-list. If the event value is an array, any
-// element matching any matcher is a match (EventBridge semantics).
-func matchField(ms []matcher, v any, present bool) bool {
-	values := []any{v}
-	if arr, ok := v.([]any); ok && present {
-		values = arr
-		if len(arr) == 0 {
-			values = []any{nil}
-		}
+	arr, ok := v.([]any)
+	if !ok {
+		arr = []any{v}
+	} else if len(arr) == 0 {
+		arr = []any{nil}
 	}
-	for _, m := range ms {
-		if _, isExists := m.(existsMatcher); isExists {
-			if m.match(v, present) {
-				return true
-			}
-			continue
-		}
-		if !present {
-			continue
-		}
-		for _, val := range values {
-			if m.match(val, true) {
-				return true
-			}
+	for _, el := range arr {
+		val, _ := scalarOf(el)
+		if f.matchValue(val) {
+			return true
 		}
 	}
 	return false
 }
 
-type literalMatcher struct{ want any }
+// matchValue evaluates the OR-list over one value.
+func (f *field) matchValue(v value) bool {
+	for _, m := range f.matchers {
+		if m.match(v) {
+			return true
+		}
+	}
+	return false
+}
 
-func (m literalMatcher) match(v any, present bool) bool {
-	if !present {
+type literalMatcher value
+
+func (m literalMatcher) match(v value) bool {
+	if v.kind != m.kind {
 		return false
 	}
-	if wf, ok := m.want.(float64); ok {
-		vf, ok := v.(float64)
-		return ok && math.Abs(wf-vf) < 1e-12
+	switch m.kind {
+	case kindString:
+		return bytes.Equal(v.s, m.s)
+	case kindNumber:
+		return math.Abs(m.f-v.f) < 1e-12
+	case kindBool:
+		return v.b == m.b
 	}
-	return v == m.want
+	return m.kind == kindNull
 }
 
-type prefixMatcher string
+type prefixMatcher []byte
 
-func (m prefixMatcher) match(v any, present bool) bool {
-	s, ok := v.(string)
-	return present && ok && strings.HasPrefix(s, string(m))
+func (m prefixMatcher) match(v value) bool {
+	return v.kind == kindString && bytes.HasPrefix(v.s, m)
 }
 
-type suffixMatcher string
+type suffixMatcher []byte
 
-func (m suffixMatcher) match(v any, present bool) bool {
-	s, ok := v.(string)
-	return present && ok && strings.HasSuffix(s, string(m))
+func (m suffixMatcher) match(v value) bool {
+	return v.kind == kindString && bytes.HasSuffix(v.s, m)
 }
 
-type ciMatcher string
+type ciMatcher []byte
 
-func (m ciMatcher) match(v any, present bool) bool {
-	s, ok := v.(string)
-	return present && ok && strings.EqualFold(s, string(m))
+func (m ciMatcher) match(v value) bool {
+	return v.kind == kindString && bytes.EqualFold(v.s, m)
 }
 
-type wildcardMatcher string
+// wildcardMatcher is a glob split at its '*'s, each of which matches any
+// run of bytes.
+type wildcardMatcher [][]byte
 
-func (m wildcardMatcher) match(v any, present bool) bool {
-	s, ok := v.(string)
-	if !present || !ok {
+func compileGlob(pat string) wildcardMatcher {
+	return bytes.Split([]byte(pat), []byte("*"))
+}
+
+func (m wildcardMatcher) match(v value) bool {
+	if v.kind != kindString {
 		return false
 	}
-	return globMatch(string(m), s)
-}
-
-// globMatch matches pat against s where '*' matches any run of characters.
-func globMatch(pat, s string) bool {
-	parts := strings.Split(pat, "*")
-	if len(parts) == 1 {
-		return pat == s
+	s := v.s
+	if len(m) == 1 {
+		return bytes.Equal(s, m[0])
 	}
-	if !strings.HasPrefix(s, parts[0]) {
+	if !bytes.HasPrefix(s, m[0]) {
 		return false
 	}
-	s = s[len(parts[0]):]
-	for i := 1; i < len(parts)-1; i++ {
-		idx := strings.Index(s, parts[i])
+	s = s[len(m[0]):]
+	for _, part := range m[1 : len(m)-1] {
+		idx := bytes.Index(s, part)
 		if idx < 0 {
 			return false
 		}
-		s = s[idx+len(parts[i]):]
+		s = s[idx+len(part):]
 	}
-	return strings.HasSuffix(s, parts[len(parts)-1])
+	return bytes.HasSuffix(s, m[len(m)-1])
 }
 
-type anythingButMatcher struct{ not []any }
+type anythingButMatcher []value
 
-func (m anythingButMatcher) match(v any, present bool) bool {
-	if !present {
-		return false
-	}
-	for _, n := range m.not {
-		if (literalMatcher{want: n}).match(v, true) {
+func (m anythingButMatcher) match(v value) bool {
+	for _, n := range m {
+		if literalMatcher(n).match(v) {
 			return false
 		}
 	}
 	return true
 }
-
-type existsMatcher bool
-
-func (m existsMatcher) match(_ any, present bool) bool { return present == bool(m) }
 
 type numericTerm struct {
 	op  string
@@ -322,11 +393,11 @@ type numericTerm struct {
 
 type numericMatcher struct{ terms []numericTerm }
 
-func (m numericMatcher) match(v any, present bool) bool {
-	f, ok := v.(float64)
-	if !present || !ok {
+func (m numericMatcher) match(v value) bool {
+	if v.kind != kindNumber {
 		return false
 	}
+	f := v.f
 	for _, t := range m.terms {
 		switch t.op {
 		case "<":

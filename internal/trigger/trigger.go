@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/broker"
 	"repro/internal/event"
+	"repro/internal/eventlog"
 	"repro/internal/metrics"
 	"repro/internal/pattern"
 	"repro/internal/vclock"
@@ -31,7 +33,9 @@ type Action func(inv *Invocation) error
 type Invocation struct {
 	// TriggerID identifies the trigger.
 	TriggerID string
-	// Events is the filtered batch (pattern matches only).
+	// Events is the filtered batch (pattern matches only). The slice is
+	// the worker's fetch buffer: it is valid until the action returns,
+	// and an action that keeps events longer copies them.
 	Events []event.Event
 	// Partition is the source partition.
 	Partition int
@@ -58,7 +62,13 @@ type Config struct {
 	BatchSize int
 	// BatchBytes caps payload bytes per invocation (default 6 MB).
 	BatchBytes int
-	// BatchWindow is the poll interval while idle (default 100 ms).
+	// BatchWindow is the idle re-check and retry back-off interval
+	// (default 100 ms). Delivery is append-driven: an idle worker is
+	// woken by the append itself, and BatchWindow only bounds how long
+	// it goes without looking again for what no append announces (a
+	// moved leader, a partition that failed to read) and how long it
+	// waits before redelivering a failed batch. Batches fill under load
+	// because events accumulate while the action runs, not by waiting.
 	BatchWindow time.Duration
 	// MinConcurrency / MaxConcurrency bound the worker pool
 	// (defaults 1 and 128; concurrency never exceeds partition count).
@@ -166,7 +176,10 @@ type Stats struct {
 	EventsFiltered    int64
 	Failures          int64
 	DeadLettered      int64
-	Backlog           int64
+	// Skipped counts offsets retention deleted before the trigger read
+	// them.
+	Skipped int64
+	Backlog int64
 }
 
 // Trigger is a deployed trigger instance.
@@ -180,18 +193,21 @@ type Trigger struct {
 
 	mu          sync.Mutex
 	concurrency int
-	active      int
 	parts       []int
 	stopCh      chan struct{}
 	stopped     bool
 	wg          sync.WaitGroup
-	epoch       int // bumps on resize; workers of old epochs exit
+	// retire is closed on resize: the current worker set exits, parked
+	// or not, and its replacement gets a channel of its own.
+	retire chan struct{}
 
-	invocations     int64
-	eventsDelivered int64
-	eventsFiltered  int64
-	failures        int64
-	deadLettered    int64
+	active          atomic.Int64
+	invocations     atomic.Int64
+	eventsDelivered atomic.Int64
+	eventsFiltered  atomic.Int64
+	failures        atomic.Int64
+	deadLettered    atomic.Int64
+	skipped         atomic.Int64
 
 	// ConcurrencySeries and BacklogSeries record the Figure 4/7 curves.
 	ConcurrencySeries *metrics.Series
@@ -264,129 +280,209 @@ func (t *Trigger) Stop() {
 	t.wg.Wait()
 }
 
-// spawnWorkers bumps the epoch and starts n workers; workers from prior
-// epochs notice and exit, so a resize is a full worker-set replacement.
+// spawnWorkers retires the current worker set and starts n workers, so a
+// resize is a full worker-set replacement.
 func (t *Trigger) spawnWorkers(n int) {
 	t.mu.Lock()
-	t.epoch++
-	epoch := t.epoch
+	if t.retire != nil {
+		close(t.retire)
+	}
+	retire := make(chan struct{})
+	t.retire = retire
 	t.concurrency = n
 	t.mu.Unlock()
 	for i := 0; i < n; i++ {
 		t.wg.Add(1)
-		go t.worker(i, n, epoch)
+		go t.worker(i, n, retire)
 	}
 }
 
-func (t *Trigger) currentEpoch() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.epoch
+// worker is the state of one worker goroutine.
+type worker struct {
+	t *Trigger
+	// positions is the next offset to read, per partition served.
+	positions map[int]int64
+	// fetched and matched are the reused fetch and filter buffers.
+	fetched, matched []event.Event
+	// wake has room for one poke, which is all a parked worker needs;
+	// poke is the append callback every partition shares.
+	wake chan struct{}
+	poke func()
+	// dry lists the partitions the last round read to their end; armed
+	// holds the append callbacks registered on them while parked.
+	dry   []int
+	armed []armedNotify
 }
 
-// worker services the partitions congruent to idx modulo n.
-func (t *Trigger) worker(idx, n, epoch int) {
+type armedNotify struct {
+	log    *eventlog.Log
+	handle uint64
+}
+
+// worker services the partitions congruent to idx modulo n until the
+// trigger stops or retire closes.
+func (t *Trigger) worker(idx, n int, retire <-chan struct{}) {
 	defer t.wg.Done()
-	positions := make(map[int]int64)
+	wake := make(chan struct{}, 1)
+	w := &worker{
+		t:         t,
+		positions: make(map[int]int64),
+		wake:      wake,
+		poke: func() {
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		},
+	}
 	for {
 		select {
 		case <-t.stopCh:
 			return
+		case <-retire:
+			return
 		default:
 		}
-		if t.currentEpoch() != epoch {
-			return
-		}
 		progressed := false
+		w.dry = w.dry[:0]
 		for p := idx; p < len(t.parts); p += n {
-			if t.processOne(p, positions) {
+			switch consumed, err := w.processOne(p); {
+			case consumed:
 				progressed = true
+			case err == nil:
+				w.dry = append(w.dry, p)
+			default:
+				// Could not read: not armed, so the next try is when
+				// the worker next goes round, BatchWindow from now at
+				// the latest.
 			}
 		}
 		if !progressed {
-			select {
-			case <-t.stopCh:
-				return
-			case <-t.clock.After(t.cfg.BatchWindow):
-			}
+			w.park(retire)
 		}
 	}
 }
 
-// processOne fetches and handles one batch from partition p; it reports
-// whether any events were consumed.
-func (t *Trigger) processOne(p int, positions map[int]int64) bool {
-	pos, ok := positions[p]
+// park blocks until an append to one of the dry partitions, a stop or
+// resize, or BatchWindow — the bound on going without a look at what no
+// append announces: a partition that failed to read, or one whose
+// leader has moved to another log. It parks no goroutine per partition:
+// each dry partition's log gets a one-shot callback that pokes w.wake.
+func (w *worker) park(retire <-chan struct{}) {
+	t := w.t
+	// A poke left over from a callback cancelled too late would cost an
+	// empty round; arming below re-checks every log, so none is lost.
+	select {
+	case <-w.wake:
+	default:
+	}
+	ready := false
+	for _, p := range w.dry {
+		log, err := t.fabric.LeaderLog(t.cfg.Topic, p)
+		if err != nil {
+			continue
+		}
+		handle, registered := log.NotifyAppend(w.positions[p], w.poke)
+		if !registered {
+			// Appended to since the read (or closed, which the next
+			// read reports): go round again.
+			ready = true
+			break
+		}
+		w.armed = append(w.armed, armedNotify{log, handle})
+	}
+	if !ready {
+		select {
+		case <-w.wake:
+		case <-retire:
+		case <-t.stopCh:
+		case <-t.clock.After(t.cfg.BatchWindow):
+		}
+	}
+	for _, a := range w.armed {
+		a.log.CancelNotify(a.handle)
+	}
+	w.armed = w.armed[:0]
+}
+
+// processOne fetches and handles one batch from partition p. It reports
+// whether it consumed anything (events, or offsets retention deleted);
+// false without an error is a partition read to its end.
+func (w *worker) processOne(p int) (consumed bool, err error) {
+	t := w.t
+	pos, ok := w.positions[p]
 	if !ok {
 		if off := t.fabric.Groups.Committed(t.cfg.Group, t.cfg.Topic, p); off >= 0 {
 			pos = off
 		} else {
 			start, err := t.fabric.StartOffset(t.cfg.Topic, p)
 			if err != nil {
-				return false
+				return false, err
 			}
 			pos = start
 		}
-		positions[p] = pos
+		w.positions[p] = pos
 	}
-	res, err := t.fabric.Fetch("", t.cfg.Topic, p, pos, t.cfg.BatchSize, t.cfg.BatchBytes)
-	if err != nil || len(res.Events) == 0 {
-		return false
-	}
-	batch := res.Events
-	matched := batch
-	if t.pat != nil {
-		matched = matched[:0:0]
-		for _, ev := range batch {
-			if t.pat.MatchJSON(ev.Value) {
-				matched = append(matched, ev)
-			} else {
-				t.mu.Lock()
-				t.eventsFiltered++
-				t.mu.Unlock()
+	res, err := t.fabric.FetchInto("", t.cfg.Topic, p, pos, t.cfg.BatchSize, t.cfg.BatchBytes, w.fetched[:0])
+	if err != nil {
+		if errors.Is(err, eventlog.ErrOffsetOutOfRange) {
+			// Retention deleted what the position points at: resume
+			// from what is left and account for the gap. (A position
+			// past the log end is a shorter log after a leader change;
+			// that one is waited out like any other failure.)
+			if start, serr := t.fabric.StartOffset(t.cfg.Topic, p); serr == nil && start > pos {
+				t.skipped.Add(start - pos)
+				t.metrics.Counter("trigger." + t.cfg.ID + ".skipped").Add(start - pos)
+				w.positions[p] = start
+				t.fabric.Groups.CommitDirect(t.cfg.Group, t.cfg.Topic, p, start)
+				return true, nil
 			}
 		}
+		return false, err
+	}
+	batch := res.Events
+	w.fetched = batch
+	if len(batch) == 0 {
+		return false, nil
+	}
+	matched := batch
+	if t.pat != nil {
+		matched = w.matched[:0]
+		for i := range batch {
+			if t.pat.MatchJSON(batch[i].Value) {
+				matched = append(matched, batch[i])
+			}
+		}
+		w.matched = matched
+		t.eventsFiltered.Add(int64(len(batch) - len(matched)))
 	}
 	if len(matched) > 0 {
 		t.invoke(p, matched)
 	}
-	last := batch[len(batch)-1]
-	positions[p] = last.Offset + 1
-	t.fabric.Groups.CommitDirect(t.cfg.Group, t.cfg.Topic, p, last.Offset+1)
-	return true
+	next := batch[len(batch)-1].Offset + 1
+	w.positions[p] = next
+	t.fabric.Groups.CommitDirect(t.cfg.Group, t.cfg.Topic, p, next)
+	return true, nil
 }
 
 func (t *Trigger) invoke(p int, evs []event.Event) {
-	t.mu.Lock()
-	t.active++
-	t.invocations++
-	t.mu.Unlock()
-	defer func() {
-		t.mu.Lock()
-		t.active--
-		t.mu.Unlock()
-	}()
-	for attempt := 1; ; attempt++ {
-		err := t.safeAction(&Invocation{
-			TriggerID:  t.cfg.ID,
-			Events:     evs,
-			Partition:  p,
-			Attempt:    attempt,
-			OnBehalfOf: t.cfg.OnBehalfOf,
-		})
-		if err == nil {
-			t.mu.Lock()
-			t.eventsDelivered += int64(len(evs))
-			t.mu.Unlock()
+	t.active.Add(1)
+	t.invocations.Add(1)
+	defer t.active.Add(-1)
+	inv := &Invocation{
+		TriggerID:  t.cfg.ID,
+		Events:     evs,
+		Partition:  p,
+		OnBehalfOf: t.cfg.OnBehalfOf,
+	}
+	for inv.Attempt = 1; ; inv.Attempt++ {
+		if err := t.safeAction(inv); err == nil {
+			t.eventsDelivered.Add(int64(len(evs)))
 			return
 		}
-		t.mu.Lock()
-		t.failures++
-		t.mu.Unlock()
-		if attempt > t.cfg.MaxRetries {
-			t.mu.Lock()
-			t.deadLettered += int64(len(evs))
-			t.mu.Unlock()
+		t.failures.Add(1)
+		if inv.Attempt > t.cfg.MaxRetries {
+			t.deadLettered.Add(int64(len(evs)))
 			t.metrics.Counter("trigger." + t.cfg.ID + ".dead_lettered").Add(int64(len(evs)))
 			return
 		}
@@ -436,15 +532,17 @@ func (t *Trigger) scaleLoop() {
 func (t *Trigger) Stats() Stats {
 	backlog, _ := t.fabric.PendingEvents(t.cfg.Topic, t.cfg.Group)
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	concurrency := t.concurrency
+	t.mu.Unlock()
 	return Stats{
-		Concurrency:       t.concurrency,
-		ActiveInvocations: t.active,
-		Invocations:       t.invocations,
-		EventsDelivered:   t.eventsDelivered,
-		EventsFiltered:    t.eventsFiltered,
-		Failures:          t.failures,
-		DeadLettered:      t.deadLettered,
+		Concurrency:       concurrency,
+		ActiveInvocations: int(t.active.Load()),
+		Invocations:       t.invocations.Load(),
+		EventsDelivered:   t.eventsDelivered.Load(),
+		EventsFiltered:    t.eventsFiltered.Load(),
+		Failures:          t.failures.Load(),
+		DeadLettered:      t.deadLettered.Load(),
+		Skipped:           t.skipped.Load(),
 		Backlog:           backlog,
 	}
 }

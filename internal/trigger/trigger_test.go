@@ -28,7 +28,6 @@ func fastCfg(id, topic string) Config {
 	return Config{
 		ID:           id,
 		Topic:        topic,
-		BatchWindow:  time.Millisecond,
 		EvalInterval: 5 * time.Millisecond,
 	}
 }
@@ -137,6 +136,7 @@ func TestTriggerRetriesThenDeadLetters(t *testing.T) {
 	f := newFabric(t, "t", 1)
 	cfg := fastCfg("retry", "t")
 	cfg.MaxRetries = 2
+	cfg.BatchWindow = time.Millisecond // the back-off between attempts
 	var mu sync.Mutex
 	attempts := 0
 	tr, err := New(f, cfg, func(inv *Invocation) error {
@@ -389,6 +389,7 @@ func TestRuntimeDeployLifecycle(t *testing.T) {
 func TestRuntimeUpdatePreservesProgress(t *testing.T) {
 	f := newFabric(t, "t", 1)
 	rt := NewRuntime(f)
+	defer rt.StopAll()
 	var mu sync.Mutex
 	var got []string
 	rt.RegisterAction("collect", func(inv *Invocation) error {

@@ -457,9 +457,7 @@ func BenchmarkSDKProducerPipeline(b *testing.B) {
 	if _, err := f.CreateTopic("sdk", "", cluster.TopicConfig{Partitions: 2}); err != nil {
 		b.Fatal(err)
 	}
-	p := client.NewProducer(client.NewDirect(f), "sdk", client.ProducerConfig{
-		BatchEvents: 256, Linger: time.Millisecond,
-	})
+	p := client.NewProducer(client.NewDirect(f), "sdk", client.ProducerConfig{BatchEvents: 256})
 	defer p.Close()
 	payload := make([]byte, 1024)
 	b.SetBytes(1024)

@@ -42,7 +42,7 @@ func runPolicy(policy sched.Policy) (float64, map[string]int) {
 	}
 	tr := client.NewDirect(oct.Fabric)
 	fleet := telemetry.NewFleet(3)
-	p := client.NewProducer(tr, "telemetry", client.ProducerConfig{Linger: time.Millisecond})
+	p := client.NewProducer(tr, "telemetry", client.ProducerConfig{})
 	defer p.Close()
 
 	s, err := sched.New(tr, "telemetry", policy, nil)

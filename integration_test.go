@@ -81,9 +81,7 @@ func TestFullStackScenario(t *testing.T) {
 	}
 	defer wc.Close()
 	remote := netsim.New(wc, netsim.Remote(), nil)
-	prod := client.NewProducer(remote, "instrument", client.ProducerConfig{
-		BatchEvents: 32, Linger: 2 * time.Millisecond,
-	})
+	prod := client.NewProducer(remote, "instrument", client.ProducerConfig{BatchEvents: 32})
 	const created, modified = 12, 24
 	start := time.Now()
 	for i := 0; i < created; i++ {

@@ -171,11 +171,18 @@ func (f *Fabric) LeaderLogInfo(topic string, partition int) (*eventlog.Log, int6
 
 // BrokerLog returns broker id's own replica log for the partition,
 // opening (and, for DataDir-backed brokers, replaying) it if needed —
-// the local log a replication fetch loop appends to.
+// the local log a replication fetch loop appends to. A follower calls it
+// every fetch round, so a log that is already open is returned without
+// reading (and JSON-decoding) the topic's metadata from the controller;
+// only opening a log needs the topic's config.
 func (f *Fabric) BrokerLog(id int, topic string, partition int) (*eventlog.Log, error) {
 	n, ok := f.Node(id)
 	if !ok {
 		return nil, fmt.Errorf("broker: unknown broker %d", id)
+	}
+	tp := TP{Topic: topic, Partition: partition}
+	if l, ok := n.existingLog(tp); ok {
+		return l, nil
 	}
 	meta, err := f.Ctl.Topic(topic)
 	if err != nil {
@@ -184,7 +191,7 @@ func (f *Fabric) BrokerLog(id int, topic string, partition int) (*eventlog.Log, 
 	if partition < 0 || partition >= len(meta.Partitions) {
 		return nil, fmt.Errorf("%w: %s/%d", ErrNoPartition, topic, partition)
 	}
-	return n.log(TP{Topic: topic, Partition: partition}, logConfig(meta.Config))
+	return n.log(tp, logConfig(meta.Config))
 }
 
 // CrashBroker simulates kill -9: the node's in-memory state is dropped

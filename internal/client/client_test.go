@@ -366,7 +366,7 @@ func TestEndToEndProducerConsumerConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		p := NewProducer(tr, "t", ProducerConfig{BatchEvents: 32, Linger: time.Millisecond})
+		p := NewProducer(tr, "t", ProducerConfig{BatchEvents: 32})
 		defer p.Close()
 		for i := 0; i < total; i++ {
 			if err := p.SendJSON("", map[string]any{"seq": i}); err != nil {

@@ -32,8 +32,13 @@ type ProducerConfig struct {
 	// BufferBytes flushes when this much payload is buffered
 	// (default 256 KB, the paper's buffer.memory).
 	BufferBytes int
-	// Linger is the maximum time an event waits in the buffer before a
-	// flush (default 5 ms).
+	// Linger is how long the oldest buffered event may wait for company
+	// before a flush. 0 (the default) means no wait: an idle producer
+	// sends the first event at once, and batches form only from what
+	// arrives while a produce is in flight, so the batch size follows
+	// the round-trip time. A positive value holds a flush back until the
+	// oldest buffered event has waited that long, or BatchEvents /
+	// BufferBytes fill first.
 	Linger time.Duration
 	// Clock supplies time (default real).
 	Clock vclock.Clock
@@ -54,9 +59,6 @@ func (c *ProducerConfig) fill() {
 	}
 	if c.BufferBytes == 0 {
 		c.BufferBytes = 256 << 10
-	}
-	if c.Linger == 0 {
-		c.Linger = 5 * time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = vclock.Real{}
@@ -80,9 +82,15 @@ func (e *DeliveryError) Error() string {
 func (e *DeliveryError) Unwrap() error { return e.Err }
 
 // Producer publishes events to one topic with asynchronous batching:
-// Send buffers, a background flusher groups events into batches bounded
-// by count, bytes, and linger time, and failed batches are retried with
-// backoff. Flush and Close provide the synchronous barriers.
+// Send buffers and a background flusher sends the buffer as one batch.
+// With the default zero Linger the flusher sends as soon as it is idle:
+// the first Send into an empty buffer wakes it, and the events that
+// arrive while that produce is in flight form the next batch, so batches
+// grow with load and the round-trip time instead of a timer. A positive
+// Linger instead holds each batch back until its oldest event has waited
+// that long. BatchEvents and BufferBytes flush a full buffer early
+// either way. Failed batches are retried with backoff; Flush and Close
+// provide the synchronous barriers.
 type Producer struct {
 	t     Transport
 	topic string
@@ -127,11 +135,12 @@ func (p *Producer) Send(ev event.Event) error {
 		p.mu.Unlock()
 		return ErrProducerClosed
 	}
+	wake := len(p.buf) == 0
 	p.buf = append(p.buf, ev)
 	p.bufSize += ev.Size()
-	full := len(p.buf) >= p.cfg.BatchEvents || p.bufSize >= p.cfg.BufferBytes
+	wake = wake || p.fullLocked()
 	p.mu.Unlock()
-	if full {
+	if wake {
 		select {
 		case p.wakeCh <- struct{}{}:
 		default:
@@ -197,16 +206,41 @@ func (p *Producer) Errors() []error {
 	return out
 }
 
+// fullLocked reports whether the buffer has reached a size bound; p.mu
+// must be held.
+func (p *Producer) fullLocked() bool {
+	return len(p.buf) >= p.cfg.BatchEvents || p.bufSize >= p.cfg.BufferBytes
+}
+
+// run is the flusher. Send wakes it when the buffer stops being empty
+// and when it fills; a wake flushes at once unless a positive Linger
+// asks to wait, in which case it arms the one linger timer. An idle
+// producer therefore blocks here without touching the clock.
 func (p *Producer) run() {
+	var linger <-chan time.Time // armed only while the oldest event lingers
 	for {
 		select {
 		case <-p.doneCh:
 			return
 		case ack := <-p.flushCh:
+			linger = nil
 			ack <- p.flushOnce()
 		case <-p.wakeCh:
+			if p.cfg.Linger > 0 {
+				p.mu.Lock()
+				hold := len(p.buf) > 0 && !p.fullLocked()
+				p.mu.Unlock()
+				if hold {
+					if linger == nil {
+						linger = p.cfg.Clock.After(p.cfg.Linger)
+					}
+					continue
+				}
+			}
+			linger = nil
 			p.recordErr(p.flushOnce())
-		case <-p.cfg.Clock.After(p.cfg.Linger):
+		case <-linger:
+			linger = nil
 			p.recordErr(p.flushOnce())
 		}
 	}

@@ -58,7 +58,7 @@ func TestLeaderDirectSteadyState(t *testing.T) {
 	wc := dialSeed(t, cl, 0)
 
 	const total = 600
-	p := client.NewProducer(wc, "steady", client.ProducerConfig{BatchEvents: 32, Linger: time.Millisecond})
+	p := client.NewProducer(wc, "steady", client.ProducerConfig{BatchEvents: 32})
 	for i := 0; i < total; i++ {
 		key := ""
 		if i%2 == 0 {

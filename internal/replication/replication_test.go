@@ -306,3 +306,39 @@ func TestLeaderFailoverNewEpochFencesOldFetches(t *testing.T) {
 		return len(pm.ISR) >= 2
 	})
 }
+
+// TestFollowerLogLookupSkipsController pins the lookup every follower
+// fetch round starts with: once a replica log is open, Fabric.BrokerLog
+// hands it back without reading the topic's metadata from the
+// controller (a JSON decode per round), so the call allocates nothing
+// and still answers when the metadata is gone.
+func TestFollowerLogLookupSkipsController(t *testing.T) {
+	f, _, _ := testCluster(t, Config{}, 1)
+	if _, err := f.CreateTopic("t", "", cluster.TopicConfig{Partitions: 2, ReplicationFactor: 3}); err != nil {
+		t.Fatalf("CreateTopic: %v", err)
+	}
+	pm := partMeta(t, f, "t")
+	follower := pm.Replicas[len(pm.Replicas)-1]
+	opened, err := f.BrokerLog(follower, "t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.BrokerLog(follower, "t", 0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("BrokerLog on an open log allocates %.1f times, want 0", allocs)
+	}
+	if err := f.Ctl.DeleteTopic("t"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.BrokerLog(follower, "t", 0)
+	if err != nil || got != opened {
+		t.Fatalf("BrokerLog after the metadata went = %p, %v; want the open log %p", got, err, opened)
+	}
+	// A log that is not open yet still needs the metadata to open it.
+	if _, err := f.BrokerLog(follower, "t", 1); err == nil {
+		t.Fatal("BrokerLog opened a log for a topic the controller no longer has")
+	}
+}

@@ -24,7 +24,7 @@ func fixture(t *testing.T, policy Policy) (*broker.Fabric, *telemetry.Fleet, *cl
 	}
 	tr := client.NewDirect(f)
 	fleet := telemetry.NewFleet(3)
-	p := client.NewProducer(tr, "telemetry", client.ProducerConfig{Linger: time.Millisecond})
+	p := client.NewProducer(tr, "telemetry", client.ProducerConfig{})
 	t.Cleanup(func() { _ = p.Close() })
 	s, err := New(tr, "telemetry", policy, nil)
 	if err != nil {

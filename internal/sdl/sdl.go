@@ -82,11 +82,8 @@ func NewLab(t client.Transport, topic string, clock vclock.Clock) *Lab {
 	}
 	return &Lab{
 		Instruments: instruments,
-		producer: client.NewProducer(t, topic, client.ProducerConfig{
-			BatchEvents: 16,
-			Linger:      time.Millisecond,
-		}),
-		clock: clock,
+		producer:    client.NewProducer(t, topic, client.ProducerConfig{BatchEvents: 16}),
+		clock:       clock,
 	}
 }
 

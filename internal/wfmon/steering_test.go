@@ -20,7 +20,7 @@ func steeringFixture(t *testing.T) (client.Transport, *client.Producer, *Steerin
 		t.Fatal(err)
 	}
 	tr := client.NewDirect(f)
-	p := client.NewProducer(tr, "wf-mon", client.ProducerConfig{Linger: time.Millisecond})
+	p := client.NewProducer(tr, "wf-mon", client.ProducerConfig{})
 	t.Cleanup(func() { _ = p.Close() })
 	s, err := NewSteering(tr, "wf-mon")
 	if err != nil {

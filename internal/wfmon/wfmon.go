@@ -85,10 +85,7 @@ type OctopusMonitor struct {
 // NewOctopusMonitor creates a fabric-backed monitor publishing to topic.
 func NewOctopusMonitor(t client.Transport, topic string) *OctopusMonitor {
 	return &OctopusMonitor{
-		producer: client.NewProducer(t, topic, client.ProducerConfig{
-			BatchEvents: 128,
-			Linger:      2 * time.Millisecond,
-		}),
+		producer: client.NewProducer(t, topic, client.ProducerConfig{BatchEvents: 128}),
 	}
 }
 

@@ -957,27 +957,35 @@ func (c *Client) produceTo(topic string, partition int, evs []event.Event, acks 
 // producePartitioned buckets a per-event-routed batch by partition and
 // produces every bucket concurrently against its leader. The returned
 // offset is the first bucket's base offset, matching the fabric's
-// Produce contract for multi-partition batches.
+// Produce contract for multi-partition batches. A batch whose events
+// all map to one partition — every one-event batch — goes out as it is,
+// without bucketing.
 func (c *Client) producePartitioned(topic string, parts int, evs []event.Event, acks broker.Acks) (int64, error) {
 	if parts == 1 || len(evs) == 0 {
 		return c.produceTo(topic, 0, evs, acks)
 	}
+	first := c.partitionFor(&evs[0], parts)
+	split := 1 // evs[:split] all map to first
+	p := first
+	for ; split < len(evs); split++ {
+		if p = c.partitionFor(&evs[split], parts); p != first {
+			break
+		}
+	}
+	if split == len(evs) {
+		return c.produceTo(topic, first, evs, acks)
+	}
 	buckets := make([][]event.Event, parts)
-	order := make([]int, 0, parts)
-	for i := range evs {
-		var p int
-		if len(evs[i].Key) > 0 {
-			p = broker.PartitionForKey(evs[i].Key, parts)
-		} else {
-			p = int(c.prodRR.Add(1) % uint64(parts))
+	buckets[first] = evs[:split:split] // full cap: appends copy, never write into evs
+	order := append(make([]int, 0, parts), first)
+	for i := split; i < len(evs); i++ {
+		if i > split {
+			p = c.partitionFor(&evs[i], parts)
 		}
 		if buckets[p] == nil {
 			order = append(order, p)
 		}
 		buckets[p] = append(buckets[p], evs[i])
-	}
-	if len(order) == 1 {
-		return c.produceTo(topic, order[0], buckets[order[0]], acks)
 	}
 	offs := make([]int64, len(order))
 	errs := make([]error, len(order))
@@ -996,6 +1004,15 @@ func (c *Client) producePartitioned(topic string, parts int, evs []event.Event, 
 		}
 	}
 	return offs[0], nil
+}
+
+// partitionFor routes one event of a per-event-routed batch: keyed
+// events through the fabric's partitioner, unkeyed ones round-robin.
+func (c *Client) partitionFor(ev *event.Event, parts int) int {
+	if len(ev.Key) > 0 {
+		return broker.PartitionForKey(ev.Key, parts)
+	}
+	return int(c.prodRR.Add(1) % uint64(parts))
 }
 
 // Fetch implements client.Transport.

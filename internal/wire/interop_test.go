@@ -129,7 +129,7 @@ func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, s
 
 	// SDK producer: batched, keyed, flushed.
 	const total = 200
-	p := client.NewProducer(c, "ip", client.ProducerConfig{BatchEvents: 16, Linger: time.Millisecond})
+	p := client.NewProducer(c, "ip", client.ProducerConfig{BatchEvents: 16})
 	for i := 0; i < total; i++ {
 		if err := p.SendJSON(fmt.Sprintf("k%d", i%17), map[string]any{"i": i}); err != nil {
 			t.Fatal(err)

@@ -178,7 +178,7 @@ func TestSDKOverWire(t *testing.T) {
 	}
 	defer c.Close()
 	// The full SDK producer/consumer stack over the wire transport.
-	p := client.NewProducer(c, "sdk", client.ProducerConfig{BatchEvents: 16, Linger: time.Millisecond})
+	p := client.NewProducer(c, "sdk", client.ProducerConfig{BatchEvents: 16})
 	for i := 0; i < 100; i++ {
 		if err := p.SendJSON("", map[string]any{"i": i}); err != nil {
 			t.Fatal(err)
@@ -397,5 +397,63 @@ func TestLargeBatchOverWire(t *testing.T) {
 	}
 	if len(res.Events[0].Value) != 4096 {
 		t.Fatalf("payload size = %d", len(res.Events[0].Value))
+	}
+}
+
+// TestRoutedSinglePartitionBatchAllocs: a per-event-routed batch whose
+// events all map to one partition — every one-event batch — costs no
+// more allocations than producing it to that partition directly, because
+// it is sent as it is instead of being bucketed (which cost three). The
+// counts are whole-process, the in-process server included, so the two
+// sides are compared with one allocation of slack rather than pinned.
+func TestRoutedSinglePartitionBatchAllocs(t *testing.T) {
+	f, addr, stop := startServer(t, true)
+	defer stop()
+	const parts = 4
+	if _, err := f.CreateTopic("r", "", cluster.TopicConfig{Partitions: parts}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialAnonymous(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// A mixed batch still lands every keyed event on its key's partition.
+	var mixed []event.Event
+	want := make([]int64, parts)
+	for i := 0; len(mixed) < 16; i++ {
+		key := []byte{byte('a' + i)}
+		mixed = append(mixed, event.Event{Key: key, Value: []byte("v")})
+		want[broker.PartitionForKey(key, parts)]++
+	}
+	if _, err := c.Produce("", "r", -1, mixed, broker.AcksLeader); err != nil {
+		t.Fatal(err)
+	}
+	if !c.RouterEnabled() {
+		t.Fatal("router not enabled: the batch was not pre-partitioned")
+	}
+	for p := 0; p < parts; p++ {
+		if end, err := c.EndOffset("r", p); err != nil || end != want[p] {
+			t.Fatalf("partition %d end = %d, %v; want %d", p, end, err, want[p])
+		}
+	}
+
+	one := []event.Event{{Key: []byte("k"), Value: []byte("v")}}
+	p := broker.PartitionForKey(one[0].Key, parts)
+	produce := func(partition int) func() {
+		return func() {
+			if _, err := c.Produce("", "r", partition, one, broker.AcksLeader); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	routed, direct := produce(-1), produce(p)
+	routed()
+	direct()
+	routedAllocs := testing.AllocsPerRun(200, routed)
+	directAllocs := testing.AllocsPerRun(200, direct)
+	if routedAllocs > directAllocs+1 {
+		t.Fatalf("routed one-event produce allocates %.0f times, direct %.0f: the batch was bucketed", routedAllocs, directAllocs)
 	}
 }

@@ -7,13 +7,12 @@ import (
 	"repro/internal/testbed"
 )
 
-// runConnBench compares the two v2 consume transports at connection
+// runConnBench measures the multiplexed fetch session at connection
 // scale on this host — the operator-facing twin of the
 // BenchmarkManyConnections CI gate, running the identical
 // testbed.ConnScaleFixture: many connections each subscribed to many
-// partitions, per-partition streams (one server pump goroutine per
-// partition per connection) against multiplexed fetch sessions (one
-// pump and one shared credit window per connection).
+// partitions, one server pump and one shared credit window per
+// connection.
 func runConnBench(conns int) {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
@@ -28,25 +27,17 @@ func runConnBench(conns int) {
 		fail(err)
 	}
 	defer fx.Close()
-	stream, err := fx.Run(false)
-	if err != nil {
-		fail(err)
-	}
-	sess, err := fx.Run(true)
+	sess, err := fx.Run()
 	if err != nil {
 		fail(err)
 	}
 
 	t := &testbed.Table{
-		Title: fmt.Sprintf("Consume transports at connection scale (%d connections x %d partitions, %d-byte events)",
+		Title: fmt.Sprintf("Fetch sessions at connection scale (%d connections x %d partitions, %d-byte events)",
 			conns, parts, eventSize),
 		Columns: []string{"Transport", "Goroutines/conn", "Serving/conn", "Allocs/event", "Drain (ev/s)"},
 	}
-	t.Add("per-partition streams", fmt.Sprintf("%.1f", stream.GoroutinesPerConn),
-		fmt.Sprintf("%.1f", stream.ServingPerConn), fmt.Sprintf("%.2f", stream.AllocsPerEvent), int(stream.EventsPerSec))
 	t.Add("multiplexed session", fmt.Sprintf("%.1f", sess.GoroutinesPerConn),
 		fmt.Sprintf("%.1f", sess.ServingPerConn), fmt.Sprintf("%.2f", sess.AllocsPerEvent), int(sess.EventsPerSec))
 	fmt.Println(t)
-	fmt.Printf("goroutine footprint reduction: %.1fx per connection\n",
-		stream.GoroutinesPerConn/sess.GoroutinesPerConn)
 }

@@ -6,9 +6,9 @@
 //	octopus-bench -figure 4       # trigger autoscaling run
 //	octopus-bench -table cost     # §VII-C cost analysis
 //	octopus-bench -real           # reduced-scale run on the real fabric
-//	octopus-bench -stream         # consume-transport comparison (PR 2-4)
+//	octopus-bench -stream         # consume-transport comparison
 //	octopus-bench -cluster        # leader-direct vs proxied routing (PR 5)
-//	octopus-bench -connections    # streams vs multiplexed sessions at connection scale (PR 6)
+//	octopus-bench -connections    # multiplexed session footprint at connection scale
 package main
 
 import (
@@ -26,10 +26,10 @@ func main() {
 	figure := flag.String("figure", "", "figure to regenerate: 3, 4, 5, 7, 8, triggers")
 	all := flag.Bool("all", false, "regenerate everything")
 	real := flag.Bool("real", false, "also run the reduced-scale real-fabric shape check")
-	stream := flag.Bool("stream", false, "compare request/response, pipelined and streaming consume over an emulated remote link")
+	stream := flag.Bool("stream", false, "compare request/response, pipelined and session-push consume over an emulated remote link")
 	clusterBench := flag.Bool("cluster", false, "compare leader-direct routing vs proxying through one listener over emulated remote links")
 	clusterBrokers := flag.Int("cluster-brokers", 3, "broker count for -cluster")
-	connBench := flag.Bool("connections", false, "compare per-partition streams vs multiplexed fetch sessions at connection scale")
+	connBench := flag.Bool("connections", false, "measure multiplexed fetch sessions at connection scale")
 	connCount := flag.Int("conn-count", 16, "connection count for -connections")
 	csvDir := flag.String("csv", "", "export every artifact as CSV into this directory")
 	flag.Parse()

@@ -13,10 +13,10 @@ import (
 	"repro/internal/wire"
 )
 
-// runStreamBench compares the consume transports introduced across
-// PR 2–4 on this host, over an emulated 2 ms remote link: serial-ish
-// request/response (no prefetch), the pipelined prefetching fetcher,
-// and credit-based streaming fetch. It is the operator-facing twin of
+// runStreamBench compares the consume transports on this host, over an
+// emulated 2 ms remote link: serial-ish request/response (no
+// prefetch), the pipelined prefetching fetcher, and the credit-based
+// server push of a fetch session. It is the operator-facing twin of
 // the BenchmarkStreamingFetch CI gate.
 func runStreamBench() {
 	const total, eventSize, pollMax = 24000, 200, 500
@@ -54,8 +54,8 @@ func runStreamBench() {
 	}
 	defer stopProxy()
 
-	consume := func(disableStreaming, prefetch bool) float64 {
-		c, err := wire.DialOptions(remote, wire.Options{Anonymous: true, PoolSize: 1, DisableStreaming: disableStreaming})
+	consume := func(disableSessions, prefetch bool) float64 {
+		c, err := wire.DialOptions(remote, wire.Options{Anonymous: true, PoolSize: 1, DisableSessionFetch: disableSessions})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -84,13 +84,13 @@ func runStreamBench() {
 
 	serial := consume(true, false)
 	pipelined := consume(true, true)
-	streamed := consume(false, true)
+	pushed := consume(false, true)
 	t := &testbed.Table{
 		Title:   fmt.Sprintf("Consume transports over an emulated 2 ms link (%d events of %d B)", total, eventSize),
 		Columns: []string{"Transport", "Thru (ev/s)", "Speedup vs serial"},
 	}
 	t.Add("request/response", int(serial), "1.0x")
 	t.Add("pipelined + prefetch (PR 2)", int(pipelined), fmt.Sprintf("%.1fx", pipelined/serial))
-	t.Add("streaming fetch (PR 4)", int(streamed), fmt.Sprintf("%.1fx", streamed/serial))
+	t.Add("fetch session push", int(pushed), fmt.Sprintf("%.1fx", pushed/serial))
 	fmt.Println(t)
 }

@@ -167,7 +167,9 @@ func TestFailoverMidProduce(t *testing.T) {
 	seen := make(map[string]bool)
 	var buf broker.FetchBuffer
 	for off := int64(0); off < end; {
-		res, err := wc.FetchBuffered("", "fp", 0, off, 500, 1<<20, &buf)
+		// Wait for the push: a zero-wait fetch on a fresh session
+		// subscription may return before the first batch lands.
+		res, err := wc.FetchBufferedWait("", "fp", 0, off, 500, 1<<20, 5*time.Second, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +190,11 @@ func TestFailoverMidProduce(t *testing.T) {
 	}
 }
 
-// TestFailoverMidStream kills the leader under an active streaming
-// consumer and asserts the stream transparently reopens against the
-// re-elected leader with no gap and no duplicate: the consumer's
-// offsets stay contiguous through the failover, and everything
-// produced — before and after the kill — is delivered.
+// TestFailoverMidStream kills the leader under an active session-push
+// consumer and asserts the subscription transparently re-subscribes
+// against the re-elected leader with no gap and no duplicate: the
+// consumer's offsets stay contiguous through the failover, and
+// everything produced — before and after the kill — is delivered.
 func TestFailoverMidStream(t *testing.T) {
 	cl, f := startCluster(t, 3, "fs", 1, 2)
 	leader, err := f.PartitionLeader("fs", 0)
@@ -201,8 +203,8 @@ func TestFailoverMidStream(t *testing.T) {
 	}
 	seedID := (leader + 1) % 3
 	wc := dialSeed(t, cl, seedID)
-	if wc.Features()&wire.FeatStreamFetch == 0 {
-		t.Fatal("streaming not negotiated")
+	if wc.Features()&wire.FeatSessionFetch == 0 {
+		t.Fatal("session fetch not negotiated")
 	}
 
 	const before, after = 1000, 500
@@ -237,7 +239,7 @@ func TestFailoverMidStream(t *testing.T) {
 			}
 			for _, ev := range polled {
 				if ev.Offset != off {
-					t.Fatalf("offset %d after %d: stream reroute broke contiguity", ev.Offset, off)
+					t.Fatalf("offset %d after %d: session reroute broke contiguity", ev.Offset, off)
 				}
 				if want := fmt.Sprintf("v%d", off); string(ev.Value) != want {
 					t.Fatalf("event %d value %q, want %q", off, ev.Value, want)
@@ -247,7 +249,7 @@ func TestFailoverMidStream(t *testing.T) {
 		}
 	}
 
-	// Drain half the backlog through the stream, then kill the leader.
+	// Drain half the backlog through the session, then kill the leader.
 	poll(time.Now().Add(10*time.Second), before/2)
 	if off < before/2 {
 		t.Fatalf("pre-failover consumption stalled at %d", off)

@@ -11,14 +11,13 @@ import (
 	"repro/internal/wire"
 )
 
-// ConnScaleFixture is the shared connection-scale comparison: many
-// client connections, each consuming many partitions of one server,
-// measured for goroutine footprint and allocation cost under the two
-// v2 consume transports — per-partition streams (PR 4, one server pump
-// goroutine per partition per connection) and multiplexed fetch
-// sessions (PR 6, one pump per connection regardless of partitions).
-// The BenchmarkManyConnections CI gate and the operator-facing
-// octopus-bench -connections both run exactly this fixture.
+// ConnScaleFixture is the shared connection-scale measurement: many
+// client connections, each consuming many partitions of one server
+// over multiplexed fetch sessions (one server pump per connection
+// regardless of partitions), measured for goroutine footprint and
+// allocation cost. The BenchmarkManyConnections CI gate and the
+// operator-facing octopus-bench -connections both run exactly this
+// fixture.
 type ConnScaleFixture struct {
 	// Conns clients × Partitions subscriptions each, over a backlog of
 	// PerPartition events per partition.
@@ -29,15 +28,14 @@ type ConnScaleFixture struct {
 	addr   string
 }
 
-// ConnScaleResult is one transport mode's measurement.
+// ConnScaleResult is one run's measurement.
 type ConnScaleResult struct {
 	// GoroutinesPerConn is the process goroutine count added per
 	// connection with every subscription live (both endpoints are
 	// in-process, so it charges the full client+server cost).
 	GoroutinesPerConn float64
 	// ServingPerConn is the subset added by the subscriptions alone —
-	// the count that scales with partitions on the stream path and must
-	// not on the session path.
+	// the count that must not scale with partitions.
 	ServingPerConn float64
 	// AllocsPerEvent is the process-wide allocation count per consumed
 	// event, minimum over rounds (the minimum is the clean signal:
@@ -103,13 +101,12 @@ func stableGoroutines() int {
 	return prev
 }
 
-// Run measures one transport mode: sessioned fetch when sessioned,
-// per-partition streams otherwise. It dials Conns clients, opens every
-// subscription, measures the goroutine footprint, drains the backlog
-// through one client for allocation and throughput numbers, and then
-// closes everything — verifying the process returns to its goroutine
-// baseline (the leak gate rides along on every run).
-func (x *ConnScaleFixture) Run(sessioned bool) (ConnScaleResult, error) {
+// Run dials Conns clients, opens every subscription, measures the
+// goroutine footprint, drains the backlog through one client for
+// allocation and throughput numbers, and then closes everything —
+// verifying the process returns to its goroutine baseline (the leak
+// gate rides along on every run).
+func (x *ConnScaleFixture) Run() (ConnScaleResult, error) {
 	var res ConnScaleResult
 	g0 := stableGoroutines()
 
@@ -120,9 +117,7 @@ func (x *ConnScaleFixture) Run(sessioned bool) (ConnScaleResult, error) {
 		}
 	}()
 	for i := 0; i < x.Conns; i++ {
-		c, err := wire.DialOptions(x.addr, wire.Options{
-			Anonymous: true, PoolSize: 1, DisableSessionFetch: !sessioned,
-		})
+		c, err := wire.DialOptions(x.addr, wire.Options{Anonymous: true, PoolSize: 1})
 		if err != nil {
 			return res, err
 		}

@@ -40,27 +40,20 @@ type Options struct {
 	// (default MaxProtocol). Setting it to ProtocolV1 skips negotiation
 	// entirely, reproducing a legacy client.
 	MaxVersion int
-	// DisableStreaming masks FeatStreamFetch out of negotiation: the
-	// client consumes via pipelined request/response fetch even against
-	// streaming-capable servers. Used by interop tests and same-run
-	// benchmark baselines.
-	DisableStreaming bool
 	// DisableClusterMeta masks FeatClusterMeta out of negotiation: the
 	// client never fetches cluster metadata and routes every request
 	// to its seed address with slot hashing — the pre-cluster
 	// behavior. Used by interop tests and single-listener baselines.
 	DisableClusterMeta bool
-	// StreamWindowBytes, when > 0, adds a byte-denominated window to
-	// streaming-fetch sessions: besides the event-credit window, the
-	// server stops pushing once this many un-granted payload bytes are
-	// outstanding, so a stalled reader's server-side buffering is
-	// bounded in bytes even when event sizes vary wildly. Zero keeps
-	// the event-credit-only semantics. Multiplexed fetch sessions use
-	// it as the session's shared byte window (zero = server default).
+	// StreamWindowBytes is the fetch session's shared byte window: the
+	// server stops pushing once this many un-granted bytes are
+	// outstanding, bounding a stalled reader's server-side buffering.
+	// Zero asks for the server default (1 MiB); larger values are
+	// clamped to the server's cap.
 	StreamWindowBytes int
 	// DisableSessionFetch masks FeatSessionFetch out of negotiation:
-	// the client consumes via per-partition streams (or plain fetch)
-	// even against session-capable servers. Used by interop tests and
+	// the client consumes via request/response long-poll fetch even
+	// against session-capable servers. Used by interop tests and
 	// same-run benchmark baselines.
 	DisableSessionFetch bool
 	// DisableMetaPush masks FeatMetaPush out of negotiation: the
@@ -82,9 +75,6 @@ type Options struct {
 // features is the feature set this client offers in negotiation.
 func (o *Options) features() uint32 {
 	feats := allFeatures
-	if o.DisableStreaming {
-		feats &^= FeatStreamFetch
-	}
 	if o.DisableClusterMeta {
 		feats &^= FeatClusterMeta
 	}
@@ -110,11 +100,10 @@ func (o *Options) fill() {
 	if o.MaxVersion <= 0 || o.MaxVersion > MaxProtocol {
 		o.MaxVersion = MaxProtocol
 	}
-	if o.StreamWindowBytes > maxStreamCreditBytes {
-		// Clamp to the server's own bound: asking for more would leave
-		// the grant threshold (half the requested window) beyond what
-		// the server will ever push, stalling the stream permanently.
-		o.StreamWindowBytes = maxStreamCreditBytes
+	if o.StreamWindowBytes > maxSessionWindow {
+		// The server grants at most its own cap: clamp so the option
+		// holds the window actually in force.
+		o.StreamWindowBytes = maxSessionWindow
 	}
 }
 
@@ -194,9 +183,9 @@ type call struct {
 	// which is what makes the consumer's fetch session reuse work over
 	// the wire.
 	arena []byte
-	// oneway marks a request with no response (stream credit grants and
-	// closes): the writer completes it right after its bytes leave,
-	// without registering a pending correlation entry.
+	// oneway marks a request with no response (session credit grants,
+	// sub removals and closes): the writer completes it right after its
+	// bytes leave, without registering a pending correlation entry.
 	oneway bool
 	// resp is the typed response target, decoded from the v2 body or
 	// filled from the v1 header; nil discards the body.
@@ -243,19 +232,9 @@ type wireConn struct {
 	pending  map[uint64]*call
 	nextCorr uint64
 	err      error // sticky: first failure wins
-	// done is closed by fail (after err is set): stream consumers and
-	// long-poll waiters park on it instead of polling the sticky error.
+	// done is closed by fail (after err is set): session consumers park
+	// on it instead of polling the sticky error.
 	done chan struct{}
-
-	// Stream sessions (FeatStreamFetch), keyed both by the server-facing
-	// stream ID (reader dispatch) and by topic-partition (fetch lookup).
-	streamMu     sync.Mutex
-	streamsByID  map[uint64]*clientStream
-	streamsByTP  map[streamKey]*clientStream
-	nextStreamID uint64
-	// noStreams latches when the server refuses a stream open despite
-	// negotiation, pinning this connection to request/response fetch.
-	noStreams bool
 
 	// Multiplexed fetch session (FeatSessionFetch): at most one per
 	// connection, multiplexing every subscribed topic-partition over a
@@ -267,7 +246,7 @@ type wireConn struct {
 	session    *clientSession
 	nextSessID uint64
 	// noSessions latches when the server refuses a session open despite
-	// negotiation, falling back to per-partition streams.
+	// negotiation, pinning this connection to request/response fetch.
 	noSessions bool
 
 	// onMetaPush, set before the reader starts, adopts server-pushed
@@ -355,6 +334,13 @@ func (wc *wireConn) featuresNow() uint32 {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	return wc.features
+}
+
+// errNow snapshots the connection's sticky error.
+func (wc *wireConn) errNow() error {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	return wc.err
 }
 
 // slotFor maps a topic-partition to its pool connection. Key-routed
@@ -572,9 +558,9 @@ func (wc *wireConn) do(cl *call) error {
 	return cl.err
 }
 
-// sendOneway enqueues a request with no response (stream credit grants
-// and closes) without blocking for its write: flow-control traffic must
-// never stall the consumer behind the writer.
+// sendOneway enqueues a request with no response (session credit
+// grants, sub removals and closes) without blocking for its write:
+// flow-control traffic must never stall the consumer behind the writer.
 func (wc *wireConn) sendOneway(req ReqMsg) error {
 	cl := &call{op: req.V2Op(), req: req, oneway: true, done: make(chan struct{})}
 	wc.mu.Lock()
@@ -605,7 +591,7 @@ func (wc *wireConn) fail(err error) {
 	pending := wc.pending
 	wc.pending = make(map[uint64]*call)
 	wc.cond.Broadcast()
-	// err is visible before done closes: stream consumers woken by done
+	// err is visible before done closes: session consumers woken by done
 	// always observe the sticky error.
 	close(wc.done)
 	wc.mu.Unlock()
@@ -701,7 +687,7 @@ func (wc *wireConn) writeLoop() {
 		}
 		// A response must arrive within IOTimeout of the last write —
 		// unless everything written was one-way (credit grants on an
-		// otherwise idle stream connection), where no response is owed
+		// otherwise idle session connection), where no response is owed
 		// and an armed read deadline would kill a healthy idle link.
 		_ = wc.conn.SetWriteDeadline(time.Now().Add(IOTimeout))
 		if expectResp {
@@ -753,16 +739,6 @@ func (wc *wireConn) readLoop() {
 			if op, code, corr, body, err = decodeRespPrefixV2(hb); err != nil {
 				wc.fail(err)
 				return
-			}
-			if op == v2OpStreamBatch || op == v2OpStreamClose {
-				// Server-pushed stream frame: corr is the stream ID, not a
-				// pending correlation entry. Routed straight to the stream's
-				// frame queue (payload included); never touches pending.
-				if err := wc.handleStreamPush(op, code, corr, body); err != nil {
-					wc.fail(err)
-					return
-				}
-				continue
 			}
 			if op == v2OpSessionBatch || op == v2OpSessionClose {
 				// Server-pushed session frame: corr packs session and sub
@@ -1033,23 +1009,23 @@ func (c *Client) Fetch(_ string, topic string, partition int, offset int64, maxE
 
 // FetchBuffered implements the SDK consumer's buffered-fetch extension
 // (client.BufferedFetcher). When the connection negotiated
-// FeatStreamFetch, the call is served from a per-partition stream the
-// server pushes into — zero request round trips at steady state; see
-// streamclient.go. Otherwise (v1 peers, stream-disabled servers) the
-// response payload is read directly into buf.Arena by the reader
-// goroutine and decoded into buf.Events, so a steady-state poll reuses
-// one receive buffer instead of allocating a frame and an event slice
-// per fetch. Either way, returned events are valid until the next
-// fetch on this topic-partition.
+// FeatSessionFetch, the call is served from the connection's fetch
+// session the server pushes into — zero request round trips at steady
+// state; see sessionclient.go. Otherwise (v1 peers, session-disabled
+// servers) the response payload is read directly into buf.Arena by the
+// reader goroutine and decoded into buf.Events, so a steady-state poll
+// reuses one receive buffer instead of allocating a frame and an event
+// slice per fetch. Either way, returned events are valid until the
+// next fetch on this topic-partition.
 func (c *Client) FetchBuffered(_ string, topic string, partition int, offset int64, maxEvents, maxBytes int, buf *broker.FetchBuffer) (broker.FetchResult, error) {
 	return c.fetchBuffered(topic, partition, offset, maxEvents, maxBytes, 0, buf)
 }
 
 // FetchBufferedWait implements the SDK's long-poll extension
 // (client.WaitFetcher): an empty fetch blocks up to wait for data. On a
-// stream connection the wait parks on the local frame queue; on the
-// request/response path it rides FetchReq.WaitMaxMS to the server's
-// tail waiter. Either way an idle consumer stops hot-looping.
+// session connection the wait parks on the subscription's local queue;
+// on the request/response path it rides FetchReq.WaitMaxMS to the
+// server's tail waiter. Either way an idle consumer stops hot-looping.
 func (c *Client) FetchBufferedWait(_ string, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.FetchResult, error) {
 	return c.fetchBuffered(topic, partition, offset, maxEvents, maxBytes, wait, buf)
 }
@@ -1061,9 +1037,9 @@ func (c *Client) fetchBuffered(topic string, partition int, offset int64, maxEve
 	}
 	// The partition's leader moved or its broker connection failed:
 	// re-fetch metadata and retry once against the freshly resolved
-	// leader. Streaming sessions reopen there at the same offset — the
-	// consumer's position, which the new leader serves losslessly
-	// because acked events were replicated synchronously.
+	// leader. Session subscriptions re-subscribe there at the same
+	// offset — the consumer's position, which the new leader serves
+	// losslessly because acked events were replicated synchronously.
 	if rerr := c.refreshMetadata(); rerr != nil {
 		return res, err
 	}
@@ -1072,8 +1048,7 @@ func (c *Client) fetchBuffered(topic string, partition int, offset int64, maxEve
 
 // fetchBufferedAt serves one buffered fetch from the addressed broker:
 // through the connection's multiplexed fetch session when it
-// negotiated FeatSessionFetch, through a per-partition stream when it
-// negotiated streaming, else request/response.
+// negotiated FeatSessionFetch, else by request/response long-poll.
 func (c *Client) fetchBufferedAt(addr, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.FetchResult, error) {
 	slot := c.slotFor(topic, partition)
 	wc, err := c.connAt(addr, slot)
@@ -1083,48 +1058,27 @@ func (c *Client) fetchBufferedAt(addr, topic string, partition int, offset int64
 	if wc.sessionEnabled() {
 		res, serr, handled := c.fetchSession(wc, topic, partition, offset, maxEvents, maxBytes, wait)
 		if handled {
-			if serr != nil && !errors.Is(serr, ErrConnClosed) && wc.errNow() != nil {
-				// Transport failure mid-session: one retry over a fresh
-				// connection to the same address, as on the stream path.
-				wc2, rerr := c.reconnectAt(addr, slot, wc)
-				if rerr != nil {
-					return broker.FetchResult{}, serr
-				}
-				if wc2.sessionEnabled() {
-					if res2, serr2, handled2 := c.fetchSession(wc2, topic, partition, offset, maxEvents, maxBytes, wait); handled2 {
-						return res2, serr2
-					}
-				}
-				return c.plainFetchBuffered(addr, slot, topic, partition, offset, maxEvents, maxBytes, wait, buf)
+			if serr == nil || errors.Is(serr, ErrConnClosed) || wc.errNow() == nil {
+				return res, serr
 			}
-			return res, serr
-		}
-	}
-	if wc.streamingEnabled() {
-		res, serr, handled := c.fetchStream(wc, topic, partition, offset, maxEvents, maxBytes, wait)
-		if handled {
-			if serr != nil && !errors.Is(serr, ErrConnClosed) && wc.errNow() != nil {
-				// Transport failure mid-stream: mirror callAt's single
-				// retry over a fresh connection to the same address.
-				wc2, rerr := c.reconnectAt(addr, slot, wc)
-				if rerr != nil {
-					return broker.FetchResult{}, serr
-				}
-				if wc2.streamingEnabled() {
-					if res2, serr2, handled2 := c.fetchStream(wc2, topic, partition, offset, maxEvents, maxBytes, wait); handled2 {
-						return res2, serr2
-					}
-				}
-				return c.plainFetchBuffered(addr, slot, topic, partition, offset, maxEvents, maxBytes, wait, buf)
+			// Transport failure mid-session: mirror callAt's single retry
+			// over a fresh connection to the same address.
+			wc2, rerr := c.reconnectAt(addr, slot, wc)
+			if rerr != nil {
+				return broker.FetchResult{}, serr
 			}
-			return res, serr
+			if wc2.sessionEnabled() {
+				if res2, serr2, handled2 := c.fetchSession(wc2, topic, partition, offset, maxEvents, maxBytes, wait); handled2 {
+					return res2, serr2
+				}
+			}
 		}
 	}
 	return c.plainFetchBuffered(addr, slot, topic, partition, offset, maxEvents, maxBytes, wait, buf)
 }
 
 // plainFetchBuffered is the request/response buffered fetch (protocol
-// v1 and v2 without streaming).
+// v1, and v2 without sessions).
 func (c *Client) plainFetchBuffered(addr string, slot int, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.FetchResult, error) {
 	req := FetchReq{Topic: topic, Partition: partition, Offset: offset, MaxEvents: maxEvents, MaxBytes: maxBytes, WaitMaxMS: int(wait / time.Millisecond)}
 	var resp FetchResp

@@ -21,27 +21,17 @@ import (
 // harness: every version pairing must pass the identical suite.
 func runWireSuite(t *testing.T, serverMax, clientMax, wantVersion int) {
 	t.Helper()
-	runWireSuiteStreaming(t, serverMax, clientMax, wantVersion, false, false)
+	runWireSuiteFeatures(t, serverMax, clientMax, wantVersion, suiteFeatures{})
 }
 
 // suiteFeatures masks individual v2 features out of negotiation on
 // either side; the suite must pass identically through every fallback.
 type suiteFeatures struct {
-	serverNoStream, clientNoStream   bool
 	serverNoMeta, clientNoMeta       bool
 	serverNoSession, clientNoSession bool
 	serverNoPush, clientNoPush       bool
 	serverNoRepl, clientNoRepl       bool
 	serverNoStats, clientNoStats     bool
-}
-
-// runWireSuiteStreaming is runWireSuite with streaming fetch optionally
-// masked out of negotiation on either side — every event still arrives
-// through the request/response fallback.
-func runWireSuiteStreaming(t *testing.T, serverMax, clientMax, wantVersion int, serverNoStream, clientNoStream bool) {
-	t.Helper()
-	runWireSuiteFeatures(t, serverMax, clientMax, wantVersion,
-		suiteFeatures{serverNoStream: serverNoStream, clientNoStream: clientNoStream})
 }
 
 // runWireSuiteFeatures runs the interop suite with the given feature
@@ -58,7 +48,6 @@ func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, s
 	s := NewServer(f)
 	s.AllowAnonymous = true
 	s.MaxVersion = serverMax
-	s.DisableStreaming = sf.serverNoStream
 	s.DisableClusterMeta = sf.serverNoMeta
 	s.DisableSessionFetch = sf.serverNoSession
 	s.DisableMetaPush = sf.serverNoPush
@@ -72,7 +61,7 @@ func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, s
 
 	c, err := DialOptions(addr, Options{
 		Anonymous: true, MaxVersion: clientMax, PoolSize: 2,
-		DisableStreaming: sf.clientNoStream, DisableClusterMeta: sf.clientNoMeta,
+		DisableClusterMeta:  sf.clientNoMeta,
 		DisableSessionFetch: sf.clientNoSession, DisableMetaPush: sf.clientNoPush,
 		DisableReplication: sf.clientNoRepl, DisableStats: sf.clientNoStats,
 	})
@@ -82,10 +71,6 @@ func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, s
 	defer c.Close()
 	if v := c.ProtocolVersion(); v != wantVersion {
 		t.Fatalf("negotiated v%d, want v%d (server max %d, client max %d)", v, wantVersion, serverMax, clientMax)
-	}
-	wantStream := wantVersion >= ProtocolV2 && !sf.serverNoStream && !sf.clientNoStream
-	if gotStream := c.Features()&FeatStreamFetch != 0; gotStream != wantStream {
-		t.Fatalf("streaming negotiated = %v, want %v", gotStream, wantStream)
 	}
 	wantMeta := wantVersion >= ProtocolV2 && !sf.serverNoMeta && !sf.clientNoMeta
 	if gotMeta := c.RouterEnabled(); gotMeta != wantMeta {
@@ -274,23 +259,9 @@ func TestInteropV1ClientV2Server(t *testing.T) {
 }
 
 // TestInteropV2V2 anchors the same suite on the all-current pairing
-// (streaming fetch negotiated and active).
+// (fetch sessions negotiated and active).
 func TestInteropV2V2(t *testing.T) {
 	runWireSuite(t, ProtocolV2, ProtocolV2, ProtocolV2)
-}
-
-// TestInteropStreamingOffServerSide: a current client against a v2
-// server that masked streaming out of negotiation falls back to
-// pipelined request/response fetch and passes the identical suite.
-func TestInteropStreamingOffServerSide(t *testing.T) {
-	runWireSuiteStreaming(t, ProtocolV2, ProtocolV2, ProtocolV2, true, false)
-}
-
-// TestInteropStreamingOffClientSide: a client that refuses the
-// streaming feature consumes from a streaming-capable server over
-// request/response, passing the identical suite.
-func TestInteropStreamingOffClientSide(t *testing.T) {
-	runWireSuiteStreaming(t, ProtocolV2, ProtocolV2, ProtocolV2, false, true)
 }
 
 // TestInteropClusterMetaOffServerSide: a current client against a v2
@@ -311,24 +282,17 @@ func TestInteropClusterMetaOffClientSide(t *testing.T) {
 
 // TestInteropSessionOffServerSide: a current client against a v2
 // server that predates multiplexed fetch sessions falls back to
-// per-partition streams (PR 4 behavior) and passes the identical suite.
+// pipelined request/response long-poll fetch and passes the identical
+// suite.
 func TestInteropSessionOffServerSide(t *testing.T) {
 	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{serverNoSession: true})
 }
 
 // TestInteropSessionOffClientSide: a client that masks FeatSessionFetch
-// consumes over per-partition streams from a session-capable server,
-// passing the identical suite.
+// consumes over request/response long-poll fetch from a session-capable
+// server, passing the identical suite.
 func TestInteropSessionOffClientSide(t *testing.T) {
 	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{clientNoSession: true})
-}
-
-// TestInteropSessionAndStreamOff: both multiplexed sessions and
-// per-partition streams masked — the consumer rides plain pipelined
-// request/response fetch, the PR 3 behavior.
-func TestInteropSessionAndStreamOff(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2,
-		suiteFeatures{serverNoSession: true, serverNoStream: true})
 }
 
 // TestInteropMetaPushOffServerSide: a server that predates pushed

@@ -66,12 +66,6 @@ const (
 	OpCommit        Op = "commit"
 	OpCommitted     Op = "committed"
 	OpPing          Op = "ping"
-	// Streaming fetch ops (v2-only; FeatStreamFetch). The v1 spellings
-	// exist purely so a stream message converted to v1 framing is
-	// rejected as an unknown op by legacy servers — the clean fallback.
-	OpStreamOpen   Op = "stream_open"
-	OpStreamCredit Op = "stream_credit"
-	OpStreamClose  Op = "stream_close"
 	// OpMetadata is cluster metadata discovery (v2-only;
 	// FeatClusterMeta). The v1 spelling exists purely so the message
 	// converted to v1 framing is rejected as an unknown op by legacy
@@ -80,7 +74,7 @@ const (
 	// Multiplexed fetch session ops (v2-only; FeatSessionFetch). The v1
 	// spellings exist purely so a session message converted to v1
 	// framing is rejected as an unknown op by legacy servers — the
-	// clean fallback to per-partition streams or plain fetch.
+	// clean fallback to plain fetch.
 	OpSessionOpen   Op = "session_open"
 	OpSessionSub    Op = "session_sub"
 	OpSessionCredit Op = "session_credit"

@@ -49,21 +49,19 @@ const (
 )
 
 // Feature bits exchanged during negotiation. FeatDenseOffsets and
-// FeatErrCodes are implied by v2 framing; FeatStreamFetch is the first
-// genuinely optional capability — either side may mask it out and the
-// connection degrades to pipelined request/response fetch.
+// FeatErrCodes are implied by v2 framing; every later bit is a genuinely
+// optional capability that either side may mask out.
 const (
 	// FeatDenseOffsets: fetch responses carry base-offset + dense-run
 	// offset encoding instead of a per-event array.
 	FeatDenseOffsets uint32 = 1 << 0
 	// FeatErrCodes: responses carry compact typed error codes.
 	FeatErrCodes uint32 = 1 << 1
-	// FeatStreamFetch: the server supports credit-based streaming fetch
-	// (OpStreamOpen/OpStreamBatch/OpStreamCredit/OpStreamClose): the
-	// client opens a per-partition stream and the server pushes batches
-	// proactively as data arrives, flow-controlled by client credit
-	// grants — no per-batch request round trip.
-	FeatStreamFetch uint32 = 1 << 2
+	// Bit 1<<2 is reserved and never reused: it was FeatStreamFetch, the
+	// retired per-partition stream transport. Servers never grant it, so
+	// an old client that offers it consumes through sessions or plain
+	// fetch instead.
+
 	// FeatClusterMeta: the server answers OpMetadata with the cluster's
 	// epoch, broker addresses and per-partition leadership, enabling
 	// leader-direct client routing against multi-listener clusters
@@ -74,10 +72,9 @@ const (
 	// (OpSessionOpen/OpSessionSub/OpSessionBatch/OpSessionCredit/
 	// OpSessionClose): one session per connection subscribes to many
 	// topic-partitions, served by a single server pump goroutine under
-	// one shared byte-credit window — connection-scale serving cost,
-	// instead of a pump goroutine and credit window per partition
-	// stream. Either side may mask it out; the connection degrades to
-	// FeatStreamFetch per-partition streams (or plain fetch).
+	// one shared byte-credit window — connection-scale serving cost.
+	// Either side may mask it out; the connection degrades to
+	// request/response fetch, long-polling via FetchReq.WaitMaxMS.
 	FeatSessionFetch uint32 = 1 << 4
 	// FeatMetaPush: the server pushes OpMetadataPush frames to every
 	// connection that negotiated the feature whenever the controller
@@ -101,9 +98,8 @@ const (
 	// to the HTTP metrics listener, when one is configured.
 	FeatStats uint32 = 1 << 7
 
-	allFeatures = FeatDenseOffsets | FeatErrCodes | FeatStreamFetch |
-		FeatClusterMeta | FeatSessionFetch | FeatMetaPush | FeatReplication |
-		FeatStats
+	allFeatures = FeatDenseOffsets | FeatErrCodes | FeatClusterMeta |
+		FeatSessionFetch | FeatMetaPush | FeatReplication | FeatStats
 )
 
 // v2 operation bytes, one per message pair.
@@ -121,14 +117,13 @@ const (
 	v2OpHeartbeat
 	v2OpCommit
 	v2OpCommitted
-	// Streaming fetch ops (FeatStreamFetch). StreamOpen is an ordinary
-	// request/response pair; StreamBatch and server-side StreamClose are
-	// pushed frames correlated by stream ID; client-side StreamCredit and
-	// StreamClose are one-way requests the server never answers.
-	v2OpStreamOpen
-	v2OpStreamBatch
-	v2OpStreamCredit
-	v2OpStreamClose
+	// Four retired per-partition stream ops (open, batch, credit,
+	// close). Their bytes stay reserved so every later op keeps its
+	// value; a peer that still sends one is answered as an unknown op.
+	_
+	_
+	_
+	_
 	// v2OpMetadata is cluster metadata discovery (FeatClusterMeta).
 	v2OpMetadata
 	// Multiplexed fetch session ops (FeatSessionFetch). SessionOpen and
@@ -218,6 +213,8 @@ func getInt(b []byte) (int64, []byte, error) {
 	}
 	return v, b[n:], nil
 }
+
+func appendUint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
 
 func getUint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
@@ -468,12 +465,6 @@ func newReqMsg(op uint8) ReqMsg {
 		return &CommitReq{}
 	case v2OpCommitted:
 		return &CommittedReq{}
-	case v2OpStreamOpen:
-		return &StreamOpenReq{}
-	case v2OpStreamCredit:
-		return &StreamCreditReq{}
-	case v2OpStreamClose:
-		return &StreamCloseReq{}
 	case v2OpMetadata:
 		return &MetadataReq{}
 	case v2OpSessionOpen:
@@ -541,10 +532,6 @@ func newRespMsg(op uint8) respMsg {
 		return &JoinGroupResp{}
 	case v2OpHeartbeat:
 		return &HeartbeatResp{}
-	case v2OpStreamOpen:
-		return &StreamOpenResp{}
-	case v2OpStreamBatch:
-		return &FetchResp{}
 	case v2OpMetadata:
 		return &MetadataResp{}
 	case v2OpSessionOpen:

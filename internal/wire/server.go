@@ -20,6 +20,11 @@ import (
 // a misbehaving peer cannot spawn unbounded handler goroutines.
 const maxConnConcurrency = 64
 
+// MaxFetchWait caps a long-poll fetch's WaitMaxMS server-side, keeping
+// every parked handler comfortably inside the client's IOTimeout so a
+// long-poll can never be mistaken for a dead connection.
+const MaxFetchWait = 10 * time.Second
+
 // errUnknownOp reports a request op the server does not implement.
 var errUnknownOp = errors.New("wire: unknown op")
 
@@ -49,11 +54,6 @@ type Server struct {
 	// is answered with an "unknown op" error, exactly as servers that
 	// predate the handshake answer it.
 	MaxVersion int
-	// DisableStreaming masks FeatStreamFetch out of negotiation,
-	// emulating a v2 server that predates streaming fetch: stream opens
-	// are refused as unknown ops and clients fall back to pipelined
-	// request/response fetch.
-	DisableStreaming bool
 	// DisableClusterMeta masks FeatClusterMeta out of negotiation,
 	// emulating a v2 server that predates cluster metadata discovery:
 	// OpMetadata is refused as an unknown op and clients fall back to
@@ -62,7 +62,7 @@ type Server struct {
 	// DisableSessionFetch masks FeatSessionFetch out of negotiation,
 	// emulating a v2 server that predates multiplexed fetch sessions:
 	// session opens are refused as unknown ops and clients fall back to
-	// per-partition streaming fetch.
+	// request/response long-poll fetch.
 	DisableSessionFetch bool
 	// DisableMetaPush masks FeatMetaPush out of negotiation and stops
 	// the epoch watcher from pushing metadata frames, emulating a v2
@@ -81,7 +81,7 @@ type Server struct {
 	// metrics listener, when one is configured.
 	DisableStats bool
 	// LocalBroker scopes this server to one broker of the fabric:
-	// produce, fetch and stream-open requests for partitions that
+	// produce, fetch and session-subscribe requests for partitions that
 	// broker does not lead are refused with ErrNotLeader (and counted
 	// in Misroutes) instead of silently served from the shared
 	// in-process state — the per-broker serving contract of
@@ -117,13 +117,12 @@ type connState struct {
 	authed   bool
 }
 
-// serverMetrics is the server's stream/session instrumentation,
-// exported through an internal/metrics Registry (see Server.Metrics).
+// serverMetrics is the server's session instrumentation, exported
+// through an internal/metrics Registry (see Server.Metrics).
 type serverMetrics struct {
-	// sessionsOpen / streamsOpen gauge currently open fetch sessions
-	// and per-partition streams across all connections.
+	// sessionsOpen gauges currently open fetch sessions across all
+	// connections.
 	sessionsOpen *metrics.Gauge
-	streamsOpen  *metrics.Gauge
 	// pumpParks counts session pump parks (no credit or no ready sub);
 	// creditStalls counts the subset parked with data ready but no
 	// window — true client backpressure.
@@ -139,10 +138,8 @@ type serverMetrics struct {
 	// anomaly.
 	produceNs *metrics.BucketHist
 	fetchNs   *metrics.BucketHist
-	// streamBatch / sessionBatch size every batch the stream and
-	// session pumps push, in events — the server-push twin of the
-	// fabric's fetch_batch_events.
-	streamBatch  *metrics.BucketHist
+	// sessionBatch sizes every batch the session pumps push, in events
+	// — the server-push twin of the fabric's fetch_batch_events.
 	sessionBatch *metrics.BucketHist
 }
 
@@ -152,22 +149,19 @@ func (s *Server) met() *serverMetrics {
 		s.reg = metrics.NewRegistry()
 		s.met_ = &serverMetrics{
 			sessionsOpen: s.reg.Gauge("wire_sessions_open"),
-			streamsOpen:  s.reg.Gauge("wire_streams_open"),
 			pumpParks:    s.reg.Counter("wire_session_pump_parks"),
 			creditStalls: s.reg.Counter("wire_session_credit_stalls"),
 			metaPushes:   s.reg.Counter("wire_meta_pushes"),
 			produceNs:    s.reg.BucketHist("wire_produce_ns"),
 			fetchNs:      s.reg.BucketHist("wire_fetch_ns"),
-			streamBatch:  s.reg.BucketHist("wire_stream_batch_events"),
 			sessionBatch: s.reg.BucketHist("wire_session_batch_events"),
 		}
 	})
 	return s.met_
 }
 
-// Metrics exposes the server's stream/session counters: open sessions
-// and streams, session pump parks and credit stalls, and pushed
-// metadata frames.
+// Metrics exposes the server's session counters: open sessions,
+// session pump parks and credit stalls, and pushed metadata frames.
 func (s *Server) Metrics() *metrics.Registry {
 	s.met()
 	return s.reg
@@ -228,9 +222,6 @@ func (s *Server) maxVersion() int {
 // featureMask is the feature set this server offers in negotiation.
 func (s *Server) featureMask() uint32 {
 	feats := allFeatures
-	if s.DisableStreaming {
-		feats &^= FeatStreamFetch
-	}
 	if s.DisableClusterMeta {
 		feats &^= FeatClusterMeta
 	}
@@ -466,11 +457,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	var handlers sync.WaitGroup
 	w := newRespWriter(conn)
-	// done interrupts parked long-polls and stream tail waits the moment
-	// the read loop exits, so teardown never blocks behind a wait.
+	// done interrupts parked long-polls the moment the read loop exits,
+	// so teardown never blocks behind a wait.
 	done := make(chan struct{})
-	streams := newConnStreams(s, w, done)
-	sessions := newConnSessions(s, w, done)
+	sessions := newConnSessions(s, w)
 	// cst mirrors this connection's auth and feature state for the
 	// metadata pusher; all mutations happen under s.mu.
 	s.mu.Lock()
@@ -481,7 +471,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Unlock()
 	defer func() {
 		close(done)
-		streams.closeAll()
 		sessions.closeAll()
 		handlers.Wait()
 		w.close()
@@ -534,7 +523,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 			// Connection-state ops are handled inline on the read loop:
-			// auth flips the principal, stream ops mutate the stream
+			// auth flips the principal, session ops mutate the session
 			// registry. All are non-blocking (open's pump runs async).
 			switch q := m.(type) {
 			case *AuthReq:
@@ -548,23 +537,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 				putReqMsg(op, m)
 				if w.writeV2(op, corr, resp, aerr, nil) != nil {
-					return
-				}
-				continue
-			case *StreamOpenReq:
-				var resp *StreamOpenResp
-				oerr := fmt.Errorf("%w %d: streaming fetch not negotiated", errUnknownOp, op)
-				if features&FeatStreamFetch != 0 {
-					resp, oerr = streams.open(q, identity, authed)
-				}
-				putReqMsg(op, m)
-				if oerr != nil {
-					if w.writeV2(op, corr, nil, oerr, nil) != nil {
-						return
-					}
-					continue
-				}
-				if w.writeV2(op, corr, resp, nil, nil) != nil {
 					return
 				}
 				continue
@@ -589,15 +561,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				if w.writeV2(op, corr, resp, merr, nil) != nil {
 					return
 				}
-				continue
-			case *StreamCreditReq:
-				// One-way: grants for closed streams are silently dropped.
-				streams.credit(q.ID, q.Credit, q.CreditBytes)
-				putReqMsg(op, m)
-				continue
-			case *StreamCloseReq:
-				streams.closeStream(q.ID)
-				putReqMsg(op, m)
 				continue
 			case *SessionOpenReq:
 				var resp *SessionOpenResp

@@ -1,26 +1,26 @@
-// Multiplexed fetch sessions (FeatSessionFetch): connection-scale
-// serving.
+// Multiplexed fetch sessions (FeatSessionFetch): credit-based server
+// push at connection scale.
 //
-// Per-partition streams (stream.go) made single-partition consumption
-// cheap, but their costs scale with *partition streams*: every open
-// stream owns a server pump goroutine, its own credit window, and its
-// own parked tail waiter. A consumer subscribed to 64 partitions costs
-// the broker 64 goroutines — per connection. At the "millions of
-// users" scale the fabric targets, serving cost must scale with
-// connections instead.
-//
-// A session inverts the multiplexing: one session per connection
-// subscribes to many topic-partitions (OpSessionSub adds, removes and
-// seeks without reopening anything), and the server runs ONE pump
-// goroutine per session that round-robins the ready partitions under a
-// SINGLE shared byte-credit window. When every subscribed partition is
+// Request/response fetch costs one round trip per batch. A session
+// inverts the flow: the server pushes batches as data arrives, and at
+// the "millions of users" scale the fabric targets, serving cost must
+// scale with connections, not with partitions. One session per
+// connection subscribes to many topic-partitions (OpSessionSub adds,
+// removes and seeks without reopening anything), and the server runs
+// ONE pump goroutine per session that round-robins the ready partitions
+// under a SINGLE shared byte-credit window. When every subscribed partition is
 // dry the pump parks once, on a multi-log "any of these appended"
 // waiter built from eventlog.NotifyAppend callbacks — not one blocked
-// goroutine per partition. Pushed batches ride the stream framing
+// goroutine per partition. Pushed batches reuse the response framing
 // (OpSessionBatch, correlated by sessionID<<32|subID); the client
 // returns consumed window with one-way OpSessionCredit grants.
 //
-// The shared window is denominated in bytes (payload size plus one per
+// Credits rather than TCP backpressure because the transport is shared:
+// every session push and the request/response traffic pipelined beside
+// it multiplex one TCP socket, so a reader that stopped consuming would
+// otherwise stall them all — the reasoning behind HTTP/2 and gRPC
+// stream-level flow control and Kafka's KIP-227 fetch sessions. The
+// shared window is denominated in bytes (payload size plus one per
 // event, so zero-payload events still consume window and a stalled
 // reader can never force unbounded frames), because a single window in
 // events would let one large-record partition starve the rest: bytes
@@ -54,6 +54,11 @@ const maxSessionSubs = 4096
 // defaultSessionWindow is the shared byte window granted when the
 // client asks for none.
 const defaultSessionWindow = 1 << 20
+
+// maxSessionWindow caps the shared byte window server-side. The window
+// is what bounds the respWriter buffering a stalled reader can force,
+// so it must be a server-enforced limit, not an attacker-chosen value.
+const maxSessionWindow = 16 << 20
 
 // errSession reports session-protocol misuse (duplicate or unknown
 // IDs, session ops without the negotiated feature).
@@ -289,9 +294,8 @@ func (m *SessionCloseReq) v1() *Request { return &Request{Op: OpSessionClose} }
 // opens, subscribes, credits and closes sessions; each session's single
 // pump goroutine pushes batches through the connection's respWriter.
 type connSessions struct {
-	srv  *Server
-	w    *respWriter
-	done <-chan struct{} // closed when the connection's read loop exits
+	srv *Server
+	w   *respWriter
 
 	mu sync.Mutex
 	m  map[uint64]*serverSession
@@ -348,8 +352,8 @@ type srvSub struct {
 	removed bool
 }
 
-func newConnSessions(srv *Server, w *respWriter, done <-chan struct{}) *connSessions {
-	return &connSessions{srv: srv, w: w, done: done, m: make(map[uint64]*serverSession)}
+func newConnSessions(srv *Server, w *respWriter) *connSessions {
+	return &connSessions{srv: srv, w: w, m: make(map[uint64]*serverSession)}
 }
 
 // open validates and registers a session and starts its pump. Called
@@ -374,8 +378,8 @@ func (ss *connSessions) open(q *SessionOpenReq, identity string, authed bool) (*
 	if sess.window <= 0 {
 		sess.window = defaultSessionWindow
 	}
-	if sess.window > maxStreamCreditBytes {
-		sess.window = maxStreamCreditBytes
+	if sess.window > maxSessionWindow {
+		sess.window = maxSessionWindow
 	}
 	sess.creditBytes = sess.window
 	sess.cond = sync.NewCond(&sess.mu)
@@ -669,17 +673,20 @@ func (ss *connSessions) pump(sess *serverSession) {
 			StartOffset:   res.StartOffset,
 		}
 		resp.SetOffsets(res.Events)
+		// Charge the window before the batch is queued: the client may
+		// consume it and grant it back before this goroutine runs again,
+		// and a grant applied ahead of its charge is clamped at the
+		// window cap and lost, shrinking the window until the pump wedges.
+		sess.mu.Lock()
+		if !sub.removed {
+			sub.next = res.Events[len(res.Events)-1].Offset + 1
+		}
+		sess.creditBytes -= sessionBatchSize(res.Events)
+		sess.mu.Unlock()
 		if ss.w.writeV2(v2OpSessionBatch, sessCorr(sess.id, sub.subID), resp, nil, res.Events) != nil {
 			ss.closeSession(sess.id)
 			return
 		}
 		met.sessionBatch.Observe(int64(len(res.Events)))
-		size := sessionBatchSize(res.Events)
-		sess.mu.Lock()
-		if !sub.removed {
-			sub.next = res.Events[len(res.Events)-1].Offset + 1
-		}
-		sess.creditBytes -= size
-		sess.mu.Unlock()
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -8,12 +9,13 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/event"
 )
 
 // startSessServer is startServer exposing the *Server, so session tests
-// can read its stream/session instrumentation.
+// can read its session instrumentation.
 func startSessServer(t *testing.T) (*broker.Fabric, *Server, string, func()) {
 	t.Helper()
 	f := broker.NewFabric(nil)
@@ -78,11 +80,11 @@ func (c *Client) sessSub(topic string, partition int) *clientSub {
 	return sess.subFor(streamKey{topic, partition})
 }
 
-// TestSessionFetchMultiplexesPartitions is the tentpole's correctness
-// anchor: one connection consuming many partitions rides exactly ONE
-// fetch session (one server pump goroutine) with one subscription per
-// partition — no per-partition streams — and every event still arrives
-// in order with its value intact.
+// TestSessionFetchMultiplexesPartitions is the session path's
+// correctness anchor: one connection consuming many partitions rides
+// exactly ONE fetch session (one server pump goroutine) with one
+// subscription per partition, and every event still arrives in order
+// with its value intact.
 func TestSessionFetchMultiplexesPartitions(t *testing.T) {
 	f, s, addr, stop := startSessServer(t)
 	defer stop()
@@ -125,12 +127,9 @@ func TestSessionFetchMultiplexesPartitions(t *testing.T) {
 	if got != parts*perPart {
 		t.Fatalf("consumed %d of %d", got, parts*perPart)
 	}
-	// One session, no streams: the whole fan-in shares a single pump.
+	// One session: the whole fan-in shares a single pump.
 	if n := s.met().sessionsOpen.Value(); n != 1 {
 		t.Fatalf("%d sessions open, want exactly 1", n)
-	}
-	if n := s.met().streamsOpen.Value(); n != 0 {
-		t.Fatalf("%d per-partition streams open, want 0", n)
 	}
 	for p := 0; p < parts; p++ {
 		if c.sessSub("ms", p) == nil {
@@ -155,7 +154,9 @@ func TestSessionFetchMultiplexesPartitions(t *testing.T) {
 // TestSessionSeekResubscribes pins the seek path: a fetch at an offset
 // other than the expected next one replaces the subscription (new sub
 // ID, stale in-flight frames refunded) and serves the requested offset
-// exactly — within the same session.
+// exactly — within the same session. Typed errors from a refused
+// subscription surface through the push path just as they do from a
+// failed request/response fetch.
 func TestSessionSeekResubscribes(t *testing.T) {
 	f, s, addr, stop := startSessServer(t)
 	defer stop()
@@ -196,6 +197,43 @@ func TestSessionSeekResubscribes(t *testing.T) {
 	}
 	if n := s.met().sessionsOpen.Value(); n != 1 {
 		t.Fatalf("%d sessions open after seek, want 1", n)
+	}
+}
+
+// TestStreamSeekReopens seeks a partition's push stream backwards after a
+// single fetch and checks that the subscription reopens at the new offset,
+// and that typed errors still surface through the push path.
+func TestStreamSeekReopens(t *testing.T) {
+	f, _, addr, stop := startSessServer(t)
+	defer stop()
+	sessionTopic(t, f, "sk", 1, 300)
+	c, err := DialOptions(addr, Options{Anonymous: true, PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var buf broker.FetchBuffer
+	if _, err := c.FetchBuffered("", "sk", 0, 0, 100, 1<<20, &buf); err != nil {
+		t.Fatal(err)
+	}
+	first := c.sessSub("sk", 0)
+	// Seek back to 7: the subscription must reopen there.
+	res, err := c.FetchBufferedWait("", "sk", 0, 7, 10, 1<<20, 2*time.Second, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Events) == 0 || res.Events[0].Offset != 7 {
+		t.Fatalf("seek fetch returned %d events starting %v, want offset 7", len(res.Events), res.Events)
+	}
+	second := c.sessSub("sk", 0)
+	if second == nil || second == first {
+		t.Fatal("seek did not reopen the stream subscription")
+	}
+	if _, err := c.FetchBuffered("", "sk", 0, 9999, 10, 1<<20, &buf); !errors.Is(err, ErrOffsetOutOfRange) {
+		t.Fatalf("out-of-range subscribe returned %v", err)
+	}
+	if _, err := c.FetchBuffered("", "nope", 0, 0, 10, 1<<20, &buf); !errors.Is(err, ErrUnknownTopic) {
+		t.Fatalf("unknown-topic subscribe returned %v", err)
 	}
 }
 
@@ -240,7 +278,11 @@ func TestSessionCreditBoundsServerPush(t *testing.T) {
 	}
 
 	// Resume: every remaining event arrives, in order, no gaps or dups.
+	deadline = time.Now().Add(15 * time.Second)
 	for off < total {
+		if time.Now().After(deadline) {
+			t.Fatalf("resumed consumption stalled at %d of %d: session window wedged", off, total)
+		}
 		res, err := c.FetchBufferedWait("", "scb", 0, off, 100, 1<<20, 5*time.Second, &buf)
 		if err != nil {
 			t.Fatal(err)
@@ -258,7 +300,7 @@ func TestSessionCreditBoundsServerPush(t *testing.T) {
 }
 
 // TestServerMetricsExposeSessionCounters pins the observability
-// satellite: the server's registry snapshot names every stream/session
+// satellite: the server's registry snapshot names every session
 // counter so operators see them without code spelunking.
 func TestServerMetricsExposeSessionCounters(t *testing.T) {
 	f, s, addr, stop := startSessServer(t)
@@ -275,7 +317,7 @@ func TestServerMetricsExposeSessionCounters(t *testing.T) {
 	}
 	snap := strings.Join(s.Metrics().Snapshot(), "\n")
 	for _, name := range []string{
-		"wire_sessions_open", "wire_streams_open",
+		"wire_sessions_open",
 		"wire_session_pump_parks", "wire_session_credit_stalls",
 		"wire_meta_pushes",
 	} {
@@ -378,5 +420,216 @@ func TestSessionGoroutineReleaseOnConnDrop(t *testing.T) {
 	waitGoroutines(t, base+2) // the dropped client's endpoint may linger until Close
 	if n := s.met().sessionsOpen.Value(); n != 0 {
 		t.Fatalf("%d sessions still open after connection drop", n)
+	}
+}
+
+// TestSessionCloseFailsWithErrConnClosed: closing the client
+// mid-session completes the session with ErrConnClosed — both a parked
+// wait-fetch and the next fetch observe it.
+func TestSessionCloseFailsWithErrConnClosed(t *testing.T) {
+	f, addr, stop := startServer(t, true)
+	defer stop()
+	sessionTopic(t, f, "cl", 1, 10)
+	c, err := DialAnonymous(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf broker.FetchBuffer
+	if _, err := c.FetchBuffered("", "cl", 0, 0, 100, 1<<20, &buf); err != nil {
+		t.Fatal(err)
+	}
+	// Park a wait-fetch at the subscription's tail, then close underneath it.
+	errCh := make(chan error, 1)
+	go func() {
+		var b2 broker.FetchBuffer
+		_, err := c.FetchBufferedWait("", "cl", 0, 10, 100, 1<<20, 10*time.Second, &b2)
+		errCh <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	start := time.Now()
+	c.Close()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, ErrConnClosed) {
+			t.Fatalf("parked session fetch returned %v, want ErrConnClosed", err)
+		}
+		if time.Since(start) > 2*time.Second {
+			t.Fatalf("parked fetch took %v to observe Close", time.Since(start))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked session fetch never unblocked after Close")
+	}
+	if _, err := c.FetchBuffered("", "cl", 0, 10, 100, 1<<20, &buf); !errors.Is(err, ErrConnClosed) {
+		t.Fatalf("post-Close session fetch returned %v, want ErrConnClosed", err)
+	}
+}
+
+// TestSessionDisconnectRecovers: a server-side connection drop fails the
+// in-flight session, and the client's retry opens a fresh session on a
+// fresh connection without losing position.
+func TestSessionDisconnectRecovers(t *testing.T) {
+	f := broker.NewFabric(nil)
+	if err := f.AddBrokers(2, 2, 8); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(f)
+	s.AllowAnonymous = true
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessionTopic(t, f, "dc", 1, 200)
+	c, err := DialOptions(addr, Options{Anonymous: true, PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var buf broker.FetchBuffer
+	// Wait for the first push: a no-wait poll on a fresh subscription may
+	// legitimately come back empty.
+	res, err := c.FetchBufferedWait("", "dc", 0, 0, 50, 1<<20, 2*time.Second, &buf)
+	if err != nil || len(res.Events) == 0 {
+		t.Fatalf("first session fetch: %d events, %v", len(res.Events), err)
+	}
+	off := res.Events[len(res.Events)-1].Offset + 1
+	// Kill every server-side connection; the session dies with the
+	// transport error, then the retry path opens a new one.
+	s.Close()
+	s2 := NewServer(f)
+	s2.AllowAnonymous = true
+	if _, err := s2.Listen(addr); err != nil {
+		t.Skipf("could not rebind %s: %v", addr, err)
+	}
+	defer s2.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for off < 200 && time.Now().Before(deadline) {
+		res, err := c.FetchBufferedWait("", "dc", 0, off, 50, 1<<20, 100*time.Millisecond, &buf)
+		if err != nil {
+			continue // transient while the new listener comes up
+		}
+		for _, ev := range res.Events {
+			if ev.Offset != off {
+				t.Fatalf("offset %d, want %d after reconnect", ev.Offset, off)
+			}
+			off++
+		}
+	}
+	if off != 200 {
+		t.Fatalf("reconnected consumption reached %d of 200", off)
+	}
+}
+
+// TestSessionOpenFallsBackOnFeaturelessPeer: a client that negotiated
+// v2 against a server with sessions masked off (and a client against a
+// v1 server) silently consumes over request/response fetch.
+func TestSessionOpenFallsBackOnFeaturelessPeer(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		serverMax int
+		disable   bool
+	}{
+		{"v2-server-sessions-disabled", 0, true},
+		{"v1-server", ProtocolV1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := broker.NewFabric(nil)
+			if err := f.AddBrokers(2, 2, 8); err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(f)
+			srv.AllowAnonymous = true
+			srv.MaxVersion = tc.serverMax
+			srv.DisableSessionFetch = tc.disable
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			sessionTopic(t, f, "fb", 1, 120)
+			c, err := DialAnonymous(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if c.Features()&FeatSessionFetch != 0 {
+				t.Fatal("server offered sessions despite the mask")
+			}
+			var buf broker.FetchBuffer
+			var off int64
+			for off < 120 {
+				res, err := c.FetchBufferedWait("", "fb", 0, off, 50, 1<<20, 50*time.Millisecond, &buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Events) == 0 {
+					t.Fatalf("empty fetch at %d on a loaded partition", off)
+				}
+				for _, ev := range res.Events {
+					if ev.Offset != off {
+						t.Fatalf("offset %d, want %d", ev.Offset, off)
+					}
+					off++
+				}
+			}
+			if c.sessSub("fb", 0) != nil || srv.met().sessionsOpen.Value() != 0 {
+				t.Fatal("session open against a feature-less peer")
+			}
+		})
+	}
+}
+
+// TestSessionConsumerEndToEnd drives the full SDK consumer (group,
+// prefetch, long-poll) over a session connection, interleaving
+// production and consumption.
+func TestSessionConsumerEndToEnd(t *testing.T) {
+	f, addr, stop := startServer(t, true)
+	defer stop()
+	if _, err := f.CreateTopic("e2e", "", cluster.TopicConfig{Partitions: 2}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialAnonymous(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	cons := client.NewConsumer(c, client.ConsumerConfig{
+		Group: "g-e2e", Start: client.StartEarliest, AutoCommit: true,
+		Prefetch: true, PollWait: 200 * time.Millisecond,
+	})
+	defer cons.Close()
+	if err := cons.Subscribe("e2e"); err != nil {
+		t.Fatal(err)
+	}
+	const total = 900
+	go func() {
+		for i := 0; i < total; i += 30 {
+			evs := make([]event.Event, 30)
+			for j := range evs {
+				evs[j] = event.Event{Key: []byte{byte(j)}, Value: []byte(fmt.Sprintf("m%d", i+j))}
+			}
+			if _, err := f.Produce("", "e2e", -1, evs, broker.AcksLeader); err != nil {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	got := 0
+	lastOff := map[int]int64{}
+	deadline := time.Now().Add(20 * time.Second)
+	for got < total && time.Now().Before(deadline) {
+		evs, err := cons.Poll(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evs {
+			if prev, ok := lastOff[ev.Partition]; ok && ev.Offset != prev+1 {
+				t.Fatalf("partition %d offsets not contiguous: %d after %d", ev.Partition, ev.Offset, prev)
+			}
+			lastOff[ev.Partition] = ev.Offset
+			got++
+		}
+	}
+	if got != total {
+		t.Fatalf("consumed %d of %d", got, total)
 	}
 }

@@ -1,17 +1,17 @@
 // Client side of multiplexed fetch sessions: many topic-partitions
 // behind one session per connection (FeatSessionFetch), behind the same
-// BufferedFetcher surface as streams and plain fetch.
+// BufferedFetcher surface as plain fetch.
 //
-// Where the stream path (streamclient.go) opens one stream — and the
-// server one pump goroutine — per topic-partition, the session path
-// opens ONE session per connection and adds a subscription per
-// topic-partition to it. The server runs a single pump for the whole
-// session under one shared byte window, so a consumer subscribed to 64
-// partitions on one connection costs the broker one goroutine, not 64.
-// Pushed batches arrive tagged sessionID<<32|subID; the connection's
-// reader demultiplexes them into per-sub queues, and consumers drain
-// those exactly as they drain stream frames — double-buffered decode,
-// recycled frames, zero request round trips at steady state.
+// The client opens ONE session per connection and adds a subscription
+// per topic-partition to it. The server runs a single pump for the
+// whole session under one shared byte window, so a consumer subscribed
+// to 64 partitions on one connection costs the broker one goroutine,
+// not 64. Pushed batches arrive tagged sessionID<<32|subID; the
+// connection's reader demultiplexes them into per-sub queues, and
+// consumers drain those with double-buffered decode and recycled
+// frames — zero request round trips at steady state. Offsets are
+// tracked so the SDK consumer's "ask for position, get events, advance
+// position" loop maps onto the subscription exactly.
 //
 // Subscription changes ride the live session: a seek is a one-way
 // remove of the old sub plus an add under a fresh sub ID (in-flight
@@ -19,7 +19,8 @@
 // refunded, never misread), and pushed-metadata re-routes remove a
 // moved partition's sub the moment the client adopts the new table.
 // Against peers without the feature the first session open comes back
-// as an unknown op and the connection latches back to the stream path.
+// as an unknown op and the connection latches to request/response
+// fetch, long-polling via FetchReq.WaitMaxMS.
 package wire
 
 import (
@@ -39,6 +40,22 @@ var errSessionEnded = errors.New("wire: session ended by server")
 // errSessionSubEnded reports a subscription that ended (removed by a
 // re-route, or a clean server-side close); the next fetch re-subscribes.
 var errSessionSubEnded = errors.New("wire: session subscription ended")
+
+// streamKey identifies a subscription's topic-partition on one session.
+type streamKey struct {
+	topic     string
+	partition int
+}
+
+// streamFrame is one pushed batch (or a server-side close): the decoded
+// header plus the raw event payload. Frames recycle through the sub's
+// free list, so a steady-state subscription allocates nothing per batch
+// once warm.
+type streamFrame struct {
+	hdr  FetchResp
+	data []byte
+	err  error
+}
 
 // clientSession is one connection's multiplexed fetch session.
 type clientSession struct {
@@ -63,9 +80,10 @@ type clientSession struct {
 }
 
 // clientSub is one subscription of a session: a demux queue filled by
-// the reader goroutine plus the same double-buffered decode/serve state
-// a clientStream keeps. qmu guards the queue side (reader vs consumer);
-// mu guards the decode/serve side (consumer only, like clientStream).
+// the reader goroutine plus double-buffered decode/serve state. qmu
+// guards the queue side (reader vs consumer); mu guards the
+// decode/serve side (consumer only, serialized per partition by the
+// SDK).
 type clientSub struct {
 	sess      *clientSession
 	subID     uint32
@@ -93,12 +111,19 @@ type clientSub struct {
 	// session failure, so a parked consumer re-checks the queue.
 	wake chan struct{}
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// Decode state is double-buffered across pulled frames: the SDK's
+	// async prefetch decodes the next frame while the application is
+	// still reading the previous one, so consecutive frames land in
+	// disjoint arrays, and a frame's payload (which the decoded events'
+	// Key/Value alias) survives until two pulls later.
 	gen        int
 	frameSlots [2]*streamFrame
 	evBufs     [2][]event.Event
-	evs        []event.Event
-	idx        int
+	// evs are the current frame's decoded events; idx is how many have
+	// been served.
+	evs []event.Event
+	idx int
 	// next is the offset the consumer is expected to ask for next.
 	next      int64
 	hw, start int64
@@ -121,7 +146,7 @@ func (wc *wireConn) sessionEnabled() bool {
 
 // sessionFor returns the connection's session, opening one on first
 // use (or after a session-fatal error). ok=false means the server
-// refuses session opens and the caller must fall back to streams.
+// refuses session opens and the caller must fall back to plain fetch.
 // Opens are serialized on sessOpenMu, which is never held where the
 // reader goroutine could need it — the reader only takes sessMu.
 func (wc *wireConn) sessionFor(windowBytes, maxEvents, maxBytes int) (sess *clientSession, err error, ok bool) {
@@ -319,8 +344,8 @@ func (sess *clientSession) removeSub(sub *clientSub, sendRemove bool) {
 }
 
 // noteConsumed accumulates consumed window and grants it back once
-// half the window is outstanding — batched one-way grants, as on the
-// stream path, so flow control costs a fraction of a frame per batch.
+// half the window is outstanding — batched one-way grants, so flow
+// control costs a fraction of a frame per batch.
 func (sess *clientSession) noteConsumed(nbytes int) {
 	if nbytes <= 0 {
 		return
@@ -565,7 +590,7 @@ func (s *clientSub) takeFrame() (*streamFrame, error) {
 // fetchSession serves one FetchBuffered call from the connection's
 // multiplexed session. handled=false means sessions are unavailable on
 // this connection (the server refused the open as an unknown op) and
-// the caller must fall back to the stream path.
+// the caller must fall back to plain fetch.
 func (c *Client) fetchSession(wc *wireConn, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration) (broker.FetchResult, error, bool) {
 	// The session's push batch bounds are the server's defaults, not this
 	// call's limits: one session serves every later fetch on the
@@ -639,7 +664,7 @@ func (c *Client) fetchSession(wc *wireConn, topic string, partition int, offset 
 	// bytes plus one per event (sessionBatchSize). The served slice
 	// leaves the adopted ledger (floored: a concurrent removal may have
 	// refunded it already, and the server clamps over-grants anyway).
-	grant := eventsSize(out) + n
+	grant := sessionBatchSize(out)
 	sub.qmu.Lock()
 	if sub.adopted -= grant; sub.adopted < 0 {
 		sub.adopted = 0

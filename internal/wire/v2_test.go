@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -37,11 +38,6 @@ func fuzzReqSeeds() []ReqMsg {
 		&CommitReq{Group: "g", Member: "m", Generation: 4, Topic: "t", Partition: 1, Offset: 99},
 		&CommittedReq{Group: "g", Topic: "t", Partition: 1},
 		&FetchReq{Topic: "lp", Partition: 0, Offset: 12, MaxEvents: 100, MaxBytes: 1 << 20, WaitMaxMS: 2500},
-		&StreamOpenReq{ID: 9, Topic: "st", Partition: 2, Offset: 1 << 33, MaxEvents: 500, MaxBytes: 2 << 20, Credit: 2000},
-		&StreamCreditReq{ID: 9, Credit: 512},
-		&StreamCloseReq{ID: 9},
-		&StreamOpenReq{ID: 10, Topic: "bw", Offset: 5, MaxEvents: 100, MaxBytes: 1 << 20, Credit: 400, CreditBytes: 1 << 20},
-		&StreamCreditReq{ID: 10, Credit: 64, CreditBytes: 65536},
 		&MetadataReq{},
 		&MetadataReq{Topics: []string{"a", "b"}},
 		&SessionOpenReq{ID: 3, MaxEvents: 500, MaxBytes: 1 << 20, CreditBytes: 1 << 20},
@@ -81,12 +77,6 @@ func fuzzRespSeeds() []struct {
 		}}},
 		{v2OpJoinGroup, &JoinGroupResp{Generation: 3, Partitions: []broker.TP{{Topic: "t", Partition: 0}, {Topic: "t", Partition: 1}}}},
 		{v2OpHeartbeat, &HeartbeatResp{Generation: 9}},
-		{v2OpStreamOpen, &StreamOpenResp{HighWatermark: 512, StartOffset: 16}},
-		{v2OpStreamBatch, func() Msg {
-			b := &FetchResp{NumEvents: 3, HighWatermark: 40, StartOffset: 0}
-			b.SetOffsets([]event.Event{{Offset: 20}, {Offset: 21}, {Offset: 30}})
-			return b
-		}()},
 		{v2OpSessionOpen, &SessionOpenResp{CreditBytes: 1 << 20}},
 		{v2OpSessionSub, &SessionSubResp{HighWatermark: 77, StartOffset: 4}},
 		{v2OpSessionBatch, func() Msg {
@@ -338,6 +328,80 @@ func TestNegotiationSelectsV2(t *testing.T) {
 	}
 }
 
+// retiredStreamOps are the op bytes of the retired per-partition stream
+// transport (open, batch, credit, close), reserved so that every later
+// op keeps its wire value.
+var retiredStreamOps = []uint8{v2OpCommitted + 1, v2OpCommitted + 2, v2OpCommitted + 3, v2OpCommitted + 4}
+
+// TestRetiredStreamSurface pins the retired stream transport's wire
+// footprint: later op bytes keep their values, a negotiated v2
+// connection answers every retired op byte as an unknown op, a client
+// offering the retired feature bit 1<<2 does not get it back, and the
+// same connection then serves a fetch.
+func TestRetiredStreamSurface(t *testing.T) {
+	if v2OpMetadata != 18 || v2OpSessionOpen != 19 || v2OpReplicaFetch != 25 || v2OpStats != 27 {
+		t.Fatalf("op bytes moved: metadata %d, session open %d, replica fetch %d, stats %d",
+			v2OpMetadata, v2OpSessionOpen, v2OpReplicaFetch, v2OpStats)
+	}
+	f, addr, stop := startServer(t, true)
+	defer stop()
+	sessionTopic(t, f, "rs", 1, 3)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const retiredBit = 1 << 2
+	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2, Features: allFeatures | retiredBit}, nil); err != nil {
+		t.Fatal(err)
+	}
+	rd := bufio.NewReader(conn)
+	var nresp Response
+	if _, err := ReadFrame(rd, &nresp); err != nil {
+		t.Fatal(err)
+	}
+	if nresp.Version != ProtocolV2 || nresp.Features&retiredBit != 0 {
+		t.Fatalf("negotiation = v%d feats %x, want v2 without bit %x", nresp.Version, nresp.Features, retiredBit)
+	}
+	var hdrBuf []byte
+	readResp := func(m Msg) (uint8, uint64, error) {
+		t.Helper()
+		hb, err := readHeaderInto(rd, &hdrBuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, corr, derr := DecodeResponseV2(hb, m)
+		if _, err := ReadPayloadInto(rd, nil); err != nil {
+			t.Fatal(err)
+		}
+		return op, corr, derr
+	}
+	for i, op := range retiredStreamOps {
+		corr := uint64(10 + i)
+		hdr := binary.BigEndian.AppendUint64([]byte{op}, corr)
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(hdr)))
+		frame = binary.BigEndian.AppendUint32(append(frame, hdr...), 0)
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		gotOp, gotCorr, err := readResp(nil)
+		if gotOp != op || gotCorr != corr || !errors.Is(err, errUnknownOp) {
+			t.Fatalf("retired op %d: answered op %d corr %d err %v, want unknown op", op, gotOp, gotCorr, err)
+		}
+	}
+	frame, err := appendFrameRequestV2(nil, 20, &FetchReq{Topic: "rs", MaxEvents: 10, MaxBytes: 1 << 20}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	var fresp FetchResp
+	if _, corr, err := readResp(&fresp); err != nil || corr != 20 || fresp.NumEvents != 3 {
+		t.Fatalf("fetch after retired ops: corr %d, %d events, %v", corr, fresp.NumEvents, err)
+	}
+}
+
 // FuzzDecodeRequestV2 feeds arbitrary bytes to the server-side request
 // decoder: it must never panic, and any header it accepts must
 // round-trip byte-identically through re-encode → decode → re-encode.
@@ -348,6 +412,12 @@ func FuzzDecodeRequestV2(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{v2OpFetch})
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0, 0, 0, 1})
+	// Frames an old peer may still send on the retired stream op bytes,
+	// bare and with an old-style body: rejected, never decoded.
+	for _, op := range retiredStreamOps {
+		f.Add([]byte{op, 0, 0, 0, 0, 0, 0, 0, 3})
+		f.Add([]byte{op, 0, 0, 0, 0, 0, 0, 0, 3, 7, 2, 't', 'p', 2, 200, 1})
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		corr, op, m, err := decodeAnyRequestV2(b, nil)
 		if err != nil {
@@ -377,6 +447,12 @@ func FuzzDecodeResponseV2(f *testing.F) {
 	f.Add(appendErrResponseV2(nil, v2OpFetch, 9, fmt.Errorf("%w: gone", broker.ErrLeaderUnavailable)))
 	f.Add([]byte{})
 	f.Add([]byte{v2OpFetch, 200, 0, 0, 0, 0, 0, 0, 0, 1})
+	// Pushes an old server may still send on the retired stream batch
+	// and close op bytes.
+	batch := &FetchResp{NumEvents: 2, HighWatermark: 9}
+	batch.SetOffsets([]event.Event{{Offset: 7}, {Offset: 8}})
+	f.Add(AppendResponseV2(nil, retiredStreamOps[1], 7, batch))
+	f.Add(appendErrResponseV2(nil, retiredStreamOps[3], 7, fmt.Errorf("%w: gone", eventlog.ErrOffsetOutOfRange)))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		op, code, corr, body, err := decodeRespPrefixV2(b)
 		if err != nil {
@@ -414,19 +490,15 @@ func FuzzDecodeResponseV2(f *testing.F) {
 	})
 }
 
-// FuzzDecodeStreamFrames feeds arbitrary bytes to every streaming-fetch
-// message decoder — the open/credit/close requests (with and without a
-// topic interner) and the pushed batch header — asserting the usual
-// contract: malformed input errors (never panics) and any accepted body
-// round-trips byte-identically through re-encode → decode → re-encode.
-func FuzzDecodeStreamFrames(f *testing.F) {
-	f.Add(uint8(0), AppendRequestV2(nil, 3, &StreamOpenReq{ID: 7, Topic: "t", Partition: 1, Offset: 100, MaxEvents: 500, MaxBytes: 1 << 20, Credit: 2000}))
-	f.Add(uint8(1), AppendRequestV2(nil, 4, &StreamCreditReq{ID: 7, Credit: 256}))
-	f.Add(uint8(2), AppendRequestV2(nil, 5, &StreamCloseReq{ID: 7}))
+// FuzzDecodeSessionFrames feeds arbitrary bytes to every fetch-session
+// message decoder — the open/sub/credit/close requests (with and
+// without a topic interner) and the pushed batch and metadata headers —
+// asserting the usual contract: malformed input errors (never panics)
+// and any accepted body round-trips byte-identically through re-encode
+// → decode → re-encode.
+func FuzzDecodeSessionFrames(f *testing.F) {
 	batch := &FetchResp{NumEvents: 4, HighWatermark: 44, StartOffset: 2}
 	batch.SetOffsets([]event.Event{{Offset: 40}, {Offset: 41}, {Offset: 42}, {Offset: 43}})
-	f.Add(uint8(3), AppendResponseV2(nil, v2OpStreamBatch, 7, batch))
-	f.Add(uint8(3), appendErrResponseV2(nil, v2OpStreamClose, 7, fmt.Errorf("%w: gone", eventlog.ErrOffsetOutOfRange)))
 	f.Add(uint8(0), AppendRequestV2(nil, 6, &SessionOpenReq{ID: 2, MaxEvents: 500, MaxBytes: 1 << 20, CreditBytes: 1 << 20}))
 	f.Add(uint8(1), AppendRequestV2(nil, 7, &SessionSubReq{SessionID: 2, SubID: 9, Topic: "t", Partition: 1, Offset: 50}))
 	f.Add(uint8(1), AppendRequestV2(nil, 8, &SessionSubReq{SessionID: 2, SubID: 9, Remove: true}))
@@ -456,7 +528,7 @@ func FuzzDecodeStreamFrames(f *testing.F) {
 			if code != codeOK {
 				if detail, _, derr := getStr(body); derr == nil {
 					if e := errFromCode(code, detail); e == nil {
-						t.Fatal("stream close code decoded to nil error")
+						t.Fatal("session close code decoded to nil error")
 					}
 				}
 				return
@@ -490,10 +562,10 @@ func FuzzDecodeStreamFrames(f *testing.F) {
 			var m2 FetchResp
 			op2, corr2, err := DecodeResponseV2(enc, &m2)
 			if err != nil || op2 != op || corr2 != corr {
-				t.Fatalf("canonical stream batch re-decode: op %d→%d corr %d→%d err %v", op, op2, corr, corr2, err)
+				t.Fatalf("canonical pushed batch re-decode: op %d→%d corr %d→%d err %v", op, op2, corr, corr2, err)
 			}
 			if enc2 := AppendResponseV2(nil, op2, corr2, &m2); !bytes.Equal(enc, enc2) {
-				t.Fatalf("unstable stream batch round trip\n %x\n %x", enc, enc2)
+				t.Fatalf("unstable pushed batch round trip\n %x\n %x", enc, enc2)
 			}
 			return
 		}
@@ -505,10 +577,9 @@ func FuzzDecodeStreamFrames(f *testing.F) {
 			return
 		}
 		switch m.(type) {
-		case *StreamOpenReq, *StreamCreditReq, *StreamCloseReq,
-			*SessionOpenReq, *SessionSubReq, *SessionCreditReq, *SessionCloseReq:
+		case *SessionOpenReq, *SessionSubReq, *SessionCreditReq, *SessionCloseReq:
 		default:
-			return // not a stream/session op; covered by FuzzDecodeRequestV2
+			return // not a session op; covered by FuzzDecodeRequestV2
 		}
 		enc := AppendRequestV2(nil, corr, m)
 		m2 := newReqMsg(op)
@@ -517,7 +588,7 @@ func FuzzDecodeStreamFrames(f *testing.F) {
 			t.Fatalf("canonical re-decode: corr %d→%d err %v", corr, corr2, err)
 		}
 		if enc2 := AppendRequestV2(nil, corr2, m2); !bytes.Equal(enc, enc2) {
-			t.Fatalf("unstable stream request round trip\n %x\n %x", enc, enc2)
+			t.Fatalf("unstable session request round trip\n %x\n %x", enc, enc2)
 		}
 	})
 }

@@ -334,6 +334,79 @@ func TestClientReconnectsAfterConnectionDrop(t *testing.T) {
 	}
 }
 
+// TestLongPollIdleConsumerPerformsNoReads is the tail-waiter regression
+// test: an idle consumer parked in a long poll issues no log reads
+// between appends — the CPU cost of an idle subscription is a blocked
+// goroutine, not a poll loop.
+func TestLongPollIdleConsumerPerformsNoReads(t *testing.T) {
+	f, addr, stop := startServer(t, true)
+	defer stop()
+	sessionTopic(t, f, "lp", 1, 5)
+	// Pin to plain request/response fetch so this exercises the
+	// FetchReq.WaitMaxMS -> FetchWaitInto -> WaitAppend long-poll path
+	// specifically (a session's pump arms append callbacks instead).
+	c, err := DialOptions(addr, Options{Anonymous: true, DisableSessionFetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.Features()&FeatSessionFetch != 0 {
+		t.Fatal("session fetch negotiated despite the mask")
+	}
+	cons := client.NewConsumer(c, client.ConsumerConfig{
+		Start: client.StartEarliest, PollWait: 3 * time.Second,
+	})
+	defer cons.Close()
+	if err := cons.Assign("lp", 0); err != nil {
+		t.Fatal(err)
+	}
+	// Drain the preloaded events.
+	drained := 0
+	for drained < 5 {
+		evs, err := cons.Poll(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drained += len(evs)
+	}
+	log, err := f.LeaderLog("lp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Idle: a Poll is parked server-side. Reads must not grow while no
+	// data arrives.
+	type pollRes struct {
+		evs []event.Event
+		err error
+	}
+	done := make(chan pollRes, 1)
+	go func() {
+		evs, err := cons.Poll(100)
+		done <- pollRes{evs, err}
+	}()
+	time.Sleep(100 * time.Millisecond) // let the poll reach the server and park
+	before := log.Reads()
+	time.Sleep(400 * time.Millisecond)
+	if delta := log.Reads() - before; delta != 0 {
+		t.Fatalf("idle long-polling consumer performed %d log reads", delta)
+	}
+	// An append wakes the parked poll promptly.
+	if _, err := f.Produce("", "lp", 0, []event.Event{{Value: []byte("wake")}}, broker.AcksLeader); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if len(r.evs) != 1 || string(r.evs[0].Value) != "wake" {
+			t.Fatalf("parked poll woke with %v", r.evs)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("parked poll did not wake on append")
+	}
+}
+
 func TestConcurrentWireClients(t *testing.T) {
 	f, addr, stop := startServer(t, true)
 	defer stop()

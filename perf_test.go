@@ -542,44 +542,28 @@ func BenchmarkLeaderDirectRouting(b *testing.B) {
 	b.ReportMetric(directThru/proxiedThru, "speedup_x")
 }
 
-// BenchmarkManyConnections gates PR 6's tentpole: Conns connections
-// each consuming 64 partitions run once over per-partition streams
-// (PR 4 — one server pump goroutine per partition per connection) and
-// once over multiplexed fetch sessions (one pump per connection, one
-// shared credit window), in the same run. Gates: the session path adds
-// at most 2 goroutines per connection for all 64 subscriptions; the
-// stream path's total per-connection footprint is at least 2x the
-// session path's; and session allocs/event are no worse than the PR 4
-// streaming baseline (small tolerance for process-wide noise). The
-// fixture's teardown doubles as a goroutine-leak gate on both paths.
+// BenchmarkManyConnections gates connection-scale serving: Conns
+// connections each consuming 64 partitions over multiplexed fetch
+// sessions (one pump per connection, one shared credit window). Gate:
+// the session path adds at most 2 goroutines per connection for all 64
+// subscriptions. The fixture's teardown doubles as a goroutine-leak
+// gate.
 func BenchmarkManyConnections(b *testing.B) {
 	// The identical fixture backs octopus-bench -connections, so the
-	// operator-visible comparison is the one CI gates.
+	// operator-visible measurement is the one CI gates.
 	const conns, parts, perPart, eventSize = 16, 64, 200, 100
 	fx, err := testbed.NewConnScaleFixture(conns, parts, perPart, eventSize)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(fx.Close)
-	stream, err := fx.Run(false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := fx.Run(true)
+	sess, err := fx.Run()
 	if err != nil {
 		b.Fatal(err)
 	}
 	if sess.ServingPerConn > 2 {
 		b.Fatalf("sessioned fetch adds %.2f goroutines/connection serving %d partitions, budget 2",
 			sess.ServingPerConn, parts)
-	}
-	if stream.GoroutinesPerConn < 2*sess.GoroutinesPerConn {
-		b.Fatalf("per-partition streams %.1f goroutines/connection < 2x sessioned %.1f at %d partitions",
-			stream.GoroutinesPerConn, sess.GoroutinesPerConn, parts)
-	}
-	if sess.AllocsPerEvent > 1.1*stream.AllocsPerEvent {
-		b.Fatalf("sessioned fetch %.2f allocs/event vs streaming baseline %.2f in the same run",
-			sess.AllocsPerEvent, stream.AllocsPerEvent)
 	}
 
 	// Timed loop: steady-state sessioned consumption of one partition.
@@ -593,9 +577,14 @@ func BenchmarkManyConnections(b *testing.B) {
 	b.ResetTimer()
 	var off int64
 	for i := 0; i < b.N; i++ {
-		res, err := c.FetchBuffered("", "cs", 0, off, 100, 1<<20, &buf)
+		// Wrapping to offset 0 is a seek, which re-subscribes; a zero-wait
+		// fetch on a fresh subscription may return before its first push.
+		res, err := c.FetchBufferedWait("", "cs", 0, off, 100, 1<<20, time.Second, &buf)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if len(res.Events) == 0 {
+			b.Fatalf("empty fetch at %d of a %d-event backlog", off, perPart)
 		}
 		if off = res.Events[len(res.Events)-1].Offset + 1; off >= perPart {
 			off = 0
@@ -604,10 +593,7 @@ func BenchmarkManyConnections(b *testing.B) {
 	b.StopTimer()
 	// Reported after the timed loop: ResetTimer deletes user metrics.
 	b.ReportMetric(sess.GoroutinesPerConn, "sess_goroutines/conn")
-	b.ReportMetric(stream.GoroutinesPerConn, "stream_goroutines/conn")
 	b.ReportMetric(sess.AllocsPerEvent, "sess_allocs/event")
-	b.ReportMetric(stream.AllocsPerEvent, "stream_allocs/event")
-	b.ReportMetric(stream.GoroutinesPerConn/sess.GoroutinesPerConn, "goroutine_reduction_x")
 }
 
 // BenchmarkReplicatedProduce gates PR 8's tentpole cost: on a 3-broker
@@ -728,15 +714,15 @@ func BenchmarkUnmarshalBatchAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingFetch gates PR 4's tentpole: the same consume
-// workload — a preloaded single-partition backlog drained through the
-// SDK consumer — crosses an emulated remote link (2 ms RTT) through the
-// PR 2/3 pipelined request/response fetcher (streaming masked out of
-// negotiation) and through a negotiated fetch stream (credit-based
+// BenchmarkStreamingFetch gates server push: the same consume workload
+// — a preloaded single-partition backlog drained through the SDK
+// consumer — crosses an emulated remote link (2 ms RTT) through the
+// pipelined request/response fetcher (sessions masked out of
+// negotiation) and through a negotiated fetch session (credit-based
 // server push). Request/response pays one round trip per batch however
-// well it pipelines; the stream pays round trips only for the open and
-// the occasional credit grant, so it must beat 2x the pipelined
-// throughput in the same run or the benchmark fails.
+// well it pipelines; the session pays round trips only for the open,
+// the subscribe and the occasional credit grant, so it must beat 2x
+// the pipelined throughput in the same run or the benchmark fails.
 func BenchmarkStreamingFetch(b *testing.B) {
 	f := broker.NewFabric(nil)
 	if err := f.AddBrokers(2, 2, 8); err != nil {
@@ -763,13 +749,9 @@ func BenchmarkStreamingFetch(b *testing.B) {
 	}
 	defer srv.Close()
 	remote := delayProxy(b, addr, time.Millisecond)
-	// Both dials disable PR 6 sessions: this gate compares the PR 2
-	// pipelined fetcher against the PR 4 per-partition stream, so each
-	// side is pinned to exactly its transport.
-	dial := func(disableStreaming bool) *wire.Client {
+	dial := func(disableSessions bool) *wire.Client {
 		c, err := wire.DialOptions(remote, wire.Options{
-			Anonymous: true, PoolSize: 1,
-			DisableStreaming: disableStreaming, DisableSessionFetch: true,
+			Anonymous: true, PoolSize: 1, DisableSessionFetch: disableSessions,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -778,7 +760,7 @@ func BenchmarkStreamingFetch(b *testing.B) {
 	}
 	// consume drains the full backlog through the SDK consumer and
 	// returns events/s. Prefetch on for both sides: the baseline is the
-	// PR 2 double-buffered pipelined fetcher at its best.
+	// double-buffered pipelined fetcher at its best.
 	consume := func(c *wire.Client) float64 {
 		cons := client.NewConsumer(c, client.ConsumerConfig{
 			Start: client.StartEarliest, Prefetch: true,
@@ -799,25 +781,25 @@ func BenchmarkStreamingFetch(b *testing.B) {
 		}
 		return float64(total) / time.Since(start).Seconds()
 	}
-	pipeClient, streamClient := dial(true), dial(false)
+	pipeClient, pushClient := dial(true), dial(false)
 	defer pipeClient.Close()
-	defer streamClient.Close()
-	if feats := streamClient.Features(); feats&wire.FeatStreamFetch == 0 {
-		b.Fatal("streaming fetch not negotiated")
+	defer pushClient.Close()
+	if feats := pushClient.Features(); feats&wire.FeatSessionFetch == 0 {
+		b.Fatal("session fetch not negotiated")
 	}
-	if feats := pipeClient.Features(); feats&wire.FeatStreamFetch != 0 {
-		b.Fatal("baseline client negotiated streaming")
+	if feats := pipeClient.Features(); feats&wire.FeatSessionFetch != 0 {
+		b.Fatal("baseline client negotiated sessions")
 	}
 	pipelined := consume(pipeClient)
-	streamed := consume(streamClient)
-	if streamed < 2*pipelined {
-		b.Fatalf("streaming fetch %.0f events/s < 2x pipelined %.0f events/s over the same link", streamed, pipelined)
+	pushed := consume(pushClient)
+	if pushed < 2*pipelined {
+		b.Fatalf("session push %.0f events/s < 2x pipelined %.0f events/s over the same link", pushed, pipelined)
 	}
 	b.SetBytes(200 * 500)
 	b.ResetTimer()
-	// Timed loop: steady-state streaming polls over the same link,
+	// Timed loop: steady-state session polls over the same link,
 	// re-seeking to the backlog start when it drains.
-	cons := client.NewConsumer(streamClient, client.ConsumerConfig{
+	cons := client.NewConsumer(pushClient, client.ConsumerConfig{
 		Start: client.StartEarliest, MaxPollEvents: 500, PollWait: 50 * time.Millisecond,
 	})
 	defer cons.Close()
@@ -839,6 +821,6 @@ func BenchmarkStreamingFetch(b *testing.B) {
 	b.StopTimer()
 	// Reported after the timed loop: ResetTimer deletes user metrics.
 	b.ReportMetric(pipelined, "pipelined_events/s")
-	b.ReportMetric(streamed, "streamed_events/s")
-	b.ReportMetric(streamed/pipelined, "speedup_x")
+	b.ReportMetric(pushed, "pushed_events/s")
+	b.ReportMetric(pushed/pipelined, "speedup_x")
 }

@@ -54,8 +54,8 @@ func runStreamBench() {
 	}
 	defer stopProxy()
 
-	consume := func(disableSessions, prefetch bool) float64 {
-		c, err := wire.DialOptions(remote, wire.Options{Anonymous: true, PoolSize: 1, DisableSessionFetch: disableSessions})
+	consume := func(mask uint32, prefetch bool) float64 {
+		c, err := wire.DialOptions(remote, wire.Options{Anonymous: true, PoolSize: 1, MaskFeatures: mask})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -82,9 +82,9 @@ func runStreamBench() {
 		return float64(total) / time.Since(start).Seconds()
 	}
 
-	serial := consume(true, false)
-	pipelined := consume(true, true)
-	pushed := consume(false, true)
+	serial := consume(wire.FeatSessionFetch, false)
+	pipelined := consume(wire.FeatSessionFetch, true)
+	pushed := consume(0, true)
 	t := &testbed.Table{
 		Title:   fmt.Sprintf("Consume transports over an emulated 2 ms link (%d events of %d B)", total, eventSize),
 		Columns: []string{"Transport", "Thru (ev/s)", "Speedup vs serial"},

@@ -51,7 +51,7 @@ func main() {
 		log.Fatalf("connect: %v", err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(os.Stderr, "connected to %s (wire protocol v%d)\n", *addr, conn.ProtocolVersion())
+	fmt.Fprintf(os.Stderr, "connected to %s (wire protocol v%d, features %#x)\n", *addr, wire.ProtocolV2, conn.Features())
 
 	switch args[0] {
 	case "produce":

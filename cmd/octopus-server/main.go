@@ -127,7 +127,7 @@ func main() {
 		}
 		defer cnet.Close()
 		for _, id := range oct.Fabric.NodeIDs() {
-			log.Printf("broker %d wire endpoint%s on %s (leader-scoped, protocol v1-v%d)", id, mode, cnet.Addr(id), wire.MaxProtocol)
+			log.Printf("broker %d wire endpoint%s on %s (leader-scoped, protocol v%d)", id, mode, cnet.Addr(id), wire.ProtocolV2)
 		}
 		if *replication {
 			log.Printf("replication: followers pull over OpReplicaFetch, acks=all gated on ISR high watermarks")
@@ -152,7 +152,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("wire listen: %v", err)
 		}
-		log.Printf("wire endpoint%s on %s (protocol v1-v%d, v2 + streaming fetch negotiated per connection)", mode, addr, wire.MaxProtocol)
+		log.Printf("wire endpoint%s on %s (protocol v%d, fetch sessions negotiated per connection)", mode, addr, wire.ProtocolV2)
 		promSources = func() []metrics.PromSource {
 			srcs := []metrics.PromSource{{Reg: oct.Fabric.Metrics}}
 			if srv := oct.WireServer(); srv != nil {

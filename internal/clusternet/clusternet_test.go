@@ -353,9 +353,11 @@ func drainSuite(t *testing.T, push bool) (misroutes int64, failed int) {
 	t.Helper()
 	const parts, perPart = 4, 50
 	cl, f := startCluster(t, 3, "dr", parts, 2)
-	wc, err := wire.DialOptions(cl.Addr(0), wire.Options{
-		Anonymous: true, PoolSize: 1, DisableMetaPush: !push,
-	})
+	var mask uint32
+	if !push {
+		mask = wire.FeatMetaPush
+	}
+	wc, err := wire.DialOptions(cl.Addr(0), wire.Options{Anonymous: true, PoolSize: 1, MaskFeatures: mask})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,7 +240,7 @@ func TestReplicationFeatureMaskedFallsBackToSingleReplica(t *testing.T) {
 	f.SetReplicator(tr)
 	t.Cleanup(func() { f.SetReplicator(nil) })
 	for _, id := range f.NodeIDs() {
-		mc, err := wire.DialOptions(cl.Addr(id), wire.Options{Anonymous: true, DisableReplication: true})
+		mc, err := wire.DialOptions(cl.Addr(id), wire.Options{Anonymous: true, MaskFeatures: wire.FeatReplication})
 		if err != nil {
 			t.Fatal(err)
 		}

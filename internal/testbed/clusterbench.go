@@ -98,7 +98,7 @@ func NewClusterRoutingFixture(brokers, workers, rounds, batchEvents, eventSize i
 	if !x.Direct.RouterEnabled() {
 		return fail(fmt.Errorf("testbed: leader-direct client did not enable metadata routing"))
 	}
-	if x.Proxied, err = wire.DialOptions(gwRemote, wire.Options{Anonymous: true, DisableClusterMeta: true}); err != nil {
+	if x.Proxied, err = wire.DialOptions(gwRemote, wire.Options{Anonymous: true, MaskFeatures: wire.FeatClusterMeta}); err != nil {
 		return fail(err)
 	}
 	x.closers = append(x.closers, func() { x.Proxied.Close() })

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -36,69 +35,24 @@ type Options struct {
 	// the same connection, preserving per-partition ordering; requests
 	// for different partitions pipeline on independent connections.
 	PoolSize int
-	// MaxVersion caps the protocol version negotiated at connection open
-	// (default MaxProtocol). Setting it to ProtocolV1 skips negotiation
-	// entirely, reproducing a legacy client.
-	MaxVersion int
-	// DisableClusterMeta masks FeatClusterMeta out of negotiation: the
-	// client never fetches cluster metadata and routes every request
-	// to its seed address with slot hashing — the pre-cluster
-	// behavior. Used by interop tests and single-listener baselines.
-	DisableClusterMeta bool
 	// StreamWindowBytes is the fetch session's shared byte window: the
 	// server stops pushing once this many un-granted bytes are
 	// outstanding, bounding a stalled reader's server-side buffering.
 	// Zero asks for the server default (1 MiB); larger values are
 	// clamped to the server's cap.
 	StreamWindowBytes int
-	// DisableSessionFetch masks FeatSessionFetch out of negotiation:
-	// the client consumes via request/response long-poll fetch even
-	// against session-capable servers. Used by interop tests and
-	// same-run benchmark baselines.
-	DisableSessionFetch bool
-	// DisableMetaPush masks FeatMetaPush out of negotiation: the
-	// client never receives pushed metadata and re-routes reactively
-	// after a misrouted request, the pre-push behavior. Used by interop
-	// and failover tests.
-	DisableMetaPush bool
-	// DisableReplication masks FeatReplication out of negotiation: the
-	// client never issues replica fetches or acks. Used by interop tests
-	// to prove a mixed-version cluster degrades to single-replica
-	// operation instead of wedging.
-	DisableReplication bool
-	// DisableStats masks FeatStats out of negotiation: the client never
-	// requests observability snapshots, emulating a client that predates
-	// them. Used by interop tests.
-	DisableStats bool
-}
-
-// features is the feature set this client offers in negotiation.
-func (o *Options) features() uint32 {
-	feats := allFeatures
-	if o.DisableClusterMeta {
-		feats &^= FeatClusterMeta
-	}
-	if o.DisableSessionFetch {
-		feats &^= FeatSessionFetch
-	}
-	if o.DisableMetaPush {
-		feats &^= FeatMetaPush
-	}
-	if o.DisableReplication {
-		feats &^= FeatReplication
-	}
-	if o.DisableStats {
-		feats &^= FeatStats
-	}
-	return feats
+	// MaskFeatures holds the feature bits (Feat*) the client withholds
+	// from negotiation, as a client that predates them would: without
+	// FeatClusterMeta it routes every request to its seed address,
+	// without FeatSessionFetch it consumes by request/response
+	// long-poll, and so on. Interop tests and same-run benchmark
+	// baselines set it; zero offers every feature.
+	MaskFeatures uint32
 }
 
 func (o *Options) fill() {
 	if o.PoolSize <= 0 {
 		o.PoolSize = 2
-	}
-	if o.MaxVersion <= 0 || o.MaxVersion > MaxProtocol {
-		o.MaxVersion = MaxProtocol
 	}
 	if o.StreamWindowBytes > maxSessionWindow {
 		// The server grants at most its own cap: clamp so the option
@@ -109,9 +63,8 @@ func (o *Options) fill() {
 
 // Client is a client.Transport over the wire protocol: SDK producers
 // and consumers built on it run against a remote fabric unchanged. Its
-// methods are typed per operation; on a v2 connection each call is one
-// binary header, on a v1 connection the same message transparently
-// travels as the legacy JSON header (see Options.MaxVersion).
+// methods are typed per operation, and each call is one binary v2
+// header.
 //
 // The transport is pipelined: each request carries a correlation ID, a
 // writer goroutine streams frames onto the connection (coalescing
@@ -169,13 +122,8 @@ type endpoint struct {
 type call struct {
 	// op is the expected v2 response op (the request's op byte).
 	op uint8
-	// req is the typed request; the writer encodes it as a v2 binary
-	// header or, on a v1 connection, via its JSON conversion.
-	req ReqMsg
-	// rawV1, when set, bypasses req entirely and is sent as a v1 JSON
-	// header regardless of the connection version — the negotiate
-	// handshake itself, which must be readable by servers of any vintage.
-	rawV1   *Request
+	// req is the typed request the writer encodes.
+	req     ReqMsg
 	corr    uint64
 	payload []byte
 	// arena, when non-nil, is the caller's receive buffer: the reader
@@ -187,13 +135,9 @@ type call struct {
 	// sub removals and closes): the writer completes it right after its
 	// bytes leave, without registering a pending correlation entry.
 	oneway bool
-	// resp is the typed response target, decoded from the v2 body or
-	// filled from the v1 header; nil discards the body.
-	resp respMsg
-	// v1resp keeps the raw v1 header (negotiation reads Version/Features
-	// from it).
-	v1resp Response
-	data   []byte
+	// resp is the typed response target; nil discards the body.
+	resp Msg
+	data []byte
 	// srvErr is a server-reported error, reconstructed as its domain
 	// sentinel; err is a transport or codec failure.
 	srvErr error
@@ -213,14 +157,12 @@ type wireConn struct {
 	rd *bufio.Reader
 	// hdrBuf is the reader's reusable header scratch buffer.
 	hdrBuf []byte
+	// features is the negotiated feature set, fixed by the handshake
+	// before the reader and writer start.
+	features uint32
 
 	mu   sync.Mutex
 	cond *sync.Cond // signaled on queue push and on failure
-	// version is the negotiated protocol version. It starts at v1 and is
-	// bumped at most once, during the handshake, before any caller
-	// requests are admitted.
-	version  int
-	features uint32
 	// queue holds calls accepted but not yet written; the writer drains
 	// it in FIFO order. Unbounded: depth is naturally limited by the
 	// number of callers blocked awaiting responses.
@@ -278,37 +220,25 @@ func DialOptions(addr string, o Options) (*Client, error) {
 	// When the server offered cluster metadata, bootstrap the routing
 	// table now: from here on, data-plane requests dial partition
 	// leaders directly.
-	if wc.featuresNow()&FeatClusterMeta != 0 {
+	if wc.features&FeatClusterMeta != 0 {
 		_ = c.refreshMetadata() // failure leaves the router disabled: seed-only routing
 	}
 	return c, nil
 }
 
-// ProtocolVersion reports the protocol version negotiated with the
-// server (ProtocolV1 for legacy peers), or 0 before any connection is
-// established.
-func (c *Client) ProtocolVersion() int {
-	if wc := c.seedConn(); wc != nil {
-		wc.mu.Lock()
-		defer wc.mu.Unlock()
-		return wc.version
-	}
-	return 0
-}
-
 // Features reports the feature bitmask negotiated with the server (0
-// for v1 peers or before any connection is established).
+// before any connection is established).
 func (c *Client) Features() uint32 {
 	if wc := c.seedConn(); wc != nil {
-		return wc.featuresNow()
+		return wc.features
 	}
 	return 0
 }
 
-// seedConn returns a live connection for version/feature probes: the
-// seed endpoint's when one is established, else any endpoint's — after
-// the seed broker dies, the client keeps serving through other
-// brokers, and its negotiated version must not read as 0.
+// seedConn returns a live connection for feature probes: the seed
+// endpoint's when one is established, else any endpoint's — after the
+// seed broker dies, the client keeps serving through other brokers,
+// and its negotiated features must not read as 0.
 func (c *Client) seedConn() *wireConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -327,13 +257,6 @@ func (c *Client) seedConn() *wireConn {
 		}
 	}
 	return nil
-}
-
-// featuresNow snapshots the connection's negotiated feature set.
-func (wc *wireConn) featuresNow() uint32 {
-	wc.mu.Lock()
-	defer wc.mu.Unlock()
-	return wc.features
 }
 
 // errNow snapshots the connection's sticky error.
@@ -448,20 +371,26 @@ func (c *Client) installConn(ep *endpoint, i int) (*wireConn, error) {
 	return wc, nil
 }
 
-// connect dials, starts the writer/reader goroutines, negotiates the
-// protocol version, and authenticates. It touches only immutable
-// client state, so no lock is held across the network round trips.
+// connect dials, negotiates, starts the writer/reader goroutines, and
+// authenticates. It touches only immutable client state, so no lock is
+// held across the network round trips.
 func (c *Client) connect(addr string) (*wireConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, IOTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
+	rd := bufio.NewReaderSize(conn, 64<<10)
+	features, err := negotiate(conn, rd, allFeatures&^c.opts.MaskFeatures)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("wire: negotiate with %s: %w", addr, err)
+	}
 	wc := &wireConn{
-		conn:    conn,
-		rd:      bufio.NewReaderSize(conn, 64<<10),
-		version: ProtocolV1,
-		pending: make(map[uint64]*call),
-		done:    make(chan struct{}),
+		conn:     conn,
+		rd:       rd,
+		features: features,
+		pending:  make(map[uint64]*call),
+		done:     make(chan struct{}),
 	}
 	wc.cond = sync.NewCond(&wc.mu)
 	// Pushed metadata re-routes before a request fails: adopt the
@@ -471,28 +400,8 @@ func (c *Client) connect(addr string) (*wireConn, error) {
 	go wc.writeLoop()
 	go wc.readLoop()
 
-	// Version handshake, always in v1 framing: a server that predates
-	// negotiation answers with an "unknown op" (or not-authenticated)
-	// error, which means "speak v1".
-	if c.opts.MaxVersion >= ProtocolV2 {
-		ncl := &call{
-			rawV1: &Request{Op: OpNegotiate, MaxVersion: c.opts.MaxVersion, Features: c.opts.features()},
-			done:  make(chan struct{}),
-		}
-		if err := wc.do(ncl); err != nil {
-			wc.fail(err)
-			return nil, err
-		}
-		if ncl.srvErr == nil && ncl.v1resp.Version >= ProtocolV2 {
-			wc.mu.Lock()
-			wc.version = ProtocolV2
-			wc.features = ncl.v1resp.Features & c.opts.features()
-			wc.mu.Unlock()
-		}
-	}
-
-	// Authenticate (or probe, for anonymous connections) in the
-	// negotiated framing, so rejection surfaces at dial time.
+	// Authenticate (or probe, for anonymous connections), so rejection
+	// surfaces at dial time.
 	var hcl *call
 	if c.opts.Anonymous {
 		hcl = &call{op: v2OpPing, req: &PingReq{}, resp: &EmptyResp{}, done: make(chan struct{})}
@@ -512,6 +421,29 @@ func (c *Client) connect(addr string) (*wireConn, error) {
 		return nil, err
 	}
 	return wc, nil
+}
+
+// negotiate runs the connection-open handshake on the raw connection,
+// before any goroutine reads or writes it: one JSON OpNegotiate
+// exchange under IOTimeout. Every later frame in both directions is
+// v2, so a frame the server sends straight after its answer (a
+// metadata push) waits in rd and is read as v2 by construction. A
+// server that cannot speak v2 answers with an error, which fails the
+// dial.
+func negotiate(conn net.Conn, rd *bufio.Reader, offer uint32) (uint32, error) {
+	_ = conn.SetDeadline(time.Now().Add(IOTimeout))
+	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2, Features: offer}, nil); err != nil {
+		return 0, err
+	}
+	var resp Response
+	if _, err := ReadFrame(rd, &resp); err != nil {
+		return 0, err
+	}
+	if resp.Err != "" || resp.Version < ProtocolV2 {
+		return 0, fmt.Errorf("server refused protocol v%d (answered version %d: %q)", ProtocolV2, resp.Version, resp.Err)
+	}
+	_ = conn.SetDeadline(time.Time{})
+	return resp.Features & offer, nil
 }
 
 // Close shuts every pool connection on every endpoint, failing all
@@ -602,21 +534,6 @@ func (wc *wireConn) fail(err error) {
 	}
 }
 
-// appendCallFrame encodes one request frame in the connection's
-// negotiated framing. The negotiate handshake (rawV1) always travels as
-// v1 JSON.
-func appendCallFrame(buf []byte, version int, cl *call) ([]byte, error) {
-	if cl.rawV1 != nil || version < ProtocolV2 {
-		r := cl.rawV1
-		if r == nil {
-			r = cl.req.v1()
-		}
-		r.Corr = cl.corr
-		return appendFrame(buf, r, cl.payload)
-	}
-	return appendFrameRequestV2(buf, cl.corr, cl.req, cl.payload)
-}
-
 // writeLoop drains the queue, encoding every waiting frame into one
 // buffer and writing them with a single syscall — pipelined requests
 // coalesce on the wire. Each call is registered in pending just before
@@ -643,14 +560,13 @@ func (wc *wireConn) writeLoop() {
 		}
 		batch = append(batch[:0], wc.queue...)
 		wc.queue = wc.queue[:0]
-		version := wc.version
 		wc.mu.Unlock()
 
 		buf = buf[:0]
 		written = written[:0]
 		for _, cl := range batch {
 			n := len(buf)
-			grown, err := appendCallFrame(buf, version, cl)
+			grown, err := appendFrameRequestV2(buf, cl.corr, cl.req, cl.payload)
 			if err != nil {
 				// Frame-level error (oversized, unmarshalable header):
 				// fail this call alone, the connection is fine.
@@ -715,11 +631,9 @@ func (wc *wireConn) writeLoop() {
 }
 
 // readLoop reads response frames and dispatches them to pending calls
-// by correlation ID, decoding the typed (or JSON) header and reading
-// each payload directly into the matched caller's receive buffer when
-// one was provided. The framing version is checked per frame: the
-// handshake flips it between the negotiate response (v1) and the first
-// v2 response.
+// by correlation ID, decoding the typed header and reading each payload
+// directly into the matched caller's receive buffer when one was
+// provided.
 func (wc *wireConn) readLoop() {
 	for {
 		hb, err := readHeaderInto(wc.rd, &wc.hdrBuf)
@@ -727,55 +641,40 @@ func (wc *wireConn) readLoop() {
 			wc.fail(err)
 			return
 		}
-		wc.mu.Lock()
-		v2 := wc.version >= ProtocolV2
-		wc.mu.Unlock()
-
-		var corr uint64
-		var op, code uint8
-		var body []byte
-		var v1resp Response
-		if v2 {
-			if op, code, corr, body, err = decodeRespPrefixV2(hb); err != nil {
+		op, code, corr, body, err := decodeRespPrefixV2(hb)
+		if err != nil {
+			wc.fail(err)
+			return
+		}
+		if op == v2OpSessionBatch || op == v2OpSessionClose {
+			// Server-pushed session frame: corr packs session and sub
+			// IDs (payload included); never touches pending.
+			if err := wc.handleSessionPush(op, code, corr, body); err != nil {
 				wc.fail(err)
 				return
 			}
-			if op == v2OpSessionBatch || op == v2OpSessionClose {
-				// Server-pushed session frame: corr packs session and sub
-				// IDs (payload included); never touches pending.
-				if err := wc.handleSessionPush(op, code, corr, body); err != nil {
+			continue
+		}
+		if op == v2OpMetadataPush {
+			// Server-pushed cluster metadata (FeatMetaPush): adopt the
+			// fresh routing table so the next request already targets
+			// the new leaders.
+			var md *MetadataResp
+			if code == codeOK {
+				md = &MetadataResp{}
+				if err := md.DecodeBody(body); err != nil {
 					wc.fail(err)
 					return
 				}
-				continue
 			}
-			if op == v2OpMetadataPush {
-				// Server-pushed cluster metadata (FeatMetaPush): adopt the
-				// fresh routing table so the next request already targets
-				// the new leaders.
-				var md *MetadataResp
-				if code == codeOK {
-					md = &MetadataResp{}
-					if err := md.DecodeBody(body); err != nil {
-						wc.fail(err)
-						return
-					}
-				}
-				if _, err := ReadPayloadInto(wc.rd, nil); err != nil {
-					wc.fail(err)
-					return
-				}
-				if md != nil && wc.onMetaPush != nil {
-					wc.onMetaPush(md)
-				}
-				continue
-			}
-		} else {
-			if err := json.Unmarshal(hb, &v1resp); err != nil {
-				wc.fail(fmt.Errorf("wire: bad header: %w", err))
+			if _, err := ReadPayloadInto(wc.rd, nil); err != nil {
+				wc.fail(err)
 				return
 			}
-			corr = v1resp.Corr
+			if md != nil && wc.onMetaPush != nil {
+				wc.onMetaPush(md)
+			}
+			continue
 		}
 
 		wc.mu.Lock()
@@ -787,26 +686,17 @@ func (wc *wireConn) readLoop() {
 		// reused by the next frame. Decode errors complete only this
 		// call; the connection framing is still intact.
 		if cl != nil {
-			if v2 {
-				switch {
-				case code != codeOK:
-					if detail, _, derr := getStr(body); derr != nil {
-						cl.err = derr
-					} else {
-						cl.srvErr = errFromCode(code, detail)
-					}
-				case op != cl.op:
-					cl.err = fmt.Errorf("wire: response op %d for request op %d", op, cl.op)
-				case cl.resp != nil:
-					cl.err = cl.resp.DecodeBody(body)
+			switch {
+			case code != codeOK:
+				if detail, _, derr := getStr(body); derr != nil {
+					cl.err = derr
+				} else {
+					cl.srvErr = errFromCode(code, detail)
 				}
-			} else {
-				cl.v1resp = v1resp
-				if v1resp.Err != "" {
-					cl.srvErr = errFromKind(v1resp.ErrKind, v1resp.Err)
-				} else if cl.resp != nil {
-					cl.resp.fromV1(&cl.v1resp)
-				}
+			case op != cl.op:
+				cl.err = fmt.Errorf("wire: response op %d for request op %d", op, cl.op)
+			case cl.resp != nil:
+				cl.err = cl.resp.DecodeBody(body)
 			}
 		}
 
@@ -838,7 +728,8 @@ func (wc *wireConn) readLoop() {
 		}
 		wc.mu.Unlock()
 		if cap(wc.hdrBuf) > maxPooledFrame {
-			// One giant v1 offsets header must not pin its buffer.
+			// One giant header (a stats snapshot, a many-topic metadata
+			// document) must not pin its buffer.
 			wc.hdrBuf = nil
 		}
 		if cl != nil {
@@ -857,7 +748,7 @@ func (wc *wireConn) readLoop() {
 // failure — the router (router.go) and the SDK's retry loop handle
 // persistent failure and re-routing. The returned error is either a
 // transport error or the server's reconstructed domain sentinel.
-func (c *Client) callAt(addr string, slot int, req ReqMsg, resp respMsg, payload, arena []byte) (*call, error) {
+func (c *Client) callAt(addr string, slot int, req ReqMsg, resp Msg, payload, arena []byte) (*call, error) {
 	wc, err := c.connAt(addr, slot)
 	if err != nil {
 		return nil, err
@@ -1011,8 +902,8 @@ func (c *Client) Fetch(_ string, topic string, partition int, offset int64, maxE
 // (client.BufferedFetcher). When the connection negotiated
 // FeatSessionFetch, the call is served from the connection's fetch
 // session the server pushes into — zero request round trips at steady
-// state; see sessionclient.go. Otherwise (v1 peers, session-disabled
-// servers) the response payload is read directly into buf.Arena by the
+// state; see sessionclient.go. Otherwise (peers without the feature)
+// the response payload is read directly into buf.Arena by the
 // reader goroutine and decoded into buf.Events, so a steady-state poll
 // reuses one receive buffer instead of allocating a frame and an event
 // slice per fetch. Either way, returned events are valid until the
@@ -1077,8 +968,8 @@ func (c *Client) fetchBufferedAt(addr, topic string, partition int, offset int64
 	return c.plainFetchBuffered(addr, slot, topic, partition, offset, maxEvents, maxBytes, wait, buf)
 }
 
-// plainFetchBuffered is the request/response buffered fetch (protocol
-// v1, and v2 without sessions).
+// plainFetchBuffered is the request/response buffered fetch (peers
+// without FeatSessionFetch).
 func (c *Client) plainFetchBuffered(addr string, slot int, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.FetchResult, error) {
 	req := FetchReq{Topic: topic, Partition: partition, Offset: offset, MaxEvents: maxEvents, MaxBytes: maxBytes, WaitMaxMS: int(wait / time.Millisecond)}
 	var resp FetchResp

@@ -15,28 +15,11 @@ import (
 
 // runWireSuite drives the full remote pipeline — SDK producer and
 // grouped prefetching consumer, offset and metadata ops, typed error
-// sentinels, and concurrent pipelined produces — against a server
-// capped at serverMax with a client capped at clientMax, asserting the
-// connection negotiates to wantVersion. It is the interop regression
-// harness: every version pairing must pass the identical suite.
-func runWireSuite(t *testing.T, serverMax, clientMax, wantVersion int) {
-	t.Helper()
-	runWireSuiteFeatures(t, serverMax, clientMax, wantVersion, suiteFeatures{})
-}
-
-// suiteFeatures masks individual v2 features out of negotiation on
-// either side; the suite must pass identically through every fallback.
-type suiteFeatures struct {
-	serverNoMeta, clientNoMeta       bool
-	serverNoSession, clientNoSession bool
-	serverNoPush, clientNoPush       bool
-	serverNoRepl, clientNoRepl       bool
-	serverNoStats, clientNoStats     bool
-}
-
-// runWireSuiteFeatures runs the interop suite with the given feature
-// masks applied.
-func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, sf suiteFeatures) {
+// sentinels, and concurrent pipelined produces — against a server that
+// withholds serverMask from negotiation with a client that withholds
+// clientMask. It is the interop regression harness: every fallback
+// pairing must pass the identical suite.
+func runWireSuite(t *testing.T, serverMask, clientMask uint32) {
 	t.Helper()
 	f := broker.NewFabric(nil)
 	if err := f.AddBrokers(2, 2, 8); err != nil {
@@ -47,52 +30,29 @@ func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, s
 	}
 	s := NewServer(f)
 	s.AllowAnonymous = true
-	s.MaxVersion = serverMax
-	s.DisableClusterMeta = sf.serverNoMeta
-	s.DisableSessionFetch = sf.serverNoSession
-	s.DisableMetaPush = sf.serverNoPush
-	s.DisableReplication = sf.serverNoRepl
-	s.DisableStats = sf.serverNoStats
+	s.MaskFeatures = serverMask
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	c, err := DialOptions(addr, Options{
-		Anonymous: true, MaxVersion: clientMax, PoolSize: 2,
-		DisableClusterMeta:  sf.clientNoMeta,
-		DisableSessionFetch: sf.clientNoSession, DisableMetaPush: sf.clientNoPush,
-		DisableReplication: sf.clientNoRepl, DisableStats: sf.clientNoStats,
-	})
+	c, err := DialOptions(addr, Options{Anonymous: true, PoolSize: 2, MaskFeatures: clientMask})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if v := c.ProtocolVersion(); v != wantVersion {
-		t.Fatalf("negotiated v%d, want v%d (server max %d, client max %d)", v, wantVersion, serverMax, clientMax)
+	negotiated := allFeatures &^ serverMask &^ clientMask
+	if got := c.Features(); got != negotiated {
+		t.Fatalf("negotiated features %#x, want %#x (server mask %#x, client mask %#x)", got, negotiated, serverMask, clientMask)
 	}
-	wantMeta := wantVersion >= ProtocolV2 && !sf.serverNoMeta && !sf.clientNoMeta
+	wantMeta := negotiated&FeatClusterMeta != 0
 	if gotMeta := c.RouterEnabled(); gotMeta != wantMeta {
 		t.Fatalf("metadata routing enabled = %v, want %v", gotMeta, wantMeta)
 	}
-	wantSession := wantVersion >= ProtocolV2 && !sf.serverNoSession && !sf.clientNoSession
-	if gotSession := c.Features()&FeatSessionFetch != 0; gotSession != wantSession {
-		t.Fatalf("session fetch negotiated = %v, want %v", gotSession, wantSession)
-	}
-	wantPush := wantVersion >= ProtocolV2 && !sf.serverNoPush && !sf.clientNoPush
-	if gotPush := c.Features()&FeatMetaPush != 0; gotPush != wantPush {
-		t.Fatalf("metadata push negotiated = %v, want %v", gotPush, wantPush)
-	}
-	wantRepl := wantVersion >= ProtocolV2 && !sf.serverNoRepl && !sf.clientNoRepl
-	if gotRepl := c.Features()&FeatReplication != 0; gotRepl != wantRepl {
-		t.Fatalf("replication negotiated = %v, want %v", gotRepl, wantRepl)
-	}
-	wantStats := wantVersion >= ProtocolV2 && !sf.serverNoStats && !sf.clientNoStats
-	if gotStats := c.Features()&FeatStats != 0; gotStats != wantStats {
-		t.Fatalf("stats negotiated = %v, want %v", gotStats, wantStats)
-	}
-	if wantVersion >= ProtocolV2 && !wantRepl {
+	wantSession := negotiated&FeatSessionFetch != 0
+	wantStats := negotiated&FeatStats != 0
+	if negotiated&FeatReplication == 0 {
 		// The fallback contract: without the feature, replication ops
 		// are refused as unknown — a clean error, never a hang or a
 		// batch served to an un-negotiated peer.
@@ -126,8 +86,7 @@ func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, s
 	_ = p.Close()
 
 	// Grouped, prefetching consumer: every event comes back, offsets
-	// stamped contiguously per partition (the dense-run decode path on
-	// v2, the legacy array on v1).
+	// stamped contiguously per partition (the dense-run decode path).
 	cons := client.NewConsumer(c, client.ConsumerConfig{
 		Group: "g", Start: client.StartEarliest, AutoCommit: true, Prefetch: true,
 	})
@@ -221,7 +180,7 @@ func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, s
 		t.Fatalf("end offsets sum to %d, want %d", end, total)
 	}
 
-	// Typed sentinels survive the transport in both protocol versions.
+	// Typed sentinels survive the transport.
 	if _, err := c.Fetch("", "nope", 0, 0, 1, 0); !errors.Is(err, ErrUnknownTopic) {
 		t.Fatalf("unknown topic error = %v", err)
 	}
@@ -246,93 +205,31 @@ func runWireSuiteFeatures(t *testing.T, serverMax, clientMax, wantVersion int, s
 	wg.Wait()
 }
 
-// TestInteropV2ClientV1Server: a current client against a legacy
-// server negotiates down to v1 JSON framing and passes the full suite.
-func TestInteropV2ClientV1Server(t *testing.T) {
-	runWireSuite(t, ProtocolV1, ProtocolV2, ProtocolV1)
-}
+// TestInteropV2V2 anchors the suite on the all-on pairing (fetch
+// sessions negotiated and active). Each test after it masks one feature
+// on one side; the suite must pass identically through the fallback.
+func TestInteropV2V2(t *testing.T) { runWireSuite(t, 0, 0) }
 
-// TestInteropV1ClientV2Server: a legacy client (which never sends
-// OpNegotiate) against a current server is served in v1 framing.
-func TestInteropV1ClientV2Server(t *testing.T) {
-	runWireSuite(t, ProtocolV2, ProtocolV1, ProtocolV1)
-}
+// Cluster metadata masked: OpMetadata is an unknown op and the client
+// slot-hashes over its seed address.
+func TestInteropClusterMetaOffServerSide(t *testing.T) { runWireSuite(t, FeatClusterMeta, 0) }
+func TestInteropClusterMetaOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatClusterMeta) }
 
-// TestInteropV2V2 anchors the same suite on the all-current pairing
-// (fetch sessions negotiated and active).
-func TestInteropV2V2(t *testing.T) {
-	runWireSuite(t, ProtocolV2, ProtocolV2, ProtocolV2)
-}
+// Fetch sessions masked: the client consumes over pipelined
+// request/response long-poll fetch.
+func TestInteropSessionOffServerSide(t *testing.T) { runWireSuite(t, FeatSessionFetch, 0) }
+func TestInteropSessionOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatSessionFetch) }
 
-// TestInteropClusterMetaOffServerSide: a current client against a v2
-// server that predates cluster metadata discovery (OpMetadata answered
-// as unknown op) falls back to single-address slot hashing and passes
-// the identical suite.
-func TestInteropClusterMetaOffServerSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{serverNoMeta: true})
-}
+// Metadata push masked: the client re-routes reactively after a
+// misrouted request.
+func TestInteropMetaPushOffServerSide(t *testing.T) { runWireSuite(t, FeatMetaPush, 0) }
+func TestInteropMetaPushOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatMetaPush) }
 
-// TestInteropClusterMetaOffClientSide: a client that masks
-// FeatClusterMeta never fetches metadata and slot-hashes over its seed
-// address against a cluster-capable server, passing the identical
-// suite.
-func TestInteropClusterMetaOffClientSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{clientNoMeta: true})
-}
+// Replication masked: OpReplicaFetch/OpReplicaAck are refused as
+// unknown ops — the single-replica behavior of a pre-replication peer.
+func TestInteropReplicationOffServerSide(t *testing.T) { runWireSuite(t, FeatReplication, 0) }
+func TestInteropReplicationOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatReplication) }
 
-// TestInteropSessionOffServerSide: a current client against a v2
-// server that predates multiplexed fetch sessions falls back to
-// pipelined request/response long-poll fetch and passes the identical
-// suite.
-func TestInteropSessionOffServerSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{serverNoSession: true})
-}
-
-// TestInteropSessionOffClientSide: a client that masks FeatSessionFetch
-// consumes over request/response long-poll fetch from a session-capable
-// server, passing the identical suite.
-func TestInteropSessionOffClientSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{clientNoSession: true})
-}
-
-// TestInteropMetaPushOffServerSide: a server that predates pushed
-// metadata serves a current client, which re-routes reactively after
-// misrouted requests exactly as before the feature.
-func TestInteropMetaPushOffServerSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{serverNoPush: true})
-}
-
-// TestInteropMetaPushOffClientSide: a client that masks FeatMetaPush
-// never receives pushed metadata and falls back to reactive re-fetch.
-func TestInteropMetaPushOffClientSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{clientNoPush: true})
-}
-
-// TestInteropReplicationOffServerSide: a server that predates
-// inter-broker replication refuses OpReplicaFetch/OpReplicaAck as
-// unknown ops while the whole data-plane suite passes unchanged — the
-// single-replica behavior every pre-replication pairing had.
-func TestInteropReplicationOffServerSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{serverNoRepl: true})
-}
-
-// TestInteropReplicationOffClientSide: a client (broker peer) that
-// masks FeatReplication gets its replication ops refused by a capable
-// server, and everything else serves identically.
-func TestInteropReplicationOffClientSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{clientNoRepl: true})
-}
-
-// TestInteropStatsOffServerSide: a server that predates the
-// observability plane refuses OpStats as an unknown op while the whole
-// data-plane suite passes unchanged.
-func TestInteropStatsOffServerSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{serverNoStats: true})
-}
-
-// TestInteropStatsOffClientSide: a client that masks FeatStats gets
-// OpStats refused by a stats-capable server, and everything else
-// serves identically.
-func TestInteropStatsOffClientSide(t *testing.T) {
-	runWireSuiteFeatures(t, ProtocolV2, ProtocolV2, ProtocolV2, suiteFeatures{clientNoStats: true})
-}
+// Stats masked: OpStats is refused as an unknown op.
+func TestInteropStatsOffServerSide(t *testing.T) { runWireSuite(t, FeatStats, 0) }
+func TestInteropStatsOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatStats) }

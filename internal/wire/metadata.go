@@ -11,9 +11,8 @@
 // broker connection fails — the epoch tells it whether the fetched
 // document is newer than what it already routes by.
 //
-// The message is v2-only and gated by the FeatClusterMeta feature bit.
-// Against a v1 peer (or a v2 peer that masked the feature) the request
-// is answered as an unknown op and the client falls back to
+// The message is gated by the FeatClusterMeta feature bit. Against a
+// peer that masked the feature the request is answered as an unknown op and the client falls back to
 // single-address slot hashing — exactly the pre-cluster behavior.
 // Both bodies tolerate trailing bytes, so later revisions can append
 // fields without breaking old peers.
@@ -59,10 +58,6 @@ func (m *MetadataReq) DecodeBody(b []byte) error {
 	}
 	return nil
 }
-
-// v1 converts to a JSON header a v1 server rejects as an unknown op —
-// the clean-fallback path for clients probing a legacy peer.
-func (m *MetadataReq) v1() *Request { return &Request{Op: OpMetadata} }
 
 // BrokerMeta is one broker's entry in a metadata response.
 type BrokerMeta struct {
@@ -351,12 +346,6 @@ func (m *MetadataResp) DecodeBody(b []byte) error {
 	}
 	return nil
 }
-
-// fromV1/toV1 are no-ops: OpMetadata never travels in v1 framing — a
-// v1 peer answers it as an unknown op, which is the negotiated
-// fallback signal.
-func (*MetadataResp) fromV1(*Response) {}
-func (*MetadataResp) toV1(*Response)   {}
 
 // buildMetadataResp converts a fabric snapshot into the wire document.
 func buildMetadataResp(f *broker.Fabric, topics []string) *MetadataResp {

@@ -3,9 +3,9 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -109,27 +109,45 @@ func rawListen(t *testing.T, handler func(conn net.Conn)) string {
 	return ln.Addr().String()
 }
 
-// handshakeRaw answers the client's connection-open sequence the way a
-// v1-only server would: OpNegotiate (if sent) gets an "unknown op"
-// error, which makes the client fall back to v1 framing, and the
+// handshakeRaw answers the client's connection-open sequence for a raw
+// fake server: OpNegotiate gets v2 with no optional features, and the
 // anonymous ping probe gets an empty success.
 func handshakeRaw(t *testing.T, conn net.Conn) bool {
 	t.Helper()
-	for {
-		var req Request
-		if _, err := ReadFrame(conn, &req); err != nil {
-			return false
-		}
-		if req.Op == OpNegotiate {
-			resp := errRespV1(fmt.Errorf("wire: unknown op %q", req.Op))
-			resp.Corr = req.Corr
-			if WriteFrame(conn, resp, nil) != nil {
-				return false
-			}
-			continue
-		}
-		return WriteFrame(conn, &Response{Corr: req.Corr}, nil) == nil
+	var req Request
+	if _, err := ReadFrame(conn, &req); err != nil {
+		return false
 	}
+	if WriteFrame(conn, &Response{Corr: req.Corr, Version: ProtocolV2}, nil) != nil {
+		return false
+	}
+	corr, m, err := rawRequest(conn)
+	return err == nil && rawRespond(conn, m.V2Op(), corr, &EmptyResp{}) == nil
+}
+
+// rawRequest reads one v2 request frame off a raw fake server's
+// connection, discarding its payload.
+func rawRequest(r io.Reader) (corr uint64, m ReqMsg, err error) {
+	var hdr []byte
+	hb, err := readHeaderInto(r, &hdr)
+	if err != nil {
+		return 0, nil, err
+	}
+	corr, _, m, err = decodeAnyRequestV2(hb, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	_, err = ReadPayloadInto(r, nil)
+	return corr, m, err
+}
+
+// rawRespond writes one payload-free v2 success response frame.
+func rawRespond(w io.Writer, op uint8, corr uint64, m Msg) error {
+	frame, err := appendFrameResponseV2(nil, op, corr, m, nil, nil)
+	if err == nil {
+		_, err = w.Write(frame)
+	}
+	return err
 }
 
 // dialRawAnon dials with a single pool connection, the configuration
@@ -155,17 +173,17 @@ func TestOutOfOrderResponseDelivery(t *testing.T) {
 		// Collect two requests, then answer them newest-first, echoing
 		// the requested partition as the offset so callers can tell the
 		// responses apart.
-		var reqs []Request
+		var corrs []uint64
+		var reqs []*EndOffsetReq
 		for len(reqs) < 2 {
-			var req Request
-			if _, err := ReadFrame(conn, &req); err != nil {
+			corr, m, err := rawRequest(conn)
+			if err != nil {
 				return
 			}
-			reqs = append(reqs, req)
+			corrs, reqs = append(corrs, corr), append(reqs, m.(*EndOffsetReq))
 		}
 		for i := len(reqs) - 1; i >= 0; i-- {
-			resp := &Response{Corr: reqs[i].Corr, Offset: int64(reqs[i].Partition)}
-			if err := WriteFrame(conn, resp, nil); err != nil {
+			if rawRespond(conn, v2OpEndOffset, corrs[i], &OffsetResp{Offset: int64(reqs[i].Partition)}) != nil {
 				return
 			}
 		}
@@ -212,11 +230,7 @@ func TestSlowHandlerDoesNotBlockPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn, rd, _ := dialNegotiated(t, addr, 0)
 	// Raw frames on purpose: each round puts a fetch and a ping on the
 	// server back to back before either response is read. A serial
 	// server answers strictly in request order, so the ping beating the
@@ -227,28 +241,33 @@ func TestSlowHandlerDoesNotBlockPipeline(t *testing.T) {
 	const rounds = 5
 	for r := 0; r < rounds; r++ {
 		fetchCorr, pingCorr := uint64(2*r+1), uint64(2*r+2)
-		if err := WriteFrame(conn, &Request{Op: OpFetch, Corr: fetchCorr, Topic: "slow", MaxEvents: 1 << 20}, nil); err != nil {
+		frames, err := appendFrameRequestV2(nil, fetchCorr, &FetchReq{Topic: "slow", MaxEvents: 1 << 20}, nil)
+		if err == nil {
+			frames, err = appendFrameRequestV2(frames, pingCorr, &PingReq{}, nil)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFrame(conn, &Request{Op: OpPing, Corr: pingCorr}, nil); err != nil {
+		if _, err := conn.Write(frames); err != nil {
 			t.Fatal(err)
 		}
-		var first, second Response
-		if _, err := ReadFrame(conn, &first); err != nil {
-			t.Fatal(err)
+		fetchEvents := -1
+		for i := 0; i < 2; i++ {
+			hdr := readRespRaw(t, rd)
+			_, corr, _ := DecodeResponseV2(hdr, nil)
+			if i == 0 && corr == pingCorr {
+				pingFirst++
+			}
+			if corr == fetchCorr {
+				var fetch FetchResp
+				if _, _, err := DecodeResponseV2(hdr, &fetch); err != nil {
+					t.Fatal(err)
+				}
+				fetchEvents = fetch.NumEvents
+			}
 		}
-		if _, err := ReadFrame(conn, &second); err != nil {
-			t.Fatal(err)
-		}
-		if first.Corr == pingCorr {
-			pingFirst++
-		}
-		fetch := first
-		if second.Corr == fetchCorr {
-			fetch = second
-		}
-		if fetch.Corr != fetchCorr || fetch.NumEvents != 24*128 {
-			t.Fatalf("round %d: fetch response corr=%d events=%d", r, fetch.Corr, fetch.NumEvents)
+		if fetchEvents != 24*128 {
+			t.Fatalf("round %d: fetch response events=%d", r, fetchEvents)
 		}
 	}
 	if pingFirst == 0 {
@@ -275,8 +294,7 @@ func TestMidStreamDisconnectFansOutErrors(t *testing.T) {
 		// Swallow requests without responding, then cut the connection
 		// once all are in flight.
 		for i := 0; i < 3; i++ {
-			var req Request
-			if _, err := ReadFrame(conn, &req); err != nil {
+			if _, _, err := rawRequest(conn); err != nil {
 				return
 			}
 			inFlight <- struct{}{}
@@ -323,12 +341,12 @@ func TestDisconnectDuringPayloadRead(t *testing.T) {
 		if !handshakeRaw(t, conn) {
 			return
 		}
-		var req Request
-		if _, err := ReadFrame(conn, &req); err != nil {
+		corr, _, err := rawRequest(conn)
+		if err != nil {
 			return
 		}
 		// Header promising a 1 KB payload, then only half of it.
-		hb, _ := json.Marshal(&Response{Corr: req.Corr, NumEvents: 1})
+		hb := AppendResponseV2(nil, v2OpFetch, corr, &FetchResp{NumEvents: 1})
 		frame := binary.BigEndian.AppendUint32(nil, uint32(len(hb)))
 		frame = append(frame, hb...)
 		frame = binary.BigEndian.AppendUint32(frame, 1024)
@@ -362,14 +380,12 @@ func TestCloseFailsPendingWithErrConnClosed(t *testing.T) {
 		if !handshakeRaw(t, conn) {
 			return
 		}
-		var req Request
-		if _, err := ReadFrame(conn, &req); err != nil {
+		if _, _, err := rawRequest(conn); err != nil {
 			return
 		}
 		close(received)
 		// Stall forever: only Close can release the caller.
-		var dummy Request
-		_, _ = ReadFrame(conn, &dummy)
+		_, _, _ = rawRequest(conn)
 	})
 	c := dialRawAnon(t, addr)
 	result := make(chan error, 1)

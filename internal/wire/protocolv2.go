@@ -1,11 +1,10 @@
 // Protocol v2: typed binary message headers.
 //
-// v2 replaces the JSON Request/Response god-structs with one typed
-// message per operation, hand-rolled binary encode/decode (no
-// reflection, no per-header allocation on the encode side), negotiated
-// at connection open via OpNegotiate (see protocol.go). The frame
-// layout is unchanged — u32 headerLen | header | u32 payloadLen |
-// payload — only the header bytes differ:
+// Every operation has its own typed message with hand-rolled binary
+// encode/decode (no reflection, no per-header allocation on the encode
+// side), spoken on every frame after the OpNegotiate handshake (see
+// protocol.go). Frames are u32 headerLen | header | u32 payloadLen |
+// payload, with these headers:
 //
 //	request header:  u8 op | u64 corr (BE) | message body
 //	response header: u8 op | u8 errCode | u64 corr (BE) | body
@@ -18,7 +17,7 @@
 // future minor revision can append fields without breaking old peers.
 //
 // Fetch responses encode per-event offsets as a sequence of dense runs
-// (start offset + count) instead of v1's per-event JSON array: a
+// (start offset + count) rather than one entry per event: a
 // contiguous read — the overwhelmingly common case — costs two varints
 // regardless of batch size, and compaction gaps just add runs.
 package wire
@@ -37,30 +36,19 @@ import (
 	"repro/internal/eventlog"
 )
 
-// Protocol versions.
-const (
-	// ProtocolV1 is the seed protocol: JSON headers, no handshake.
-	ProtocolV1 = 1
-	// ProtocolV2 adds typed binary headers, compact error codes and
-	// dense-run fetch offsets behind an OpNegotiate handshake.
-	ProtocolV2 = 2
-	// MaxProtocol is the newest version this build speaks.
-	MaxProtocol = ProtocolV2
-)
+// ProtocolV2 is the protocol version this build speaks: the client
+// offers it in the negotiate frame and the server answers with it.
+const ProtocolV2 = 2
 
-// Feature bits exchanged during negotiation. FeatDenseOffsets and
-// FeatErrCodes are implied by v2 framing; every later bit is a genuinely
-// optional capability that either side may mask out.
+// Feature bits exchanged during negotiation. Each is an optional
+// capability that either side may mask out (Options.MaskFeatures,
+// Server.MaskFeatures).
 const (
-	// FeatDenseOffsets: fetch responses carry base-offset + dense-run
-	// offset encoding instead of a per-event array.
-	FeatDenseOffsets uint32 = 1 << 0
-	// FeatErrCodes: responses carry compact typed error codes.
-	FeatErrCodes uint32 = 1 << 1
-	// Bit 1<<2 is reserved and never reused: it was FeatStreamFetch, the
-	// retired per-partition stream transport. Servers never grant it, so
-	// an old client that offers it consumes through sessions or plain
-	// fetch instead.
+	// Bits 1<<0 and 1<<1 are reserved and never reused: they named dense
+	// fetch offsets and typed error codes, which v2 framing always has.
+	// Bit 1<<2 is reserved too: it was FeatStreamFetch, the retired
+	// per-partition stream transport. Servers never grant any of the
+	// three, and older peers that offer them check none.
 
 	// FeatClusterMeta: the server answers OpMetadata with the cluster's
 	// epoch, broker addresses and per-partition leadership, enabling
@@ -85,7 +73,7 @@ const (
 	// FeatReplication: the server accepts inter-broker replication ops
 	// (OpReplicaFetch/OpReplicaAck): followers pull batches from the
 	// partition leader at their local end offset, fenced by the leader
-	// epoch. Masked (old peers, or DisableReplication), brokers fall
+	// epoch. Masked (old peers, or MaskFeatures), brokers fall
 	// back to single-replica operation — produce acks gate only on the
 	// leader, exactly the pre-replication behavior.
 	FeatReplication uint32 = 1 << 6
@@ -94,12 +82,12 @@ const (
 	// exports, plus the produce-path stage-trace ring — so operator
 	// tooling (octopus-cli stats/trace) scrapes any broker over its
 	// ordinary data-plane connection. Masked (old peers, or
-	// DisableStats), the op is refused as unknown and tooling falls back
+	// MaskFeatures), the op is refused as unknown and tooling falls back
 	// to the HTTP metrics listener, when one is configured.
 	FeatStats uint32 = 1 << 7
 
-	allFeatures = FeatDenseOffsets | FeatErrCodes | FeatClusterMeta |
-		FeatSessionFetch | FeatMetaPush | FeatReplication | FeatStats
+	allFeatures = FeatClusterMeta | FeatSessionFetch | FeatMetaPush |
+		FeatReplication | FeatStats
 )
 
 // v2 operation bytes, one per message pair.
@@ -166,24 +154,11 @@ type Msg interface {
 	DecodeBody(b []byte) error
 }
 
-// ReqMsg is a v2 request message: a Msg with its operation byte and a
-// lossless conversion to the v1 JSON header for connections that
-// negotiated down.
+// ReqMsg is a v2 request message: a Msg with its operation byte.
 type ReqMsg interface {
 	Msg
 	// V2Op is the operation byte identifying the message pair.
 	V2Op() uint8
-	// v1 converts the request to the legacy JSON header form.
-	v1() *Request
-}
-
-// respMsg is a v2 response message that can also be filled from / into
-// the v1 JSON header, so typed client methods and the typed server
-// dispatch are version-agnostic.
-type respMsg interface {
-	Msg
-	fromV1(r *Response)
-	toV1(r *Response)
 }
 
 // errShortMsg reports a truncated or malformed v2 message body.
@@ -292,8 +267,7 @@ func AppendResponseV2(buf []byte, op uint8, corr uint64, m Msg) []byte {
 // appendErrResponseV2 encodes an error v2 response header: the error is
 // collapsed to its code plus the full detail string.
 func appendErrResponseV2(buf []byte, op uint8, corr uint64, err error) []byte {
-	code, _ := errCodeOf(err)
-	buf = append(buf, op, code)
+	buf = append(buf, op, errCodeOf(err))
 	buf = binary.BigEndian.AppendUint64(buf, corr)
 	return appendStr(buf, err.Error())
 }
@@ -333,8 +307,7 @@ func DecodeResponseV2(hdr []byte, m Msg) (op uint8, corr uint64, err error) {
 // Typed sentinel errors the wire protocol carries as compact error
 // codes, re-exported here so SDK callers matching remote errors do not
 // need to import every domain package. errors.Is with these works
-// identically on the Direct transport and across the wire, in both
-// protocol versions.
+// identically on the Direct transport and across the wire.
 var (
 	// ErrUnknownTopic reports an operation on a topic the fabric does
 	// not know.
@@ -379,38 +352,36 @@ const (
 )
 
 // errTable is the single source of truth mapping domain sentinels to
-// v2 error codes and v1 err_kind strings. Order matters: the first
-// errors.Is match wins.
+// v2 error codes. Order matters: the first errors.Is match wins.
 var errTable = []struct {
 	code     uint8
-	kind     string
 	sentinel error
 }{
 	// ErrNoLeader wraps ErrLeaderUnavailable, so its entry must come
 	// first or the coarser sentinel would claim every no-leader error.
-	{codeNoLeader, "no_leader", broker.ErrNoLeader},
-	{codeFencedEpoch, "fenced_epoch", broker.ErrFencedEpoch},
-	{codeLeaderUnavailable, "leader_unavailable", broker.ErrLeaderUnavailable},
-	{codeNotEnoughReplicas, "not_enough_replicas", broker.ErrNotEnoughReplicas},
-	{codeStaleGeneration, "stale_generation", broker.ErrStaleGeneration},
-	{codeDenied, "denied", auth.ErrDenied},
-	{codeBadCredentials, "bad_credentials", auth.ErrBadCredentials},
-	{codeUnknownTopic, "unknown_topic", cluster.ErrNoTopic},
-	{codeOffsetOutOfRange, "offset_out_of_range", eventlog.ErrOffsetOutOfRange},
-	{codeNoPartition, "no_partition", broker.ErrNoPartition},
-	{codeUnknownMember, "unknown_member", broker.ErrUnknownMember},
-	{codeBrokerDown, "broker_down", broker.ErrBrokerDown},
-	{codeUnknownOp, "unknown_op", errUnknownOp},
+	{codeNoLeader, broker.ErrNoLeader},
+	{codeFencedEpoch, broker.ErrFencedEpoch},
+	{codeLeaderUnavailable, broker.ErrLeaderUnavailable},
+	{codeNotEnoughReplicas, broker.ErrNotEnoughReplicas},
+	{codeStaleGeneration, broker.ErrStaleGeneration},
+	{codeDenied, auth.ErrDenied},
+	{codeBadCredentials, auth.ErrBadCredentials},
+	{codeUnknownTopic, cluster.ErrNoTopic},
+	{codeOffsetOutOfRange, eventlog.ErrOffsetOutOfRange},
+	{codeNoPartition, broker.ErrNoPartition},
+	{codeUnknownMember, broker.ErrUnknownMember},
+	{codeBrokerDown, broker.ErrBrokerDown},
+	{codeUnknownOp, errUnknownOp},
 }
 
-// errCodeOf classifies a server-side error as (v2 code, v1 kind).
-func errCodeOf(err error) (uint8, string) {
+// errCodeOf classifies a server-side error as its v2 error code.
+func errCodeOf(err error) uint8 {
 	for _, e := range errTable {
 		if errors.Is(err, e.sentinel) {
-			return e.code, e.kind
+			return e.code
 		}
 	}
-	return codeOther, "other"
+	return codeOther
 }
 
 // errFromCode reconstructs the domain sentinel from a v2 error code, so
@@ -419,16 +390,6 @@ func errCodeOf(err error) (uint8, string) {
 func errFromCode(code uint8, detail string) error {
 	for _, e := range errTable {
 		if e.code == code {
-			return fmt.Errorf("%w: %s", e.sentinel, detail)
-		}
-	}
-	return errors.New(detail)
-}
-
-// errFromKind is errFromCode for v1's string error kinds.
-func errFromKind(kind, detail string) error {
-	for _, e := range errTable {
-		if e.kind == kind {
 			return fmt.Errorf("%w: %s", e.sentinel, detail)
 		}
 	}
@@ -514,7 +475,7 @@ func putReqMsg(op uint8, m ReqMsg) {
 // newRespMsg allocates the response message for a v2 op byte, nil for
 // unknown or body-less ops. Used by the response fuzzer; the client
 // always knows its expected response type from the pending call.
-func newRespMsg(op uint8) respMsg {
+func newRespMsg(op uint8) Msg {
 	switch op {
 	case v2OpPing, v2OpLeaveGroup, v2OpCommit:
 		return &EmptyResp{}
@@ -560,7 +521,6 @@ type PingReq struct{}
 func (*PingReq) V2Op() uint8                  { return v2OpPing }
 func (*PingReq) AppendBody(buf []byte) []byte { return buf }
 func (*PingReq) DecodeBody(b []byte) error    { return nil }
-func (*PingReq) v1() *Request                 { return &Request{Op: OpPing} }
 
 // AuthReq authenticates the connection with an access key (OpAuth).
 type AuthReq struct {
@@ -582,10 +542,6 @@ func (m *AuthReq) DecodeBody(b []byte) error {
 	}
 	m.Secret, _, err = getStr(b)
 	return err
-}
-
-func (m *AuthReq) v1() *Request {
-	return &Request{Op: OpAuth, AccessKeyID: m.AccessKeyID, Secret: m.Secret}
 }
 
 // ProduceReq appends a batch of events; the events travel in the frame
@@ -629,10 +585,6 @@ func (m *ProduceReq) decodeInterned(b []byte, in *Interner) error {
 	return nil
 }
 
-func (m *ProduceReq) v1() *Request {
-	return &Request{Op: OpProduce, Topic: m.Topic, Partition: m.Partition, Acks: m.Acks, NumEvents: m.NumEvents}
-}
-
 // FetchReq reads events from one partition (OpFetch).
 type FetchReq struct {
 	Topic     string
@@ -645,7 +597,7 @@ type FetchReq struct {
 	// milliseconds (server-capped at MaxFetchWait) instead of returning
 	// empty, so idle consumers stop hot-looping. Appended after the v2
 	// body the previous revision shipped — decoders tolerate trailing
-	// bytes, so older v2 peers ignore it; v1 framing drops it entirely.
+	// bytes, so older v2 peers ignore it.
 	WaitMaxMS int
 }
 
@@ -695,12 +647,6 @@ func (m *FetchReq) decodeInterned(b []byte, in *Interner) error {
 	return nil
 }
 
-func (m *FetchReq) v1() *Request {
-	// WaitMaxMS is intentionally dropped: v1 servers predate tail
-	// waiters and would ignore an unknown JSON field anyway.
-	return &Request{Op: OpFetch, Topic: m.Topic, Partition: m.Partition, Offset: m.Offset, MaxEvents: m.MaxEvents, MaxBytes: m.MaxBytes}
-}
-
 // offset-query requests share one body layout: topic + partition.
 
 func appendTopicPartition(buf []byte, topic string, partition int) []byte {
@@ -731,9 +677,6 @@ func (m *EndOffsetReq) DecodeBody(b []byte) error {
 	m.Topic, m.Partition, _, err = getTopicPartition(b)
 	return err
 }
-func (m *EndOffsetReq) v1() *Request {
-	return &Request{Op: OpEndOffset, Topic: m.Topic, Partition: m.Partition}
-}
 
 // StartOffsetReq asks for the earliest retained offset (OpStartOffset).
 type StartOffsetReq struct {
@@ -749,9 +692,6 @@ func (m *StartOffsetReq) DecodeBody(b []byte) error {
 	var err error
 	m.Topic, m.Partition, _, err = getTopicPartition(b)
 	return err
-}
-func (m *StartOffsetReq) v1() *Request {
-	return &Request{Op: OpStartOffset, Topic: m.Topic, Partition: m.Partition}
 }
 
 // OffsetForTimeReq asks for the first offset at or after a timestamp
@@ -778,10 +718,6 @@ func (m *OffsetForTimeReq) DecodeBody(b []byte) error {
 	return err
 }
 
-func (m *OffsetForTimeReq) v1() *Request {
-	return &Request{Op: OpOffsetForTime, Topic: m.Topic, Partition: m.Partition, TimeNano: m.TimeNano}
-}
-
 // TopicMetaReq asks for topic metadata (OpTopicMeta).
 type TopicMetaReq struct {
 	Topic string
@@ -794,7 +730,6 @@ func (m *TopicMetaReq) DecodeBody(b []byte) error {
 	m.Topic, _, err = getStr(b)
 	return err
 }
-func (m *TopicMetaReq) v1() *Request { return &Request{Op: OpTopicMeta, Topic: m.Topic} }
 
 // JoinGroupReq registers group membership (OpJoinGroup).
 type JoinGroupReq struct {
@@ -841,10 +776,6 @@ func (m *JoinGroupReq) DecodeBody(b []byte) error {
 	return nil
 }
 
-func (m *JoinGroupReq) v1() *Request {
-	return &Request{Op: OpJoinGroup, Group: m.Group, Member: m.Member, Topics: m.Topics}
-}
-
 // LeaveGroupReq removes a member (OpLeaveGroup).
 type LeaveGroupReq struct {
 	Group  string
@@ -865,10 +796,6 @@ func (m *LeaveGroupReq) DecodeBody(b []byte) error {
 	}
 	m.Member, _, err = getStr(b)
 	return err
-}
-
-func (m *LeaveGroupReq) v1() *Request {
-	return &Request{Op: OpLeaveGroup, Group: m.Group, Member: m.Member}
 }
 
 // HeartbeatReq refreshes membership and learns the generation
@@ -892,10 +819,6 @@ func (m *HeartbeatReq) DecodeBody(b []byte) error {
 	}
 	m.Member, _, err = getStr(b)
 	return err
-}
-
-func (m *HeartbeatReq) v1() *Request {
-	return &Request{Op: OpHeartbeat, Group: m.Group, Member: m.Member}
 }
 
 // CommitReq records a consumed position (OpCommit).
@@ -943,13 +866,6 @@ func (m *CommitReq) DecodeBody(b []byte) error {
 	return err
 }
 
-func (m *CommitReq) v1() *Request {
-	return &Request{
-		Op: OpCommit, Group: m.Group, Member: m.Member, Generation: m.Generation,
-		Topic: m.Topic, Partition: m.Partition, Offset: m.Offset,
-	}
-}
-
 // CommittedReq asks for a group's committed offset (OpCommitted).
 type CommittedReq struct {
 	Group     string
@@ -973,10 +889,6 @@ func (m *CommittedReq) DecodeBody(b []byte) error {
 	return err
 }
 
-func (m *CommittedReq) v1() *Request {
-	return &Request{Op: OpCommitted, Group: m.Group, Topic: m.Topic, Partition: m.Partition}
-}
-
 // --- response messages ---
 
 // EmptyResp is the body-less success response (ping, leave, commit).
@@ -984,8 +896,6 @@ type EmptyResp struct{}
 
 func (*EmptyResp) AppendBody(buf []byte) []byte { return buf }
 func (*EmptyResp) DecodeBody(b []byte) error    { return nil }
-func (*EmptyResp) fromV1(*Response)             {}
-func (*EmptyResp) toV1(*Response)               {}
 
 // AuthResp reports the authenticated identity.
 type AuthResp struct {
@@ -998,8 +908,6 @@ func (m *AuthResp) DecodeBody(b []byte) error {
 	m.Identity, _, err = getStr(b)
 	return err
 }
-func (m *AuthResp) fromV1(r *Response) { m.Identity = r.Identity }
-func (m *AuthResp) toV1(r *Response)   { r.Identity = m.Identity }
 
 // ProduceResp reports the batch's base offset.
 type ProduceResp struct {
@@ -1012,8 +920,6 @@ func (m *ProduceResp) DecodeBody(b []byte) error {
 	m.Offset, _, err = getInt(b)
 	return err
 }
-func (m *ProduceResp) fromV1(r *Response) { m.Offset = r.Offset }
-func (m *ProduceResp) toV1(r *Response)   { r.Offset = m.Offset }
 
 // OffsetResp carries a single offset (end/start/time queries and
 // committed lookups).
@@ -1027,8 +933,6 @@ func (m *OffsetResp) DecodeBody(b []byte) error {
 	m.Offset, _, err = getInt(b)
 	return err
 }
-func (m *OffsetResp) fromV1(r *Response) { m.Offset = r.Offset }
-func (m *OffsetResp) toV1(r *Response)   { r.Offset = m.Offset }
 
 // offsetRun is one maximal run of consecutive event offsets in a fetch
 // response: count events starting at start.
@@ -1039,7 +943,7 @@ type offsetRun struct {
 
 // FetchResp describes a fetched batch; the events travel in the frame
 // payload. Offsets are carried as dense runs — one (start, count) pair
-// per contiguous stretch — replacing v1's per-event Offsets array. A
+// per contiguous stretch — not one entry per event. A
 // gapless read is two varints regardless of batch size, and the
 // decoded runs live in an inline array for the common case, so the
 // steady-state fetch header round trip allocates nothing.
@@ -1052,19 +956,15 @@ type FetchResp struct {
 	HighWatermark int64
 	StartOffset   int64
 
-	// runs is the dense-run offset encoding (v2), backed by runsBuf
-	// while the response has ≤ 4 discontinuities.
+	// runs is the dense-run offset encoding, backed by runsBuf while
+	// the response has ≤ 4 discontinuities.
 	runs    []offsetRun
 	runsBuf [4]offsetRun
-	// v1Offsets is the legacy per-event array, set only when the
-	// response arrived over a v1 connection.
-	v1Offsets []int64
 }
 
 // SetOffsets records the events' offsets in dense-run form (the server
 // side of the encoding).
 func (m *FetchResp) SetOffsets(evs []event.Event) {
-	m.v1Offsets = nil
 	m.runs = m.runsBuf[:0]
 	for i := range evs {
 		off := evs[i].Offset
@@ -1078,20 +978,11 @@ func (m *FetchResp) SetOffsets(evs []event.Event) {
 
 // Stamp fills the container-carried fields (topic, partition, offset)
 // on a decoded event batch, walking the dense runs — the client side of
-// the encoding. It handles both wire forms, so callers are agnostic to
-// the negotiated version.
+// the encoding.
 func (m *FetchResp) Stamp(evs []event.Event, topic string, partition int) {
 	for i := range evs {
 		evs[i].Topic = topic
 		evs[i].Partition = partition
-	}
-	if m.v1Offsets != nil {
-		for i := range evs {
-			if i < len(m.v1Offsets) {
-				evs[i].Offset = m.v1Offsets[i]
-			}
-		}
-		return
 	}
 	i := 0
 	for _, r := range m.runs {
@@ -1117,7 +1008,6 @@ func (m *FetchResp) AppendBody(buf []byte) []byte {
 func (m *FetchResp) DecodeBody(b []byte) error {
 	var err error
 	var v int64
-	m.v1Offsets = nil
 	m.runs = m.runsBuf[:0]
 	if m.HighWatermark, b, err = getInt(b); err != nil {
 		return err
@@ -1146,27 +1036,6 @@ func (m *FetchResp) DecodeBody(b []byte) error {
 		m.runs = append(m.runs, r)
 	}
 	return nil
-}
-
-func (m *FetchResp) fromV1(r *Response) {
-	m.NumEvents = r.NumEvents
-	m.HighWatermark = r.HighWatermark
-	m.StartOffset = r.StartOffset
-	m.runs = nil
-	m.v1Offsets = r.Offsets
-}
-
-func (m *FetchResp) toV1(r *Response) {
-	r.NumEvents = m.NumEvents
-	r.HighWatermark = m.HighWatermark
-	r.StartOffset = m.StartOffset
-	offsets := make([]int64, 0, m.NumEvents)
-	for _, run := range m.runs {
-		for k := int64(0); k < run.count; k++ {
-			offsets = append(offsets, run.start+k)
-		}
-	}
-	r.Offsets = offsets
 }
 
 // TopicMetaResp carries topic metadata. The metadata document is
@@ -1201,9 +1070,6 @@ func (m *TopicMetaResp) DecodeBody(b []byte) error {
 	}
 	return nil
 }
-
-func (m *TopicMetaResp) fromV1(r *Response) { m.Meta = r.Meta }
-func (m *TopicMetaResp) toV1(r *Response)   { r.Meta = m.Meta }
 
 // JoinGroupResp carries the coordinator's assignment.
 type JoinGroupResp struct {
@@ -1245,23 +1111,6 @@ func (m *JoinGroupResp) DecodeBody(b []byte) error {
 	return nil
 }
 
-func (m *JoinGroupResp) fromV1(r *Response) {
-	m.Generation = r.Generation
-	m.Partitions = nil
-	for _, tp := range r.Partitions {
-		m.Partitions = append(m.Partitions, broker.TP{Topic: tp.Topic, Partition: tp.Partition})
-	}
-}
-
-func (m *JoinGroupResp) toV1(r *Response) {
-	r.Generation = m.Generation
-	tps := make([]TPJSON, len(m.Partitions))
-	for i, tp := range m.Partitions {
-		tps[i] = TPJSON{Topic: tp.Topic, Partition: tp.Partition}
-	}
-	r.Partitions = tps
-}
-
 // HeartbeatResp carries the current group generation.
 type HeartbeatResp struct {
 	Generation int
@@ -1273,8 +1122,6 @@ func (m *HeartbeatResp) DecodeBody(b []byte) error {
 	m.Generation = int(v)
 	return err
 }
-func (m *HeartbeatResp) fromV1(r *Response) { m.Generation = r.Generation }
-func (m *HeartbeatResp) toV1(r *Response)   { r.Generation = m.Generation }
 
 // --- v2 frame assembly ---
 
@@ -1294,8 +1141,7 @@ func appendFrameRequestV2(buf []byte, corr uint64, m ReqMsg, payload []byte) ([]
 
 // appendFrameResponseV2 appends a complete v2 response frame whose
 // payload is the marshaled event batch (fetch), encoded directly into
-// buf with no intermediate payload buffer — the v2 twin of
-// appendFrameEvents. err != nil encodes an error response (no events).
+// buf with no intermediate payload buffer. err != nil encodes an error response (no events).
 func appendFrameResponseV2(buf []byte, op uint8, corr uint64, m Msg, respErr error, evs []event.Event) ([]byte, error) {
 	orig := len(buf)
 	buf = append(buf, 0, 0, 0, 0)

@@ -20,8 +20,8 @@ import (
 // Every replication message carries the follower's view of the leader
 // epoch. A deposed leader rejects stale-epoch fetches with
 // ErrFencedEpoch; a follower that discovers a newer epoch truncates
-// its log to the new leader's end and re-fetches. Both ops are v2-only
-// and negotiated behind FeatReplication — when the peer masks the bit,
+// its log to the new leader's end and re-fetches. Both ops are
+// negotiated behind FeatReplication — when the peer masks the bit,
 // followers never fetch, the ISR shrinks to the leader, and the
 // cluster degrades to the pre-replication single-replica behavior.
 
@@ -92,13 +92,6 @@ func (m *ReplicaFetchReq) decodeInterned(b []byte, in *Interner) error {
 	}
 	m.WaitMaxMS = int(v)
 	return nil
-}
-
-func (m *ReplicaFetchReq) v1() *Request {
-	// Replication is negotiated behind FeatReplication, so this
-	// conversion only runs against a legacy server — which rejects the
-	// op as unknown, the intended fallback.
-	return &Request{Op: OpReplicaFetch, Topic: m.Topic, Partition: m.Partition, Offset: m.Offset, MaxEvents: m.MaxEvents, MaxBytes: m.MaxBytes}
 }
 
 // ReplicaFetchResp answers a follower pull; the events travel in the
@@ -205,21 +198,6 @@ func (m *ReplicaFetchResp) DecodeBody(b []byte) error {
 	return nil
 }
 
-// Replication never negotiates down to v1 (the feature bit gates it),
-// so the v1 conversions carry only what the legacy header can hold.
-func (m *ReplicaFetchResp) fromV1(r *Response) {
-	m.NumEvents = r.NumEvents
-	m.HighWatermark = r.HighWatermark
-	m.LogStart = r.StartOffset
-	m.runs = nil
-}
-
-func (m *ReplicaFetchResp) toV1(r *Response) {
-	r.NumEvents = m.NumEvents
-	r.HighWatermark = m.HighWatermark
-	r.StartOffset = m.LogStart
-}
-
 // ReplicaAckReq pushes a follower's log end offset to the leader right
 // after an append (OpReplicaAck), advancing the high watermark without
 // waiting for the follower's next fetch. Answered with EmptyResp.
@@ -264,8 +242,4 @@ func (m *ReplicaAckReq) decodeInterned(b []byte, in *Interner) error {
 	}
 	m.LogEnd, _, err = getInt(b)
 	return err
-}
-
-func (m *ReplicaAckReq) v1() *Request {
-	return &Request{Op: OpReplicaAck, Topic: m.Topic, Partition: m.Partition, Offset: m.LogEnd}
 }

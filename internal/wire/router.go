@@ -23,9 +23,9 @@
 //     resolved leader. Leader elections bump the controller epoch, so
 //     the refreshed document always reflects the new leadership.
 //
-// Without the feature — a v1 peer, or either side masking
-// FeatClusterMeta — the router never enables and the client behaves
-// exactly as before: single-address slot hashing.
+// Without the feature — either side masking FeatClusterMeta — the
+// router never enables and the client falls back to single-address
+// slot hashing.
 package wire
 
 import (
@@ -352,7 +352,7 @@ const (
 // metadata and retry once against the freshly resolved leader. A
 // leaderless partition (ErrNoLeader) is instead retried in place with
 // bounded backoff, waiting out a re-election.
-func (c *Client) dataCall(topic string, partition int, req ReqMsg, resp respMsg, payload, arena []byte) (*call, error) {
+func (c *Client) dataCall(topic string, partition int, req ReqMsg, resp Msg, payload, arena []byte) (*call, error) {
 	cl, err := c.dataCallOnce(topic, partition, req, resp, payload, arena)
 	backoff := noLeaderBackoff
 	for attempt := 0; attempt < noLeaderRetries && errors.Is(err, ErrNoLeader); attempt++ {
@@ -369,7 +369,7 @@ func (c *Client) dataCall(topic string, partition int, req ReqMsg, resp respMsg,
 	return cl, err
 }
 
-func (c *Client) dataCallOnce(topic string, partition int, req ReqMsg, resp respMsg, payload, arena []byte) (*call, error) {
+func (c *Client) dataCallOnce(topic string, partition int, req ReqMsg, resp Msg, payload, arena []byte) (*call, error) {
 	cl, err := c.callAt(c.dataAddr(topic, partition), c.slotFor(topic, partition), req, resp, payload, arena)
 	if err == nil || !c.RouterEnabled() || !rerouteable(err) {
 		return cl, err
@@ -389,7 +389,7 @@ func (c *Client) dataCallOnce(topic string, partition int, req ReqMsg, resp resp
 // coordination and metadata are served identically by every broker.
 // The endpoint that answers is remembered, so a dead seed costs one
 // failed dial total, not one per heartbeat.
-func (c *Client) controlCall(req ReqMsg, resp respMsg) (*call, error) {
+func (c *Client) controlCall(req ReqMsg, resp Msg) (*call, error) {
 	c.rt.mu.Lock()
 	first := c.rt.controlAddr
 	c.rt.mu.Unlock()

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -32,11 +33,10 @@ var errUnknownOp = errors.New("wire: unknown op")
 // with an IAM-style access key (OpAuth) and then issues data-plane
 // requests under that identity; ACLs are enforced by the fabric.
 //
-// A connection starts in v1 (JSON header) framing. A v2-capable client
-// opens with OpNegotiate; the server answers with the selected version
-// and, when it is ≥ 2, both sides switch to typed binary headers for
-// every later frame on that connection. Old clients never negotiate
-// and are served in v1 framing throughout.
+// A connection opens with one JSON OpNegotiate exchange that agrees on
+// protocol v2 and the feature set; every later frame in both directions
+// carries a typed binary header. A client whose first frame is anything
+// else gets one error answer and the connection closes.
 //
 // Requests on one connection are handled concurrently (up to
 // maxConnConcurrency in flight): the read loop decodes each header,
@@ -49,37 +49,14 @@ type Server struct {
 	// trusted in-process identity. Off by default; used by tests and
 	// single-user deployments.
 	AllowAnonymous bool
-	// MaxVersion caps the negotiable protocol version (0 = MaxProtocol).
-	// Setting it to ProtocolV1 reproduces a legacy server: OpNegotiate
-	// is answered with an "unknown op" error, exactly as servers that
-	// predate the handshake answer it.
-	MaxVersion int
-	// DisableClusterMeta masks FeatClusterMeta out of negotiation,
-	// emulating a v2 server that predates cluster metadata discovery:
-	// OpMetadata is refused as an unknown op and clients fall back to
-	// single-address slot hashing.
-	DisableClusterMeta bool
-	// DisableSessionFetch masks FeatSessionFetch out of negotiation,
-	// emulating a v2 server that predates multiplexed fetch sessions:
-	// session opens are refused as unknown ops and clients fall back to
-	// request/response long-poll fetch.
-	DisableSessionFetch bool
-	// DisableMetaPush masks FeatMetaPush out of negotiation and stops
-	// the epoch watcher from pushing metadata frames, emulating a v2
-	// server that predates pushed metadata: clients fall back to
-	// reactive re-fetch after a misrouted request.
-	DisableMetaPush bool
-	// DisableReplication masks FeatReplication out of negotiation,
-	// emulating a v2 server that predates inter-broker replication:
-	// replica fetches are refused as unknown ops, followers never catch
-	// up, and the cluster degrades to single-replica operation (the ISR
-	// shrinks to the leader).
-	DisableReplication bool
-	// DisableStats masks FeatStats out of negotiation, emulating a v2
-	// server that predates the observability snapshot: OpStats is
-	// refused as an unknown op and tooling falls back to the HTTP
-	// metrics listener, when one is configured.
-	DisableStats bool
+	// MaskFeatures holds the feature bits (Feat*) the server withholds
+	// from negotiation, as a server that predates them would: their ops
+	// are refused as unknown and clients fall back (slot hashing,
+	// request/response fetch, reactive re-routing, single-replica
+	// operation, the HTTP metrics listener). Masking FeatMetaPush also
+	// keeps the epoch watcher from starting. Interop tests set it; zero
+	// grants every feature.
+	MaskFeatures uint32
 	// LocalBroker scopes this server to one broker of the fabric:
 	// produce, fetch and session-subscribe requests for partitions that
 	// broker does not lead are refused with ErrNotLeader (and counted
@@ -212,34 +189,6 @@ func (s *Server) leaderCheck(topic string, partition int) error {
 	return nil
 }
 
-func (s *Server) maxVersion() int {
-	if s.MaxVersion <= 0 || s.MaxVersion > MaxProtocol {
-		return MaxProtocol
-	}
-	return s.MaxVersion
-}
-
-// featureMask is the feature set this server offers in negotiation.
-func (s *Server) featureMask() uint32 {
-	feats := allFeatures
-	if s.DisableClusterMeta {
-		feats &^= FeatClusterMeta
-	}
-	if s.DisableSessionFetch {
-		feats &^= FeatSessionFetch
-	}
-	if s.DisableMetaPush {
-		feats &^= FeatMetaPush
-	}
-	if s.DisableReplication {
-		feats &^= FeatReplication
-	}
-	if s.DisableStats {
-		feats &^= FeatStats
-	}
-	return feats
-}
-
 // Listen starts accepting on addr ("127.0.0.1:0" for an ephemeral port)
 // and returns the bound address.
 func (s *Server) Listen(addr string) (string, error) {
@@ -256,7 +205,7 @@ func (s *Server) Listen(addr string) (string, error) {
 	// controller epoch bump it pushes the fresh cluster view to every
 	// connection that negotiated FeatMetaPush, so clients re-route
 	// before a request fails rather than after.
-	watch := !s.watching && !s.DisableMetaPush && s.Fabric.Ctl != nil
+	watch := !s.watching && s.MaskFeatures&FeatMetaPush == 0 && s.Fabric.Ctl != nil
 	if watch {
 		s.watching = true
 		s.wg.Add(1)
@@ -374,32 +323,18 @@ func newRespWriter(conn net.Conn) *respWriter {
 	return w
 }
 
-// write enqueues one v1 response frame whose payload is the marshaled
-// event batch (nil for payload-free responses), encoded directly into
-// the pending buffer — no intermediate payload buffer or second copy.
-func (w *respWriter) write(resp *Response, evs []event.Event) error {
-	return w.enqueue(func(buf []byte) ([]byte, error) {
-		return appendFrameEvents(buf, resp, evs)
-	})
-}
-
 // writeV2 enqueues one v2 response frame: a typed binary header (or an
 // error code + detail when respErr is non-nil) followed by the
-// marshaled event batch.
+// marshaled event batch, encoded directly into the pending buffer — no
+// intermediate payload buffer or second copy.
 func (w *respWriter) writeV2(op uint8, corr uint64, m Msg, respErr error, evs []event.Event) error {
-	return w.enqueue(func(buf []byte) ([]byte, error) {
-		return appendFrameResponseV2(buf, op, corr, m, respErr, evs)
-	})
-}
-
-func (w *respWriter) enqueue(encode func([]byte) ([]byte, error)) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
 		return err
 	}
-	buf, err := encode(w.buf)
+	buf, err := appendFrameResponseV2(w.buf, op, corr, m, respErr, evs)
 	if err != nil {
 		w.mu.Unlock()
 		return err
@@ -455,6 +390,21 @@ func (w *respWriter) flushLoop() {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		conn.Close()
+	}()
+	// Buffered reads: a pipelined client coalesces many frames per
+	// write, so the read loop should not pay three syscalls per frame.
+	// Payload buffers are still allocated fresh per frame, which the
+	// produce donation path depends on.
+	rd := bufio.NewReaderSize(conn, 64<<10)
+	features, ok := s.handshake(conn, rd)
+	if !ok {
+		return
+	}
 	var handlers sync.WaitGroup
 	w := newRespWriter(conn)
 	// done interrupts parked long-polls the moment the read loop exits,
@@ -467,6 +417,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	cst := s.conns[conn]
 	if cst != nil {
 		cst.w = w
+		cst.features = features
 	}
 	s.mu.Unlock()
 	defer func() {
@@ -474,236 +425,44 @@ func (s *Server) serveConn(conn net.Conn) {
 		sessions.closeAll()
 		handlers.Wait()
 		w.close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
 	}()
 	sem := make(chan struct{}, maxConnConcurrency)
 	identity := ""
 	authed := s.AllowAnonymous
-	// version is the connection's framing, flipped at most once by an
-	// inline-handled OpNegotiate. Only the read loop touches it;
-	// handlers capture the version their request arrived under.
-	version := ProtocolV1
-	// features is the negotiated feature set (0 until negotiation).
-	features := uint32(0)
-	// interner canonicalizes topic strings across this connection's v2
+	// interner canonicalizes topic strings across this connection's
 	// data-plane requests (see intern.go). Only the read loop decodes,
 	// so it is unsynchronized by construction.
 	var interner Interner
 	var hdrBuf []byte
-	// Buffered reads: a pipelined client coalesces many frames per
-	// write, so the read loop should not pay three syscalls per frame.
-	// Payload buffers are still allocated fresh per frame, which the
-	// produce donation path depends on.
-	rd := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		if version >= ProtocolV2 {
-			hb, err := readHeaderInto(rd, &hdrBuf)
-			if err != nil {
-				return // EOF or broken connection
-			}
-			corr, op, m, derr := decodeAnyRequestV2(hb, &interner)
-			payload, err := ReadPayloadInto(rd, nil)
-			if err != nil {
-				return
-			}
-			if derr != nil {
-				if len(hb) < v2ReqPrefix {
-					// Header too short for even the prefix: the peer is
-					// not speaking v2 framing, drop the connection.
-					return
-				}
-				// Unknown op or malformed body with an intact prefix:
-				// answer with a typed error, the framing is fine.
-				if w.writeV2(op, corr, nil, derr, nil) != nil {
-					return
-				}
-				continue
-			}
-			// Connection-state ops are handled inline on the read loop:
-			// auth flips the principal, session ops mutate the session
-			// registry. All are non-blocking (open's pump runs async).
-			switch q := m.(type) {
-			case *AuthReq:
-				resp, aerr := s.authenticate(q, &identity, &authed)
-				if aerr == nil {
-					s.mu.Lock()
-					if cst != nil {
-						cst.authed = true
-					}
-					s.mu.Unlock()
-				}
-				putReqMsg(op, m)
-				if w.writeV2(op, corr, resp, aerr, nil) != nil {
-					return
-				}
-				continue
-			case *MetadataReq:
-				// Control-plane and cheap: handled inline like auth. Gated
-				// on the negotiated feature so a masked server answers
-				// exactly as one that predates the op, and on
-				// authentication — cluster topology (broker addresses,
-				// liveness, leadership) must not leak to anyone who can
-				// merely reach a port.
-				var resp *MetadataResp
-				var merr error
-				switch {
-				case features&FeatClusterMeta == 0:
-					merr = fmt.Errorf("%w %d: cluster metadata not negotiated", errUnknownOp, op)
-				case !authed:
-					merr = fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
-				default:
-					resp = buildMetadataResp(s.Fabric, q.Topics)
-				}
-				putReqMsg(op, m)
-				if w.writeV2(op, corr, resp, merr, nil) != nil {
-					return
-				}
-				continue
-			case *SessionOpenReq:
-				var resp *SessionOpenResp
-				oerr := fmt.Errorf("%w %d: session fetch not negotiated", errUnknownOp, op)
-				if features&FeatSessionFetch != 0 {
-					resp, oerr = sessions.open(q, identity, authed)
-				}
-				putReqMsg(op, m)
-				if oerr != nil {
-					if w.writeV2(op, corr, nil, oerr, nil) != nil {
-						return
-					}
-					continue
-				}
-				if w.writeV2(op, corr, resp, nil, nil) != nil {
-					return
-				}
-				continue
-			case *SessionSubReq:
-				// Always answered — the client treats removes as one-way
-				// and lets the response drop, but adds need the partition
-				// positions back.
-				var resp *SessionSubResp
-				serr := fmt.Errorf("%w %d: session fetch not negotiated", errUnknownOp, op)
-				if features&FeatSessionFetch != 0 {
-					resp, serr = sessions.sub(q, authed)
-				}
-				putReqMsg(op, m)
-				if serr != nil {
-					if w.writeV2(op, corr, nil, serr, nil) != nil {
-						return
-					}
-					continue
-				}
-				if w.writeV2(op, corr, resp, nil, nil) != nil {
-					return
-				}
-				continue
-			case *SessionCreditReq:
-				// One-way: grants for closed sessions are silently dropped.
-				sessions.credit(q.SessionID, q.CreditBytes)
-				putReqMsg(op, m)
-				continue
-			case *SessionCloseReq:
-				sessions.closeSession(q.SessionID)
-				putReqMsg(op, m)
-				continue
-			case *StatsReq:
-				// Control-plane and cheap: handled inline like metadata,
-				// with the same feature and auth gates — a broker's
-				// telemetry (traffic volumes, latency shapes, topology
-				// hints in metric names) must not leak to anyone who can
-				// merely reach a port.
-				var resp *StatsResp
-				var serr error
-				switch {
-				case features&FeatStats == 0:
-					serr = fmt.Errorf("%w %d: stats not negotiated", errUnknownOp, op)
-				case !authed:
-					serr = fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
-				default:
-					resp = buildStatsResp(s)
-				}
-				putReqMsg(op, m)
-				if w.writeV2(op, corr, resp, serr, nil) != nil {
-					return
-				}
-				continue
-			case *ReplicaFetchReq, *ReplicaAckReq:
-				// Feature-gated like metadata, but the fetch long-polls
-				// and carries events, so a negotiated request falls
-				// through to the async dispatch below.
-				if features&FeatReplication == 0 {
-					putReqMsg(op, m)
-					if w.writeV2(op, corr, nil, fmt.Errorf("%w %d: replication not negotiated", errUnknownOp, op), nil) != nil {
-						return
-					}
-					continue
-				}
-			}
-			sem <- struct{}{}
-			handlers.Add(1)
-			go func(op uint8, corr uint64, m ReqMsg, payload []byte, identity string, authed bool) {
-				defer handlers.Done()
-				defer func() { <-sem }()
-				resp, evs, err := s.dispatch(m, payload, identity, authed, done)
-				if werr := w.writeV2(op, corr, resp, err, evs); errors.Is(werr, ErrFrameTooLarge) {
-					// The success response didn't fit its frame bound
-					// (e.g. a pathologically fragmented offset run list):
-					// the caller must still get an answer, or it hangs
-					// until the deadline kills the whole connection.
-					// Error frames are tiny and always fit.
-					_ = w.writeV2(op, corr, nil, werr, nil)
-				}
-				putReqMsg(op, m)
-			}(op, corr, m, payload, identity, authed)
-			continue
-		}
-
-		var req Request
-		payload, err := ReadFrame(rd, &req)
+		hb, err := readHeaderInto(rd, &hdrBuf)
 		if err != nil {
 			return // EOF or broken connection
 		}
-		switch req.Op {
-		case OpNegotiate:
-			// Version handshake; handled inline (before auth — old
-			// clients never send it, new clients send it first) because
-			// it flips the connection's framing.
-			switch {
-			case s.maxVersion() < ProtocolV2:
-				// Legacy emulation: answer exactly as a server that
-				// predates the handshake would.
-				resp := errRespV1(fmt.Errorf("%w %q", errUnknownOp, req.Op))
-				resp.Corr = req.Corr
-				if w.write(resp, nil) != nil {
-					return
-				}
-			case req.MaxVersion >= ProtocolV2:
-				resp := &Response{Corr: req.Corr, Version: ProtocolV2, Features: req.Features & s.featureMask()}
-				if w.write(resp, nil) != nil {
-					return
-				}
-				// Every frame after this response — in both directions —
-				// is v2. The respWriter preserves enqueue order, so the
-				// v1 response above always leaves first.
-				version = ProtocolV2
-				features = resp.Features
-				s.mu.Lock()
-				if cst != nil {
-					cst.features = features
-				}
-				s.mu.Unlock()
-			default:
-				resp := &Response{Corr: req.Corr, Version: ProtocolV1}
-				if w.write(resp, nil) != nil {
-					return
-				}
+		corr, op, m, derr := decodeAnyRequestV2(hb, &interner)
+		payload, err := ReadPayloadInto(rd, nil)
+		if err != nil {
+			return
+		}
+		if derr != nil {
+			if len(hb) < v2ReqPrefix {
+				// Header too short for even the prefix: the peer is
+				// not speaking v2 framing, drop the connection.
+				return
+			}
+			// Unknown op or malformed body with an intact prefix:
+			// answer with a typed error, the framing is fine.
+			if w.writeV2(op, corr, nil, derr, nil) != nil {
+				return
 			}
 			continue
-		case OpAuth:
-			aresp := &Response{Corr: req.Corr}
-			resp, aerr := s.authenticate(&AuthReq{AccessKeyID: req.AccessKeyID, Secret: req.Secret}, &identity, &authed)
+		}
+		// Connection-state ops are handled inline on the read loop:
+		// auth flips the principal, session ops mutate the session
+		// registry. All are non-blocking (open's pump runs async).
+		switch q := m.(type) {
+		case *AuthReq:
+			resp, aerr := s.authenticate(q, &identity, &authed)
 			if aerr == nil {
 				s.mu.Lock()
 				if cst != nil {
@@ -711,91 +470,160 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 				s.mu.Unlock()
 			}
-			if aerr != nil {
-				aresp = errRespV1(aerr)
-				aresp.Corr = req.Corr
-			} else {
-				resp.toV1(aresp)
-			}
-			if w.write(aresp, nil) != nil {
+			putReqMsg(op, m)
+			if w.writeV2(op, corr, resp, aerr, nil) != nil {
 				return
 			}
 			continue
+		case *MetadataReq:
+			// Control-plane and cheap: handled inline like auth. Gated
+			// on the negotiated feature so a masked server answers
+			// exactly as one that predates the op, and on
+			// authentication — cluster topology (broker addresses,
+			// liveness, leadership) must not leak to anyone who can
+			// merely reach a port.
+			var resp *MetadataResp
+			var merr error
+			switch {
+			case features&FeatClusterMeta == 0:
+				merr = fmt.Errorf("%w %d: cluster metadata not negotiated", errUnknownOp, op)
+			case !authed:
+				merr = fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
+			default:
+				resp = buildMetadataResp(s.Fabric, q.Topics)
+			}
+			putReqMsg(op, m)
+			if w.writeV2(op, corr, resp, merr, nil) != nil {
+				return
+			}
+			continue
+		case *SessionOpenReq:
+			var resp *SessionOpenResp
+			oerr := fmt.Errorf("%w %d: session fetch not negotiated", errUnknownOp, op)
+			if features&FeatSessionFetch != 0 {
+				resp, oerr = sessions.open(q, identity, authed)
+			}
+			putReqMsg(op, m)
+			if oerr != nil {
+				if w.writeV2(op, corr, nil, oerr, nil) != nil {
+					return
+				}
+				continue
+			}
+			if w.writeV2(op, corr, resp, nil, nil) != nil {
+				return
+			}
+			continue
+		case *SessionSubReq:
+			// Always answered — the client treats removes as one-way
+			// and lets the response drop, but adds need the partition
+			// positions back.
+			var resp *SessionSubResp
+			serr := fmt.Errorf("%w %d: session fetch not negotiated", errUnknownOp, op)
+			if features&FeatSessionFetch != 0 {
+				resp, serr = sessions.sub(q, authed)
+			}
+			putReqMsg(op, m)
+			if serr != nil {
+				if w.writeV2(op, corr, nil, serr, nil) != nil {
+					return
+				}
+				continue
+			}
+			if w.writeV2(op, corr, resp, nil, nil) != nil {
+				return
+			}
+			continue
+		case *SessionCreditReq:
+			// One-way: grants for closed sessions are silently dropped.
+			sessions.credit(q.SessionID, q.CreditBytes)
+			putReqMsg(op, m)
+			continue
+		case *SessionCloseReq:
+			sessions.closeSession(q.SessionID)
+			putReqMsg(op, m)
+			continue
+		case *StatsReq:
+			// Control-plane and cheap: handled inline like metadata,
+			// with the same feature and auth gates — a broker's
+			// telemetry (traffic volumes, latency shapes, topology
+			// hints in metric names) must not leak to anyone who can
+			// merely reach a port.
+			var resp *StatsResp
+			var serr error
+			switch {
+			case features&FeatStats == 0:
+				serr = fmt.Errorf("%w %d: stats not negotiated", errUnknownOp, op)
+			case !authed:
+				serr = fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
+			default:
+				resp = buildStatsResp(s)
+			}
+			putReqMsg(op, m)
+			if w.writeV2(op, corr, resp, serr, nil) != nil {
+				return
+			}
+			continue
+		case *ReplicaFetchReq, *ReplicaAckReq:
+			// Feature-gated like metadata, but the fetch long-polls
+			// and carries events, so a negotiated request falls
+			// through to the async dispatch below.
+			if features&FeatReplication == 0 {
+				putReqMsg(op, m)
+				if w.writeV2(op, corr, nil, fmt.Errorf("%w %d: replication not negotiated", errUnknownOp, op), nil) != nil {
+					return
+				}
+				continue
+			}
 		}
-		m, perr := req.typed()
 		sem <- struct{}{}
 		handlers.Add(1)
-		go func(corr uint64, m ReqMsg, perr error, payload []byte, identity string, authed bool) {
+		go func(op uint8, corr uint64, m ReqMsg, payload []byte, identity string, authed bool) {
 			defer handlers.Done()
 			defer func() { <-sem }()
-			var (
-				resp respMsg
-				evs  []event.Event
-				err  error
-			)
-			if perr != nil {
-				err = perr
-			} else {
-				resp, evs, err = s.dispatch(m, payload, identity, authed, done)
+			resp, evs, err := s.dispatch(m, payload, identity, authed, done)
+			if werr := w.writeV2(op, corr, resp, err, evs); errors.Is(werr, ErrFrameTooLarge) {
+				// The success response didn't fit its frame bound
+				// (e.g. a pathologically fragmented offset run list):
+				// the caller must still get an answer, or it hangs
+				// until the deadline kills the whole connection.
+				// Error frames are tiny and always fit.
+				_ = w.writeV2(op, corr, nil, werr, nil)
 			}
-			v1 := &Response{Corr: corr}
-			if err != nil {
-				v1 = errRespV1(err)
-				v1.Corr = corr
-				evs = nil
-			} else if resp != nil {
-				resp.toV1(v1)
-			}
-			if werr := w.write(v1, evs); errors.Is(werr, ErrFrameTooLarge) {
-				// As on the v2 path: an unencodable success response
-				// (e.g. a v1 Offsets array past MaxHeader) must come
-				// back as an error, not a hang.
-				er := errRespV1(werr)
-				er.Corr = corr
-				_ = w.write(er, nil)
-			}
-		}(req.Corr, m, perr, payload, identity, authed)
+			putReqMsg(op, m)
+		}(op, corr, m, payload, identity, authed)
 	}
 }
 
-// errRespV1 builds a v1 error response, carrying the sentinel class as
-// the legacy err_kind string.
-func errRespV1(err error) *Response {
-	_, kind := errCodeOf(err)
-	return &Response{Err: err.Error(), ErrKind: kind}
-}
-
-// typed converts a v1 JSON request header to its typed message — the
-// server-side inverse of ReqMsg.v1, which lets the dispatch path be
-// version-agnostic.
-func (r *Request) typed() (ReqMsg, error) {
-	switch r.Op {
-	case OpPing:
-		return &PingReq{}, nil
-	case OpProduce:
-		return &ProduceReq{Topic: r.Topic, Partition: r.Partition, Acks: r.Acks, NumEvents: r.NumEvents}, nil
-	case OpFetch:
-		return &FetchReq{Topic: r.Topic, Partition: r.Partition, Offset: r.Offset, MaxEvents: r.MaxEvents, MaxBytes: r.MaxBytes}, nil
-	case OpEndOffset:
-		return &EndOffsetReq{Topic: r.Topic, Partition: r.Partition}, nil
-	case OpStartOffset:
-		return &StartOffsetReq{Topic: r.Topic, Partition: r.Partition}, nil
-	case OpOffsetForTime:
-		return &OffsetForTimeReq{Topic: r.Topic, Partition: r.Partition, TimeNano: r.TimeNano}, nil
-	case OpTopicMeta:
-		return &TopicMetaReq{Topic: r.Topic}, nil
-	case OpJoinGroup:
-		return &JoinGroupReq{Group: r.Group, Member: r.Member, Topics: r.Topics}, nil
-	case OpLeaveGroup:
-		return &LeaveGroupReq{Group: r.Group, Member: r.Member}, nil
-	case OpHeartbeat:
-		return &HeartbeatReq{Group: r.Group, Member: r.Member}, nil
-	case OpCommit:
-		return &CommitReq{Group: r.Group, Member: r.Member, Generation: r.Generation, Topic: r.Topic, Partition: r.Partition, Offset: r.Offset}, nil
-	case OpCommitted:
-		return &CommittedReq{Group: r.Group, Topic: r.Topic, Partition: r.Partition}, nil
+// handshake reads the connection's first frame, which must be a JSON
+// OpNegotiate offering protocol v2, and answers it with the negotiated
+// feature set; every later frame in both directions is v2. Any other
+// first frame — a request from a client that cannot speak v2, or bytes
+// that are not a JSON header — gets one JSON error answer, and ok=false
+// tells the caller to close the connection.
+func (s *Server) handshake(conn net.Conn, rd *bufio.Reader) (features uint32, ok bool) {
+	var hdrBuf []byte
+	hb, err := readHeaderInto(rd, &hdrBuf)
+	if err != nil {
+		return 0, false
 	}
-	return nil, fmt.Errorf("%w %q", errUnknownOp, r.Op)
+	if _, err := ReadPayloadInto(rd, nil); err != nil {
+		return 0, false
+	}
+	var req Request
+	if json.Unmarshal(hb, &req) != nil || req.Op != OpNegotiate || req.MaxVersion < ProtocolV2 {
+		_ = WriteFrame(conn, &Response{
+			Corr:    req.Corr,
+			Err:     fmt.Sprintf("%v %q: this server speaks protocol v%d only, opened by %q", errUnknownOp, req.Op, ProtocolV2, OpNegotiate),
+			ErrKind: "unknown_op",
+		}, nil)
+		return 0, false
+	}
+	features = req.Features & (allFeatures &^ s.MaskFeatures)
+	if err := WriteFrame(conn, &Response{Corr: req.Corr, Version: ProtocolV2, Features: features}, nil); err != nil {
+		return 0, false
+	}
+	return features, true
 }
 
 // authenticate handles OpAuth against the fabric's identity store.
@@ -812,9 +640,9 @@ func (s *Server) authenticate(a *AuthReq, identity *string, authed *bool) (*Auth
 // dispatch executes one data-plane request against the fabric.
 // Responses with an event payload (fetch) return the events themselves;
 // the respWriter marshals them straight into the connection's pending
-// write buffer, in whichever framing the request arrived under. stop
-// interrupts long-poll waits when the connection tears down.
-func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool, stop <-chan struct{}) (respMsg, []event.Event, error) {
+// write buffer. stop interrupts long-poll waits when the connection
+// tears down.
+func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool, stop <-chan struct{}) (Msg, []event.Event, error) {
 	if !authed {
 		return nil, nil, fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
 	}
@@ -845,8 +673,7 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 			return nil, nil, err
 		}
 		// WaitMaxMS long-polls an empty partition on the log's tail
-		// waiter (v2 clients only; v1 framing never carries it). The
-		// wait is capped below the transport IOTimeout and interrupted
+		// waiter. The wait is capped below the transport IOTimeout and interrupted
 		// by connection teardown.
 		wait := time.Duration(q.WaitMaxMS) * time.Millisecond
 		if wait > MaxFetchWait {

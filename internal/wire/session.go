@@ -133,10 +133,6 @@ func (m *SessionOpenReq) DecodeBody(b []byte) error {
 	return nil
 }
 
-// v1 converts to a JSON header a v1 server rejects as an unknown op —
-// the clean-fallback path for clients probing a legacy peer.
-func (m *SessionOpenReq) v1() *Request { return &Request{Op: OpSessionOpen} }
-
 // SessionOpenResp acknowledges a session open with the granted window
 // (the server clamps hostile or oversized requests).
 type SessionOpenResp struct {
@@ -152,11 +148,6 @@ func (m *SessionOpenResp) DecodeBody(b []byte) error {
 	m.CreditBytes = int(v)
 	return err
 }
-
-// fromV1/toV1 are no-ops: session ops never travel in v1 framing — a
-// v1 peer answers them as unknown ops, the negotiated fallback signal.
-func (*SessionOpenResp) fromV1(*Response) {}
-func (*SessionOpenResp) toV1(*Response)   {}
 
 // SessionSubReq adds (or, with Remove set, drops) one topic-partition
 // subscription on a session (OpSessionSub). Seeks are a remove of the
@@ -218,8 +209,6 @@ func (m *SessionSubReq) decodeInterned(b []byte, in *Interner) error {
 	return nil
 }
 
-func (m *SessionSubReq) v1() *Request { return &Request{Op: OpSessionSub} }
-
 // SessionSubResp acknowledges a subscription add with the partition's
 // positions at subscribe time.
 type SessionSubResp struct {
@@ -240,9 +229,6 @@ func (m *SessionSubResp) DecodeBody(b []byte) error {
 	m.StartOffset, _, err = getInt(b)
 	return err
 }
-
-func (*SessionSubResp) fromV1(*Response) {}
-func (*SessionSubResp) toV1(*Response)   {}
 
 // SessionCreditReq returns consumed window to a session
 // (OpSessionCredit). One-way: the server never answers it.
@@ -269,8 +255,6 @@ func (m *SessionCreditReq) DecodeBody(b []byte) error {
 	return err
 }
 
-func (m *SessionCreditReq) v1() *Request { return &Request{Op: OpSessionCredit} }
-
 // SessionCloseReq closes a session from the client side
 // (OpSessionClose). One-way: the pump just stops.
 type SessionCloseReq struct {
@@ -286,7 +270,6 @@ func (m *SessionCloseReq) DecodeBody(b []byte) error {
 	m.SessionID, _, err = getUint(b)
 	return err
 }
-func (m *SessionCloseReq) v1() *Request { return &Request{Op: OpSessionClose} }
 
 // --- server-side session state ---
 

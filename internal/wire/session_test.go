@@ -519,63 +519,53 @@ func TestSessionDisconnectRecovers(t *testing.T) {
 	}
 }
 
-// TestSessionOpenFallsBackOnFeaturelessPeer: a client that negotiated
-// v2 against a server with sessions masked off (and a client against a
-// v1 server) silently consumes over request/response fetch.
+// TestSessionOpenFallsBackOnFeaturelessPeer: a client against a server
+// with sessions masked off silently consumes over request/response
+// fetch.
 func TestSessionOpenFallsBackOnFeaturelessPeer(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		serverMax int
-		disable   bool
-	}{
-		{"v2-server-sessions-disabled", 0, true},
-		{"v1-server", ProtocolV1, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			f := broker.NewFabric(nil)
-			if err := f.AddBrokers(2, 2, 8); err != nil {
-				t.Fatal(err)
-			}
-			srv := NewServer(f)
-			srv.AllowAnonymous = true
-			srv.MaxVersion = tc.serverMax
-			srv.DisableSessionFetch = tc.disable
-			addr, err := srv.Listen("127.0.0.1:0")
+	t.Run("v2-server-sessions-disabled", func(t *testing.T) {
+		f := broker.NewFabric(nil)
+		if err := f.AddBrokers(2, 2, 8); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(f)
+		srv.AllowAnonymous = true
+		srv.MaskFeatures = FeatSessionFetch
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		sessionTopic(t, f, "fb", 1, 120)
+		c, err := DialAnonymous(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if c.Features()&FeatSessionFetch != 0 {
+			t.Fatal("server offered sessions despite the mask")
+		}
+		var buf broker.FetchBuffer
+		var off int64
+		for off < 120 {
+			res, err := c.FetchBufferedWait("", "fb", 0, off, 50, 1<<20, 50*time.Millisecond, &buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer srv.Close()
-			sessionTopic(t, f, "fb", 1, 120)
-			c, err := DialAnonymous(addr)
-			if err != nil {
-				t.Fatal(err)
+			if len(res.Events) == 0 {
+				t.Fatalf("empty fetch at %d on a loaded partition", off)
 			}
-			defer c.Close()
-			if c.Features()&FeatSessionFetch != 0 {
-				t.Fatal("server offered sessions despite the mask")
-			}
-			var buf broker.FetchBuffer
-			var off int64
-			for off < 120 {
-				res, err := c.FetchBufferedWait("", "fb", 0, off, 50, 1<<20, 50*time.Millisecond, &buf)
-				if err != nil {
-					t.Fatal(err)
+			for _, ev := range res.Events {
+				if ev.Offset != off {
+					t.Fatalf("offset %d, want %d", ev.Offset, off)
 				}
-				if len(res.Events) == 0 {
-					t.Fatalf("empty fetch at %d on a loaded partition", off)
-				}
-				for _, ev := range res.Events {
-					if ev.Offset != off {
-						t.Fatalf("offset %d, want %d", ev.Offset, off)
-					}
-					off++
-				}
+				off++
 			}
-			if c.sessSub("fb", 0) != nil || srv.met().sessionsOpen.Value() != 0 {
-				t.Fatal("session open against a feature-less peer")
-			}
-		})
-	}
+		}
+		if c.sessSub("fb", 0) != nil || srv.met().sessionsOpen.Value() != 0 {
+			t.Fatal("session open against a feature-less peer")
+		}
+	})
 }
 
 // TestSessionConsumerEndToEnd drives the full SDK consumer (group,

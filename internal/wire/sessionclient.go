@@ -134,7 +134,7 @@ type clientSub struct {
 // FeatSessionFetch and has not since learned the server refuses opens.
 func (wc *wireConn) sessionEnabled() bool {
 	wc.mu.Lock()
-	ok := wc.version >= ProtocolV2 && wc.features&FeatSessionFetch != 0 && wc.err == nil
+	ok := wc.features&FeatSessionFetch != 0 && wc.err == nil
 	wc.mu.Unlock()
 	if !ok {
 		return false

@@ -9,9 +9,8 @@
 // any broker over the same authenticated wire connection it produces
 // and fetches through, with no side-channel HTTP listener required.
 //
-// The message is v2-only and gated by the FeatStats feature bit.
-// Against a v1 peer (or a v2 peer that masked the feature) the request
-// is answered as an unknown op and tooling falls back to the HTTP
+// The message is gated by the FeatStats feature bit. Against a peer
+// that masked the feature the request is answered as an unknown op and tooling falls back to the HTTP
 // metrics endpoint, when one is configured. Both bodies tolerate
 // trailing bytes, so later revisions can append fields without
 // breaking old peers.
@@ -38,10 +37,6 @@ type StatsReq struct{}
 func (*StatsReq) V2Op() uint8                  { return v2OpStats }
 func (*StatsReq) AppendBody(buf []byte) []byte { return buf }
 func (*StatsReq) DecodeBody(b []byte) error    { return nil }
-
-// v1 converts to a JSON header a v1 server rejects as an unknown op —
-// the clean-fallback path for clients probing a legacy peer.
-func (*StatsReq) v1() *Request { return &Request{Op: OpStats} }
 
 // StatEntry is one named counter or gauge value.
 type StatEntry struct {
@@ -373,12 +368,6 @@ func (m *StatsResp) DecodeBody(b []byte) error {
 	}
 	return nil
 }
-
-// fromV1/toV1 are no-ops: OpStats never travels in v1 framing — a v1
-// peer answers it as an unknown op, which is the negotiated fallback
-// signal.
-func (*StatsResp) fromV1(*Response) {}
-func (*StatsResp) toV1(*Response)   {}
 
 // appendExport folds one registry export into the response.
 func (m *StatsResp) appendExport(ex *metrics.Export) {

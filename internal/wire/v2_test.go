@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -289,14 +290,14 @@ func TestHeaderBoundIndependentOfPayloadBound(t *testing.T) {
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("63 MiB header accepted: %v", err)
 	}
-	// Write side: an over-sized header is refused symmetrically.
-	var buf bytes.Buffer
-	big := &Request{Op: OpProduce, Topic: strings.Repeat("x", MaxHeader+1)}
-	if err := WriteFrame(&buf, big, nil); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized header written: %v", err)
+	// Write side: an over-sized v2 header is refused symmetrically,
+	// leaving the frame buffer as it was.
+	big := &ProduceReq{Topic: strings.Repeat("x", MaxHeader+1)}
+	if buf, err := appendFrameRequestV2(nil, 1, big, nil); !errors.Is(err, ErrFrameTooLarge) || len(buf) != 0 {
+		t.Fatalf("oversized header written: %d bytes, %v", len(buf), err)
 	}
 	// Payloads keep their own, larger bound.
-	if err := WriteFrame(&buf, &Request{Op: OpPing}, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := appendFrameRequestV2(nil, 1, &PingReq{}, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized payload written: %v", err)
 	}
 }
@@ -314,7 +315,8 @@ func (t trackedReader) Read(p []byte) (int, error) {
 }
 
 // TestNegotiationSelectsV2 pins the happy-path handshake: current
-// client against current server lands on protocol v2.
+// client against current server lands on protocol v2 with every
+// feature.
 func TestNegotiationSelectsV2(t *testing.T) {
 	_, addr, stop := startServer(t, true)
 	defer stop()
@@ -323,9 +325,176 @@ func TestNegotiationSelectsV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if v := c.ProtocolVersion(); v != ProtocolV2 {
-		t.Fatalf("negotiated v%d, want v%d", v, ProtocolV2)
+	if got := c.Features(); got != allFeatures {
+		t.Fatalf("negotiated features %#x, want %#x", got, allFeatures)
 	}
+}
+
+// dialNegotiated opens a raw connection to addr and runs the negotiate
+// exchange offering offer, failing the test unless the server answers
+// with v2. It returns the connection (closed at cleanup), the reader
+// every later frame must be read through, and the granted features.
+func dialNegotiated(t *testing.T, addr string, offer uint32) (net.Conn, *bufio.Reader, uint32) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2, Features: offer}, nil); err != nil {
+		t.Fatal(err)
+	}
+	rd := bufio.NewReader(conn)
+	var resp Response
+	if _, err := ReadFrame(rd, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Version != ProtocolV2 || resp.Err != "" {
+		t.Fatalf("negotiation = v%d %q", resp.Version, resp.Err)
+	}
+	return conn, rd, resp.Features
+}
+
+// readRespRaw reads one v2 response frame from rd and returns a copy of
+// its header, discarding the payload.
+func readRespRaw(t *testing.T, rd *bufio.Reader) []byte {
+	t.Helper()
+	var hdr []byte
+	hb, err := readHeaderInto(rd, &hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadPayloadInto(rd, nil); err != nil {
+		t.Fatal(err)
+	}
+	return hb
+}
+
+// TestDialDuringMetadataPush is the start-up race regression test: a
+// server that pushes metadata straight after its negotiate answer — in
+// the same TCP segment, as a broker's epoch watcher can when a client
+// dials during a topology change — must not have the push misread. The
+// client comes up every time with the pushed epoch adopted.
+func TestDialDuringMetadataPush(t *testing.T) {
+	const pushedEpoch = 7
+	addr := rawListen(t, func(conn net.Conn) {
+		var req Request
+		if _, err := ReadFrame(conn, &req); err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if WriteFrame(&out, &Response{Corr: req.Corr, Version: ProtocolV2, Features: FeatMetaPush}, nil) != nil {
+			return
+		}
+		push, err := appendFrameResponseV2(nil, v2OpMetadataPush, 0, &MetadataResp{Epoch: pushedEpoch}, nil, nil)
+		if err != nil {
+			return
+		}
+		out.Write(push)
+		if _, err := conn.Write(out.Bytes()); err != nil {
+			return
+		}
+		for {
+			corr, m, err := rawRequest(conn)
+			if err != nil || rawRespond(conn, m.V2Op(), corr, &EmptyResp{}) != nil {
+				return
+			}
+		}
+	})
+	const dials = 100
+	for i := 0; i < dials; i++ {
+		c, err := DialOptions(addr, Options{Anonymous: true, PoolSize: 1})
+		if err != nil {
+			t.Fatalf("dial %d of %d: %v", i+1, dials, err)
+		}
+		epoch := c.MetadataEpoch()
+		c.Close()
+		if epoch != pushedEpoch {
+			t.Fatalf("dial %d of %d: metadata epoch %d, want the pushed %d", i+1, dials, epoch, pushedEpoch)
+		}
+	}
+}
+
+// TestV1PeerRefused pins the clean refusal between this build and a
+// peer that cannot speak v2, in both directions: an error, never a
+// hang, and nothing left behind.
+func TestV1PeerRefused(t *testing.T) {
+	t.Run("client", func(t *testing.T) {
+		// A server that predates negotiation answers it as an unknown
+		// op and keeps the connection open, waiting for v1 requests.
+		addr := rawListen(t, func(conn net.Conn) {
+			var req Request
+			if _, err := ReadFrame(conn, &req); err != nil {
+				return
+			}
+			resp := &Response{Corr: req.Corr, Err: fmt.Sprintf("wire: unknown op %q", req.Op), ErrKind: "unknown_op"}
+			if WriteFrame(conn, resp, nil) != nil {
+				return
+			}
+			_, _ = io.Copy(io.Discard, conn)
+		})
+		base := runtime.NumGoroutine()
+		start := time.Now()
+		if c, err := DialAnonymous(addr); err == nil {
+			c.Close()
+			t.Fatal("dial succeeded against a v1-only server")
+		}
+		if el := time.Since(start); el >= IOTimeout {
+			t.Fatalf("refused dial took %v", el)
+		}
+		// The client closes its side, which ends the fake server's
+		// handler; nothing of the client's may outlive the dial.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after the refused dial, %d before", runtime.NumGoroutine(), base)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+	t.Run("server", func(t *testing.T) {
+		f := broker.NewFabric(nil)
+		if err := f.AddBrokers(1, 2, 8); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(f)
+		srv.AllowAnonymous = true
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		// A v1 client's first frame: a JSON ping, no negotiation.
+		if err := WriteFrame(conn, &Request{Op: "ping", Corr: 5}, nil); err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if _, err := ReadFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Corr != 5 || resp.Err == "" || resp.ErrKind != "unknown_op" {
+			t.Fatalf("first-frame answer = %+v, want an unknown-op error for corr 5", resp)
+		}
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("after the refusal read %d bytes, %v; want EOF", n, err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			srv.mu.Lock()
+			n := len(srv.conns)
+			srv.mu.Unlock()
+			if n == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d connections still tracked after the refusal", n)
+			}
+		}
+	})
 }
 
 // retiredStreamOps are the op bytes of the retired per-partition stream
@@ -336,8 +505,8 @@ var retiredStreamOps = []uint8{v2OpCommitted + 1, v2OpCommitted + 2, v2OpCommitt
 // TestRetiredStreamSurface pins the retired stream transport's wire
 // footprint: later op bytes keep their values, a negotiated v2
 // connection answers every retired op byte as an unknown op, a client
-// offering the retired feature bit 1<<2 does not get it back, and the
-// same connection then serves a fetch.
+// offering the reserved feature bits 1<<0..1<<2 does not get them
+// back, and the same connection then serves a fetch.
 func TestRetiredStreamSurface(t *testing.T) {
 	if v2OpMetadata != 18 || v2OpSessionOpen != 19 || v2OpReplicaFetch != 25 || v2OpStats != 27 {
 		t.Fatalf("op bytes moved: metadata %d, session open %d, replica fetch %d, stats %d",
@@ -346,35 +515,10 @@ func TestRetiredStreamSurface(t *testing.T) {
 	f, addr, stop := startServer(t, true)
 	defer stop()
 	sessionTopic(t, f, "rs", 1, 3)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	const retiredBit = 1 << 2
-	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2, Features: allFeatures | retiredBit}, nil); err != nil {
-		t.Fatal(err)
-	}
-	rd := bufio.NewReader(conn)
-	var nresp Response
-	if _, err := ReadFrame(rd, &nresp); err != nil {
-		t.Fatal(err)
-	}
-	if nresp.Version != ProtocolV2 || nresp.Features&retiredBit != 0 {
-		t.Fatalf("negotiation = v%d feats %x, want v2 without bit %x", nresp.Version, nresp.Features, retiredBit)
-	}
-	var hdrBuf []byte
-	readResp := func(m Msg) (uint8, uint64, error) {
-		t.Helper()
-		hb, err := readHeaderInto(rd, &hdrBuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op, corr, derr := DecodeResponseV2(hb, m)
-		if _, err := ReadPayloadInto(rd, nil); err != nil {
-			t.Fatal(err)
-		}
-		return op, corr, derr
+	const retiredBits = 1<<0 | 1<<1 | 1<<2
+	conn, rd, feats := dialNegotiated(t, addr, allFeatures|retiredBits)
+	if feats != allFeatures {
+		t.Fatalf("negotiated features %#x, want %#x without the reserved bits %#x", feats, allFeatures, retiredBits)
 	}
 	for i, op := range retiredStreamOps {
 		corr := uint64(10 + i)
@@ -384,7 +528,7 @@ func TestRetiredStreamSurface(t *testing.T) {
 		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
-		gotOp, gotCorr, err := readResp(nil)
+		gotOp, gotCorr, err := DecodeResponseV2(readRespRaw(t, rd), nil)
 		if gotOp != op || gotCorr != corr || !errors.Is(err, errUnknownOp) {
 			t.Fatalf("retired op %d: answered op %d corr %d err %v, want unknown op", op, gotOp, gotCorr, err)
 		}
@@ -397,7 +541,7 @@ func TestRetiredStreamSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fresp FetchResp
-	if _, corr, err := readResp(&fresp); err != nil || corr != 20 || fresp.NumEvents != 3 {
+	if _, corr, err := DecodeResponseV2(readRespRaw(t, rd), &fresp); err != nil || corr != 20 || fresp.NumEvents != 3 {
 		t.Fatalf("fetch after retired ops: corr %d, %d events, %v", corr, fresp.NumEvents, err)
 	}
 }
@@ -601,21 +745,9 @@ func FuzzDecodeSessionFrames(f *testing.F) {
 func TestMetadataRequiresAuth(t *testing.T) {
 	_, addr, stop := startServer(t, false) // authentication required
 	defer stop()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2, Features: allFeatures}, nil); err != nil {
-		t.Fatal(err)
-	}
-	rd := bufio.NewReader(conn)
-	var nresp Response
-	if _, err := ReadFrame(rd, &nresp); err != nil {
-		t.Fatal(err)
-	}
-	if nresp.Version != ProtocolV2 || nresp.Features&FeatClusterMeta == 0 {
-		t.Fatalf("negotiation = v%d feats %x", nresp.Version, nresp.Features)
+	conn, rd, feats := dialNegotiated(t, addr, allFeatures)
+	if feats&FeatClusterMeta == 0 {
+		t.Fatalf("negotiated features %#x", feats)
 	}
 	frame, err := appendFrameRequestV2(nil, 2, &MetadataReq{}, nil)
 	if err != nil {
@@ -624,16 +756,8 @@ func TestMetadataRequiresAuth(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	var hdrBuf []byte
-	hb, err := readHeaderInto(rd, &hdrBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var resp MetadataResp
-	_, _, err = DecodeResponseV2(hb, &resp)
-	if _, perr := ReadPayloadInto(rd, nil); perr != nil {
-		t.Fatal(perr)
-	}
+	_, _, err = DecodeResponseV2(readRespRaw(t, rd), &resp)
 	if !errors.Is(err, auth.ErrBadCredentials) {
 		t.Fatalf("unauthenticated metadata error = %v, want bad credentials", err)
 	}
@@ -649,21 +773,9 @@ func TestMetadataRequiresAuth(t *testing.T) {
 func TestStatsRequiresAuth(t *testing.T) {
 	_, addr, stop := startServer(t, false) // authentication required
 	defer stop()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2, Features: allFeatures}, nil); err != nil {
-		t.Fatal(err)
-	}
-	rd := bufio.NewReader(conn)
-	var nresp Response
-	if _, err := ReadFrame(rd, &nresp); err != nil {
-		t.Fatal(err)
-	}
-	if nresp.Version != ProtocolV2 || nresp.Features&FeatStats == 0 {
-		t.Fatalf("negotiation = v%d feats %x", nresp.Version, nresp.Features)
+	conn, rd, feats := dialNegotiated(t, addr, allFeatures)
+	if feats&FeatStats == 0 {
+		t.Fatalf("negotiated features %#x", feats)
 	}
 	frame, err := appendFrameRequestV2(nil, 2, &StatsReq{}, nil)
 	if err != nil {
@@ -672,16 +784,8 @@ func TestStatsRequiresAuth(t *testing.T) {
 	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	var hdrBuf []byte
-	hb, err := readHeaderInto(rd, &hdrBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var resp StatsResp
-	_, _, err = DecodeResponseV2(hb, &resp)
-	if _, perr := ReadPayloadInto(rd, nil); perr != nil {
-		t.Fatal(perr)
-	}
+	_, _, err = DecodeResponseV2(readRespRaw(t, rd), &resp)
 	if !errors.Is(err, auth.ErrBadCredentials) {
 		t.Fatalf("unauthenticated stats error = %v, want bad credentials", err)
 	}

@@ -31,7 +31,7 @@ func startServer(t *testing.T, anonymous bool) (*broker.Fabric, string, func()) 
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	req := Request{Op: OpProduce, Topic: "t", NumEvents: 2}
+	req := Request{Op: OpNegotiate, Corr: 3, MaxVersion: ProtocolV2, Features: FeatStats}
 	payload := []byte("binary-payload")
 	if err := WriteFrame(&buf, &req, payload); err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != OpProduce || got.Topic != "t" || got.NumEvents != 2 {
+	if got != req {
 		t.Fatalf("header = %+v", got)
 	}
 	if !bytes.Equal(data, payload) {
@@ -51,7 +51,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Request{Op: OpPing}, nil); err != nil {
+	if err := WriteFrame(&buf, &Request{Op: OpNegotiate}, nil); err != nil {
 		t.Fatal(err)
 	}
 	var got Request
@@ -295,7 +295,7 @@ func TestWireErrorKindsSurviveTransport(t *testing.T) {
 func TestFrameTooLargeRejected(t *testing.T) {
 	var buf bytes.Buffer
 	big := make([]byte, MaxFrame+1)
-	if err := WriteFrame(&buf, &Request{Op: OpPing}, big); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(&buf, &Request{Op: OpNegotiate}, big); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -345,7 +345,7 @@ func TestLongPollIdleConsumerPerformsNoReads(t *testing.T) {
 	// Pin to plain request/response fetch so this exercises the
 	// FetchReq.WaitMaxMS -> FetchWaitInto -> WaitAppend long-poll path
 	// specifically (a session's pump arms append callbacks instead).
-	c, err := DialOptions(addr, Options{Anonymous: true, DisableSessionFetch: true})
+	c, err := DialOptions(addr, Options{Anonymous: true, MaskFeatures: FeatSessionFetch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -240,10 +240,6 @@ func printStats(st *wire.StatsResp) {
 				histVal(h.Name, h.Quantile(0.5)), histVal(h.Name, h.Quantile(0.99)))
 		}
 	}
-	for _, s := range st.Summaries {
-		fmt.Printf("  %-36s n=%-8d mean=%.2fms p50=%.2fms p99=%.2fms\n",
-			s.Name, s.Count, s.MeanMs, s.P50Ms, s.P99Ms)
-	}
 }
 
 // traceCmd prints the produce stage-trace breakdown: for every stage

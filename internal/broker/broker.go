@@ -722,12 +722,10 @@ func (f *Fabric) fetch(identity, topic string, partition int, offset int64, maxE
 }
 
 // FetchWaitInto is FetchInto with a long-poll: when the partition has
-// nothing at offset, it parks on the leader log's tail waiter for up to
-// wait (or until stop closes) and retries once after waking — one
-// blocked goroutine instead of a fetch loop against an empty partition.
-// A wait of zero degenerates to FetchInto. The wire server's streaming
-// fetch pumps and WaitMaxMS long-polls, and the Direct transport's
-// long-poll extension, all ride this.
+// nothing at offset, it parks on the leader log (eventlog.WaitReadable)
+// for up to wait or until stop closes, and fetches again once an append
+// wakes it. Timeout, stop and a log closed under the wait answer the
+// empty result and no error. A wait of zero degenerates to FetchInto.
 func (f *Fabric) FetchWaitInto(identity, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, dst []event.Event) (FetchResult, error) {
 	res, err := f.fetch(identity, topic, partition, offset, maxEvents, maxBytes, dst)
 	if err != nil || len(res.Events) > 0 || wait <= 0 {
@@ -737,18 +735,19 @@ func (f *Fabric) FetchWaitInto(identity, topic string, partition int, offset int
 	if err != nil {
 		return FetchResult{}, err
 	}
-	end, werr := pr.log.WaitAppend(offset, wait, stop)
-	if werr != nil || end <= offset {
-		// Log closed, timeout, or stop: report the empty result; the
-		// caller's next poll (or teardown) takes it from here.
+	if !eventlog.WaitReadable(pr.log, offset, wait, stop) {
 		return res, nil
 	}
-	return f.fetch(identity, topic, partition, offset, maxEvents, maxBytes, dst)
+	again, err := f.fetch(identity, topic, partition, offset, maxEvents, maxBytes, dst)
+	if errors.Is(err, eventlog.ErrClosed) {
+		return res, nil
+	}
+	return again, err
 }
 
-// LeaderLog returns the leader replica's log for a partition — the
-// handle behind fetch-side offset queries, exported so tests and tools
-// can probe log-level state (read counts, tail waiters) directly.
+// LeaderLog returns the leader replica's log for a partition: the log
+// tail followers arm their waits on, and the probe tests use for
+// log-level state such as read counts.
 func (f *Fabric) LeaderLog(topic string, partition int) (*eventlog.Log, error) {
 	pr, err := f.partitionRoute(topic, partition)
 	if err != nil {

@@ -56,9 +56,10 @@ type ConsumerConfig struct {
 	Prefetch bool
 	// PollWait long-polls: a Poll that finds every assigned partition
 	// empty blocks up to this long on the next round-robin partition —
-	// through the transport's WaitFetcher extension (Direct and the wire
-	// client both park on the server's tail waiters; streaming-fetch
-	// connections park on the local frame queue) — instead of returning
+	// through the transport's WaitFetcher extension (Direct and a plain
+	// wire long-poll park on the partition log through an
+	// eventlog.Waiter; a fetch-session connection parks on the local
+	// queue of pushed frames) — instead of returning
 	// empty immediately, so an idle consumer costs a blocked goroutine
 	// rather than a fetch loop. Zero keeps Poll non-blocking. With
 	// multiple assigned partitions, data appended to a partition other

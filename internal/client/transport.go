@@ -62,9 +62,10 @@ type BufferedFetcher interface {
 // consumption: a fetch that finds the partition empty blocks up to wait
 // for an append instead of returning immediately, so idle consumers
 // stop burning CPU (and, over the wire, round trips) re-polling empty
-// partitions. Implementations park on the partition log's tail waiter
-// (Direct) or on the negotiated wire mechanism — FetchReq.WaitMaxMS
-// long-polls or a streaming-fetch session's frame queue (wire.Client).
+// partitions. Implementations park on the partition log through an
+// eventlog.Waiter (Direct) or on the negotiated wire mechanism —
+// FetchReq.WaitMaxMS long-polls or a fetch session's queue of pushed
+// frames (wire.Client).
 // The consumer uses it when ConsumerConfig.PollWait is set.
 type WaitFetcher interface {
 	BufferedFetcher
@@ -101,7 +102,7 @@ func (d *Direct) FetchBuffered(identity, topic string, partition int, offset int
 }
 
 // FetchBufferedWait implements WaitFetcher: an empty fetch parks on the
-// partition log's tail waiter up to wait.
+// partition log up to wait (Fabric.FetchWaitInto).
 func (d *Direct) FetchBufferedWait(identity, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.FetchResult, error) {
 	res, err := d.Fabric.FetchWaitInto(identity, topic, partition, offset, maxEvents, maxBytes, wait, nil, buf.Events[:0])
 	if err != nil {

@@ -146,15 +146,9 @@ type Log struct {
 	next   int64
 	bytes  int64
 	closed bool
-	// waitCh is the tail-waiter broadcast channel: lazily created by the
-	// first WaitAppend that finds no data, closed (waking every waiter)
-	// by the next append or by Close. One channel serves any number of
-	// waiters, and an idle log with no waiters carries none at all.
-	waitCh chan struct{}
-	// notifies are the registered one-shot append callbacks (NotifyAppend):
-	// the multi-log waiter primitive behind session fetch, where one pump
-	// goroutine waits on "any of these logs appended" without parking a
-	// goroutine per log. Lazily allocated; an idle log carries none.
+	// notifies are the registered one-shot append callbacks (NotifyAppend),
+	// the log's only wake mechanism. Lazily allocated; an idle log carries
+	// none.
 	notifies map[uint64]appendNotify
 	notifyID uint64
 	// reads counts ReadBudgetInto calls — the probe the long-poll
@@ -226,7 +220,7 @@ func (l *Log) Append(ev event.Event, now time.Time) (int64, error) {
 	if err == nil {
 		err = l.flushLocked()
 	}
-	fired := l.notifyLocked()
+	fired := l.notifyLocked(make([]func(), 0, 8))
 	l.mu.Unlock()
 	runNotifies(fired)
 	if err != nil {
@@ -263,7 +257,7 @@ func (l *Log) AppendBatch(evs []event.Event, now time.Time) (int64, error) {
 	appended := l.bytes - startBytes
 	var fired []func()
 	if len(evs) > 0 {
-		fired = l.notifyLocked()
+		fired = l.notifyLocked(make([]func(), 0, 8))
 	}
 	l.mu.Unlock()
 	runNotifies(fired)
@@ -324,7 +318,7 @@ func (l *Log) AppendReplicated(evs []event.Event) error {
 	addedBytes := l.bytes - startBytes
 	var fired []func()
 	if appended {
-		fired = l.notifyLocked()
+		fired = l.notifyLocked(make([]func(), 0, 8))
 	}
 	l.mu.Unlock()
 	runNotifies(fired)
@@ -366,22 +360,15 @@ func (l *Log) lastNow() time.Time {
 	return time.Time{}
 }
 
-// notifyLocked wakes every tail waiter and collects the registered
-// append callbacks whose offsets became readable. Callers hold l.mu and
-// have just appended (or are closing the log); the returned callbacks
-// must be invoked after l.mu is released — a callback is free to take
-// locks of its own, and running it under l.mu would order l.mu inside
-// them, the inverse of the registration path. One broadcast per batch,
-// not per record: waiters re-check the end offset themselves.
-func (l *Log) notifyLocked() []func() {
-	if l.waitCh != nil {
-		close(l.waitCh)
-		l.waitCh = nil
-	}
-	if len(l.notifies) == 0 {
-		return nil
-	}
-	var fired []func()
+// notifyLocked appends to fired the registered append callbacks whose
+// offsets became readable. Callers hold l.mu and have just appended (or
+// are closing the log); the returned callbacks must be invoked after l.mu
+// is released — a callback is free to take locks of its own, and running
+// it under l.mu would order l.mu inside them, the inverse of the
+// registration path. One notification per batch, not per record: waiters
+// re-check the end offset themselves. Callers pass a small stack buffer,
+// so waking a few waiters allocates nothing.
+func (l *Log) notifyLocked(fired []func()) []func() {
 	for id, n := range l.notifies {
 		if n.offset < l.next || l.closed {
 			fired = append(fired, n.fn)
@@ -410,14 +397,9 @@ type appendNotify struct {
 // NOT invoked and registered is false: the caller's state is already
 // actionable and it should proceed directly.
 //
-// This is the callback flavor of WaitAppend, built for multiplexed
-// fetch sessions: one session pump subscribes to dozens of partition
-// logs, and parking a goroutine per log (one WaitAppend each) would
-// recreate exactly the per-partition cost sessions exist to remove.
-// Instead the pump registers a callback per dry log and parks once;
-// whichever log appends first wakes it. Callbacks run outside the log
-// lock but on the appender's goroutine, so they must be cheap and
-// non-blocking — set a flag, poke a channel — never fetch or block.
+// This is the log's only wake mechanism; Waiter wraps it. Callbacks run
+// outside the log lock but on the appender's goroutine, so they must be
+// cheap and non-blocking — set a flag, poke a channel — never fetch.
 //
 // The registration is one-shot: after fn runs it is forgotten, and
 // re-arming requires another NotifyAppend. Cancel with CancelNotify; a
@@ -444,57 +426,6 @@ func (l *Log) CancelNotify(handle uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	delete(l.notifies, handle)
-}
-
-// WaitAppend blocks until the log end advances past offset (data is
-// readable at offset), the timeout elapses, or stop is closed. It
-// returns the current end offset; callers distinguish the outcomes by
-// comparing it to offset. A nil stop channel never fires. Closing the
-// log fails all waiters with ErrClosed.
-//
-// This is the tail-waiter primitive behind the wire server's streaming
-// fetch pumps and long-poll fetches: an idle consumer parks here
-// instead of re-reading an empty partition in a loop, so the idle cost
-// of a subscribed partition is one blocked goroutine, not a poll churn.
-func (l *Log) WaitAppend(offset int64, timeout time.Duration, stop <-chan struct{}) (int64, error) {
-	var timer *time.Timer
-	var timeoutCh <-chan time.Time
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return 0, ErrClosed
-		}
-		if l.next > offset {
-			end := l.next
-			l.mu.Unlock()
-			return end, nil
-		}
-		if l.waitCh == nil {
-			l.waitCh = make(chan struct{})
-		}
-		ch := l.waitCh
-		l.mu.Unlock()
-		if timer == nil {
-			if timeout <= 0 {
-				return offset, nil
-			}
-			timer = time.NewTimer(timeout)
-			timeoutCh = timer.C
-		}
-		select {
-		case <-ch:
-		case <-timeoutCh:
-			return l.EndOffset(), nil
-		case <-stop:
-			return l.EndOffset(), nil
-		}
-	}
 }
 
 // Reads reports the cumulative number of read calls served by the log —
@@ -763,10 +694,9 @@ func (l *Log) Compact() int {
 	return removed
 }
 
-// Close marks the log closed; subsequent operations fail with ErrClosed,
-// blocked tail waiters wake immediately, and every registered append
-// callback fires one final time (callers re-check the log and observe
-// ErrClosed).
+// Close marks the log closed: subsequent operations fail with ErrClosed,
+// and every registered append callback fires one final time, so parked
+// waiters wake, re-check the log and observe ErrClosed.
 func (l *Log) Close() {
 	l.mu.Lock()
 	l.closed = true
@@ -777,7 +707,7 @@ func (l *Log) Close() {
 			l.activeFile = nil
 		}
 	}
-	fired := l.notifyLocked()
+	fired := l.notifyLocked(make([]func(), 0, 8))
 	l.mu.Unlock()
 	runNotifies(fired)
 }

@@ -395,22 +395,39 @@ func TestCompactionPreservesReadAfterRetention(t *testing.T) {
 	}
 }
 
-// --- tail waiters (PR 4) ---
+// --- tail waiters: Waiter ---
 
-// TestWaitAppendReturnsImmediatelyWhenDataAvailable: a wait below the
-// end offset never blocks.
+// waitFor arms a fresh Waiter on l at offset and parks for up to d;
+// it reports whether an append (or Close) woke it and the log end then.
+func waitFor(l *Log, offset int64, d time.Duration, stop <-chan struct{}) (bool, int64) {
+	w := NewWaiter()
+	if !w.Arm(l, offset) {
+		return true, l.EndOffset()
+	}
+	woken := w.Wait(stop, time.After(d))
+	return woken, l.EndOffset()
+}
+
+// notifyCount is the number of callbacks still registered on l.
+func notifyCount(l *Log) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.notifies)
+}
+
+// TestWaitAppendReturnsImmediatelyWhenDataAvailable: arming below the
+// end offset registers nothing, so the caller reads instead of parking.
 func TestWaitAppendReturnsImmediatelyWhenDataAvailable(t *testing.T) {
 	l := New(Config{})
 	for i := 0; i < 3; i++ {
 		l.Append(ev(fmt.Sprintf("e%d", i)), t0)
 	}
-	start := time.Now()
-	end, err := l.WaitAppend(1, 5*time.Second, nil)
-	if err != nil || end != 3 {
-		t.Fatalf("WaitAppend = %d, %v", end, err)
+	w := NewWaiter()
+	if w.Arm(l, 1) {
+		t.Fatal("Arm registered with data readable at the offset")
 	}
-	if time.Since(start) > time.Second {
-		t.Fatal("WaitAppend blocked with data available")
+	if n := notifyCount(l); n != 0 {
+		t.Fatalf("%d callbacks left registered", n)
 	}
 }
 
@@ -420,20 +437,27 @@ func TestWaitAppendWakesOnAppend(t *testing.T) {
 	l := New(Config{})
 	l.Append(ev("a"), t0)
 	const waiters = 4
-	var wg sync.WaitGroup
+	var wg, armed sync.WaitGroup
 	results := make([]int64, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
+		armed.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			end, err := l.WaitAppend(1, 5*time.Second, nil)
-			if err != nil {
-				t.Errorf("waiter %d: %v", i, err)
+			w := NewWaiter()
+			ok := w.Arm(l, 1)
+			armed.Done()
+			if !ok {
+				t.Errorf("waiter %d: Arm on a dry tail returned false", i)
+				return
 			}
-			results[i] = end
+			if !w.Wait(nil, time.After(5*time.Second)) {
+				t.Errorf("waiter %d: timed out", i)
+			}
+			results[i] = l.EndOffset()
 		}(i)
 	}
-	time.Sleep(50 * time.Millisecond)
+	armed.Wait()
 	l.Append(ev("b"), t0)
 	wg.Wait()
 	for i, end := range results {
@@ -441,19 +465,25 @@ func TestWaitAppendWakesOnAppend(t *testing.T) {
 			t.Fatalf("waiter %d woke with end %d, want 2", i, end)
 		}
 	}
+	if n := notifyCount(l); n != 0 {
+		t.Fatalf("%d callbacks left registered", n)
+	}
 }
 
-// TestWaitAppendTimeout: a wait on a dry log returns at the deadline
-// with the unchanged end offset and no error.
+// TestWaitAppendTimeout: a wait on a dry log returns at the deadline,
+// not woken, with the end offset unchanged and its registration gone.
 func TestWaitAppendTimeout(t *testing.T) {
 	l := New(Config{})
 	start := time.Now()
-	end, err := l.WaitAppend(0, 50*time.Millisecond, nil)
-	if err != nil || end != 0 {
-		t.Fatalf("WaitAppend = %d, %v", end, err)
+	woken, end := waitFor(l, 0, 50*time.Millisecond, nil)
+	if woken || end != 0 {
+		t.Fatalf("wait = %v, end %d", woken, end)
 	}
 	if d := time.Since(start); d < 40*time.Millisecond || d > 2*time.Second {
 		t.Fatalf("timeout fired after %v", d)
+	}
+	if n := notifyCount(l); n != 0 {
+		t.Fatalf("%d callbacks left registered", n)
 	}
 }
 
@@ -467,21 +497,30 @@ func TestWaitAppendStopChannel(t *testing.T) {
 		close(stop)
 	}()
 	start := time.Now()
-	if _, err := l.WaitAppend(0, 10*time.Second, stop); err != nil {
-		t.Fatal(err)
+	if woken, _ := waitFor(l, 0, 10*time.Second, stop); woken {
+		t.Fatal("stop reported as an append")
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("stop channel did not release the waiter")
 	}
 }
 
-// TestWaitAppendCloseFailsWaiters: Close wakes parked waiters with
-// ErrClosed instead of leaving them blocked.
+// TestWaitAppendCloseFailsWaiters: Close wakes parked waiters instead
+// of leaving them blocked, the re-read they do then fails with
+// ErrClosed, and arming a closed log reports "read instead".
 func TestWaitAppendCloseFailsWaiters(t *testing.T) {
 	l := New(Config{})
+	w := NewWaiter()
+	if !w.Arm(l, 0) {
+		t.Fatal("Arm on an empty log returned false")
+	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := l.WaitAppend(0, 10*time.Second, nil)
+		if !w.Wait(nil, time.After(10*time.Second)) {
+			errCh <- errors.New("timed out")
+			return
+		}
+		_, err := l.Read(0, 1)
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -489,10 +528,13 @@ func TestWaitAppendCloseFailsWaiters(t *testing.T) {
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("waiter returned %v, want ErrClosed", err)
+			t.Fatalf("waiter re-read returned %v, want ErrClosed", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close left the waiter parked")
+	}
+	if NewWaiter().Arm(l, 0) {
+		t.Fatal("Arm registered on a closed log")
 	}
 }
 
@@ -500,12 +542,15 @@ func TestWaitAppendCloseFailsWaiters(t *testing.T) {
 // waiter sees the full batch.
 func TestWaitAppendBatchWakes(t *testing.T) {
 	l := New(Config{})
+	w := NewWaiter()
+	if !w.Arm(l, 0) {
+		t.Fatal("Arm on an empty log returned false")
+	}
 	done := make(chan int64, 1)
 	go func() {
-		end, _ := l.WaitAppend(0, 5*time.Second, nil)
-		done <- end
+		w.Wait(nil, time.After(5*time.Second))
+		done <- l.EndOffset()
 	}()
-	time.Sleep(30 * time.Millisecond)
 	if _, err := l.AppendBatch([]event.Event{ev("a"), ev("b"), ev("c")}, t0); err != nil {
 		t.Fatal(err)
 	}
@@ -516,6 +561,94 @@ func TestWaitAppendBatchWakes(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("batch append did not wake the waiter")
+	}
+	// One wake for the batch: nothing is left queued for the next round.
+	select {
+	case <-w.wake:
+		t.Fatal("batch append poked the waiter more than once")
+	default:
+	}
+}
+
+// TestWaiterCancelsOtherLogsOnReturn: a waiter armed on several logs
+// wakes on the one that appends and leaves no callback registered on
+// any of them — after a wake, after a timeout, and after an Arm that
+// found data and cancelled the round.
+func TestWaiterCancelsOtherLogsOnReturn(t *testing.T) {
+	logs := []*Log{New(Config{}), New(Config{}), New(Config{})}
+	registered := func() int {
+		n := 0
+		for _, l := range logs {
+			n += notifyCount(l)
+		}
+		return n
+	}
+	w := NewWaiter()
+	for _, l := range logs {
+		if !w.Arm(l, 0) {
+			t.Fatal("Arm on an empty log returned false")
+		}
+	}
+	if n := registered(); n != len(logs) {
+		t.Fatalf("%d callbacks registered, want %d", n, len(logs))
+	}
+	go logs[1].Append(ev("x"), t0)
+	if !w.Wait(nil, time.After(5*time.Second)) {
+		t.Fatal("append to one armed log did not wake the waiter")
+	}
+	if n := registered(); n != 0 {
+		t.Fatalf("%d callbacks left registered after a wake", n)
+	}
+
+	for _, l := range []*Log{logs[0], logs[2]} {
+		w.Arm(l, 0)
+	}
+	if w.Wait(nil, time.After(10*time.Millisecond)) {
+		t.Fatal("dry logs woke the waiter")
+	}
+	if n := registered(); n != 0 {
+		t.Fatalf("%d callbacks left registered after a timeout", n)
+	}
+
+	w.Arm(logs[0], 0)
+	w.Arm(logs[2], 0)
+	if w.Arm(logs[1], 0) {
+		t.Fatal("Arm registered below the log end")
+	}
+	if n := registered(); n != 0 {
+		t.Fatalf("%d callbacks left registered after a false Arm", n)
+	}
+}
+
+// TestWaiterStalePokeCostsAtMostOneWake: a callback collected by an
+// append just before its cancel pokes the waiter after Wait returned.
+// The next round's first Arm drops that poke, and a poke that lands
+// after arming costs exactly one spurious wake, never a second.
+func TestWaiterStalePokeCostsAtMostOneWake(t *testing.T) {
+	l := New(Config{})
+	w := NewWaiter()
+	w.Arm(l, 0)
+	w.Wait(nil, time.After(time.Millisecond))
+	w.poke() // the late callback of the round that just ended
+
+	if !w.Arm(l, 0) {
+		t.Fatal("Arm on an empty log returned false")
+	}
+	if w.Wait(nil, time.After(20*time.Millisecond)) {
+		t.Fatal("a poke from the previous round woke the waiter")
+	}
+
+	w.Arm(l, 0)
+	w.poke() // late callback landing after this round armed
+	if !w.Wait(nil, time.After(5*time.Second)) {
+		t.Fatal("poke after arming did not wake the waiter")
+	}
+	w.Arm(l, 0)
+	if w.Wait(nil, time.After(20*time.Millisecond)) {
+		t.Fatal("one stale poke woke the waiter twice")
+	}
+	if n := notifyCount(l); n != 0 {
+		t.Fatalf("%d callbacks left registered", n)
 	}
 }
 
@@ -535,5 +668,29 @@ func TestReadsCounter(t *testing.T) {
 	}
 	if n := l.Reads(); n != 2 {
 		t.Fatalf("Reads = %d, want 2", n)
+	}
+}
+
+// TestWaiterRoundAllocatesNothing: arming, the append that wakes the
+// waiters, and the wait itself allocate nothing once the waiters exist —
+// the replica long-poll parks on this path whenever a follower is
+// caught up.
+func TestWaiterRoundAllocatesNothing(t *testing.T) {
+	l := New(Config{})
+	waiters := []*Waiter{NewWaiter(), NewWaiter(), NewWaiter()}
+	e := ev("x")
+	round := func() {
+		end := l.EndOffset()
+		for _, w := range waiters {
+			w.Arm(l, end)
+		}
+		l.Append(e, t0)
+		for _, w := range waiters {
+			w.Wait(nil, nil)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("a waiter round allocates %.1f times, want 0", allocs)
 	}
 }

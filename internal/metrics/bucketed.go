@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// BucketHist is a lock-free log-linear histogram built for the 0-alloc
-// data-plane hot paths: Observe is three uncontended atomic adds into a
-// fixed bucket array — no mutex, no map lookup, no allocation, constant
-// time regardless of the value. It trades the reservoir Histogram's
-// exact samples for bounded relative error: each power-of-two range is
-// split into 16 linear sub-buckets, so any quantile is reported within
-// 1/16 (6.25%) of the true value. Values are unit-agnostic int64s; by
+// BucketHist is the package's one histogram, a lock-free log-linear one
+// built for the 0-alloc data-plane hot paths: Observe is three
+// uncontended atomic adds into a fixed bucket array — no mutex, no map
+// lookup, no allocation, constant time regardless of the value. It
+// trades exact samples for bounded relative error: each power-of-two
+// range is split into 16 linear sub-buckets, so any quantile is reported
+// within 1/16 (6.25%) of the true value. Values are unit-agnostic int64s; by
 // convention metric names carry the unit suffix (_ns, _bytes, _events).
 //
 // The first bhSub buckets are exact (width 1) so tiny distributions —

@@ -173,9 +173,8 @@ func TestRegistryExportAndPrometheus(t *testing.T) {
 	r.Counter("fabric.produced").Add(3)
 	r.Gauge("wire.sessions_open").Set(2)
 	r.BucketHist("fabric.produce_ns").Observe(1500)
-	r.Histogram("legacy.latency").ObserveMs(4)
 	ex := r.Export()
-	if len(ex.Counters) != 1 || len(ex.Gauges) != 1 || len(ex.Hists) != 1 || len(ex.Summaries) != 1 {
+	if len(ex.Counters) != 1 || len(ex.Gauges) != 1 || len(ex.Hists) != 1 {
 		t.Fatalf("export shape: %+v", ex)
 	}
 	var sb strings.Builder
@@ -188,7 +187,6 @@ func TestRegistryExportAndPrometheus(t *testing.T) {
 		"# TYPE octopus_fabric_produce_ns histogram",
 		`octopus_fabric_produce_ns_bucket{broker="0",le="+Inf"} 1`,
 		"octopus_fabric_produce_ns_count{broker=\"0\"} 1",
-		`octopus_legacy_latency{broker="0",quantile="0.5"} 4`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)

@@ -1,12 +1,11 @@
 // Package metrics provides the lightweight instrumentation used across
-// Octopus: counters, gauges, latency histograms with percentile queries,
-// and time-series recorders for the figures in the evaluation. It stands
-// in for the CloudWatch/Grafana monitoring stack of the paper.
+// Octopus: counters, gauges, bucketed histograms with percentile
+// queries, and time-series recorders for the figures in the evaluation.
+// It stands in for the CloudWatch/Grafana monitoring stack of the paper.
 package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,149 +35,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Histogram records duration observations and answers percentile queries.
-// It keeps exact samples up to a cap and then switches to reservoir
-// sampling, which is accurate enough for P50/P99 reporting at the volumes
-// the benchmarks generate.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []float64 // milliseconds
-	count   int64
-	sum     float64
-	max     float64
-	cap     int
-	rng     uint64
-}
-
-// NewHistogram creates a histogram retaining up to capSamples samples
-// (8192 if capSamples <= 0).
-func NewHistogram(capSamples int) *Histogram {
-	if capSamples <= 0 {
-		capSamples = 8192
-	}
-	return &Histogram{cap: capSamples, rng: 0x9E3779B97F4A7C15}
-}
-
-// Observe records a duration.
-func (h *Histogram) Observe(d time.Duration) { h.ObserveMs(float64(d) / float64(time.Millisecond)) }
-
-// ObserveMs records a latency expressed in milliseconds.
-func (h *Histogram) ObserveMs(ms float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sum += ms
-	if ms > h.max {
-		h.max = ms
-	}
-	if len(h.samples) < h.cap {
-		h.samples = append(h.samples, ms)
-		return
-	}
-	// Vitter's Algorithm R reservoir replacement.
-	h.rng = h.rng*6364136223846793005 + 1442695040888963407
-	idx := int(h.rng % uint64(h.count))
-	if idx < h.cap {
-		h.samples[idx] = ms
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the mean observation in milliseconds.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Max returns the maximum observation in milliseconds.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Quantile returns the q-quantile (0..1) in milliseconds. Each call
-// copies and sorts the sample set; callers that need several quantiles
-// of one consistent view (an exposition pass) should use Summary, which
-// sorts once for all of them.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	s := append([]float64(nil), h.samples...)
-	h.mu.Unlock()
-	if len(s) == 0 {
-		return 0
-	}
-	sort.Float64s(s)
-	return quantileSorted(s, q)
-}
-
-// quantileSorted interpolates the q-quantile of an ascending sample set.
-func quantileSorted(s []float64, q float64) float64 {
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// HistogramSummary is one consistent view of a Histogram: count, mean,
-// max and the reporting quantiles, all from a single sorted copy of the
-// sample set.
-type HistogramSummary struct {
-	Count         int64
-	MeanMs, MaxMs float64
-	P50Ms, P99Ms  float64
-	SumMs         float64
-}
-
-// Summary takes one consistent snapshot of the histogram — one lock
-// acquisition, one sample copy, one sort — and derives every reported
-// statistic from it. The seed's Snapshot called Count/Median/P99
-// separately, copying and sorting the full sample slice under the lock
-// three times per exposition line; Summary is the single-pass
-// replacement.
-func (h *Histogram) Summary() HistogramSummary {
-	h.mu.Lock()
-	s := append([]float64(nil), h.samples...)
-	out := HistogramSummary{Count: h.count, MaxMs: h.max, SumMs: h.sum}
-	if h.count > 0 {
-		out.MeanMs = h.sum / float64(h.count)
-	}
-	h.mu.Unlock()
-	if len(s) == 0 {
-		return out
-	}
-	sort.Float64s(s)
-	out.P50Ms = quantileSorted(s, 0.5)
-	out.P99Ms = quantileSorted(s, 0.99)
-	return out
-}
-
-// Median returns the 50th percentile in milliseconds.
-func (h *Histogram) Median() float64 { return h.Quantile(0.5) }
-
-// P99 returns the 99th percentile in milliseconds.
-func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 
 // Point is one sample of a time series.
 type Point struct {
@@ -255,20 +111,18 @@ func (s *Series) MaxValue() float64 {
 
 // Registry is a named collection of metrics, one per component instance.
 type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	bhists     map[string]*BucketHist
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	bhists   map[string]*BucketHist
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		bhists:     make(map[string]*BucketHist),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		bhists:   make(map[string]*BucketHist),
 	}
 }
 
@@ -296,18 +150,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(0)
-		r.histograms[name] = h
-	}
-	return h
-}
-
 // BucketHist returns (creating if needed) the named lock-free bucketed
 // histogram. Callers on hot paths resolve the handle once at setup and
 // hold it: the lookup takes the registry mutex.
@@ -323,9 +165,7 @@ func (r *Registry) BucketHist(name string) *BucketHist {
 }
 
 // Snapshot renders all metrics as sorted "name value" lines, in the
-// spirit of a Prometheus exposition, for the admin consoles. Each
-// reservoir histogram contributes one line computed from a single
-// consistent Summary (one copy + sort), not one per statistic.
+// spirit of a Prometheus exposition, for the admin consoles.
 func (r *Registry) Snapshot() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -335,10 +175,6 @@ func (r *Registry) Snapshot() []string {
 	}
 	for n, g := range r.gauges {
 		lines = append(lines, fmt.Sprintf("gauge %s %d", n, g.Value()))
-	}
-	for n, h := range r.histograms {
-		s := h.Summary()
-		lines = append(lines, fmt.Sprintf("histogram %s count=%d p50=%.2fms p99=%.2fms", n, s.Count, s.P50Ms, s.P99Ms))
 	}
 	for n, h := range r.bhists {
 		s := h.Snapshot()
@@ -360,26 +196,18 @@ type NamedBucketHist struct {
 	Snap BucketSnapshot
 }
 
-// NamedSummary is one exported reservoir histogram, reduced to its
-// reporting statistics (milliseconds).
-type NamedSummary struct {
-	Name    string
-	Summary HistogramSummary
-}
-
 // Export is a registry's full content at one point in time — the
 // payload behind both the Prometheus endpoint and the wire-level stats
 // op. Slices are sorted by name.
 type Export struct {
-	Counters  []NamedValue
-	Gauges    []NamedValue
-	Hists     []NamedBucketHist
-	Summaries []NamedSummary
+	Counters []NamedValue
+	Gauges   []NamedValue
+	Hists    []NamedBucketHist
 }
 
 // Export captures every metric in the registry. The registry mutex is
-// held only while collecting handles; histogram snapshots and summary
-// sorts run outside it.
+// held only while collecting handles; histogram snapshots run outside
+// it.
 func (r *Registry) Export() Export {
 	r.mu.Lock()
 	counters := make([]NamedValue, 0, len(r.counters))
@@ -389,16 +217,6 @@ func (r *Registry) Export() Export {
 	gauges := make([]NamedValue, 0, len(r.gauges))
 	for n, g := range r.gauges {
 		gauges = append(gauges, NamedValue{Name: n, Value: g.Value()})
-	}
-	hh := make([]struct {
-		name string
-		h    *Histogram
-	}, 0, len(r.histograms))
-	for n, h := range r.histograms {
-		hh = append(hh, struct {
-			name string
-			h    *Histogram
-		}{n, h})
 	}
 	bh := make([]struct {
 		name string
@@ -413,15 +231,11 @@ func (r *Registry) Export() Export {
 	r.mu.Unlock()
 
 	out := Export{Counters: counters, Gauges: gauges}
-	for _, e := range hh {
-		out.Summaries = append(out.Summaries, NamedSummary{Name: e.name, Summary: e.h.Summary()})
-	}
 	for _, e := range bh {
 		out.Hists = append(out.Hists, NamedBucketHist{Name: e.name, Snap: e.h.Snapshot()})
 	}
 	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
 	sort.Slice(out.Gauges, func(i, j int) bool { return out.Gauges[i].Name < out.Gauges[j].Name })
 	sort.Slice(out.Hists, func(i, j int) bool { return out.Hists[i].Name < out.Hists[j].Name })
-	sort.Slice(out.Summaries, func(i, j int) bool { return out.Summaries[i].Name < out.Summaries[j].Name })
 	return out
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -35,72 +34,16 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramExactQuantiles(t *testing.T) {
-	h := NewHistogram(0)
-	for i := 1; i <= 100; i++ {
-		h.ObserveMs(float64(i))
-	}
-	if got := h.Median(); math.Abs(got-50.5) > 1 {
-		t.Fatalf("median = %v", got)
-	}
-	if got := h.P99(); math.Abs(got-99) > 1.5 {
-		t.Fatalf("p99 = %v", got)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if math.Abs(h.Mean()-50.5) > 1e-9 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	if h.Max() != 100 {
-		t.Fatalf("max = %v", h.Max())
-	}
-}
-
-func TestHistogramEmptyIsZero(t *testing.T) {
-	h := NewHistogram(0)
-	if h.Median() != 0 || h.P99() != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram not zero")
-	}
-}
-
-func TestHistogramObserveDuration(t *testing.T) {
-	h := NewHistogram(0)
-	h.Observe(250 * time.Millisecond)
-	if got := h.Median(); math.Abs(got-250) > 1e-9 {
-		t.Fatalf("median = %v ms", got)
-	}
-}
-
-func TestHistogramReservoirStaysBounded(t *testing.T) {
-	h := NewHistogram(100)
-	for i := 0; i < 10000; i++ {
-		h.ObserveMs(float64(i % 50))
-	}
-	if h.Count() != 10000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if len(h.samples) != 100 {
-		t.Fatalf("samples = %d, want capped at 100", len(h.samples))
-	}
-	// All values are in [0,50), so quantiles must be too.
-	if q := h.Quantile(0.5); q < 0 || q >= 50 {
-		t.Fatalf("median = %v out of range", q)
-	}
-}
-
 func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(vals []float64) bool {
-		h := NewHistogram(0)
+	f := func(vals []int64) bool {
+		var h BucketHist
 		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			h.ObserveMs(v)
+			h.Observe(v)
 		}
-		q1 := h.Quantile(0.25)
-		q2 := h.Quantile(0.5)
-		q3 := h.Quantile(0.99)
+		s := h.Snapshot()
+		q1 := s.Quantile(0.25)
+		q2 := s.Quantile(0.5)
+		q3 := s.Quantile(0.99)
 		return q1 <= q2 && q2 <= q3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -138,9 +81,8 @@ func TestRegistryReturnsSameInstance(t *testing.T) {
 	if r.Gauge("g").Value() != 7 {
 		t.Fatal("gauge not shared")
 	}
-	h := r.Histogram("h")
-	h.ObserveMs(1)
-	if r.Histogram("h").Count() != 1 {
+	r.BucketHist("h").Observe(1)
+	if r.BucketHist("h").Count() != 1 {
 		t.Fatal("histogram not shared")
 	}
 }

@@ -40,7 +40,7 @@ func PromName(name string) string {
 }
 
 // promLabels renders a label block, merging the source labels with an
-// optional extra pair (le/quantile).
+// optional extra pair (le).
 func promLabels(base, extra string) string {
 	switch {
 	case base == "" && extra == "":
@@ -65,8 +65,7 @@ func typeOnce(w io.Writer, seen map[string]bool, name, kind string) {
 
 // WritePrometheus renders every metric of every source in Prometheus
 // text format. Counters and gauges map directly; bucketed histograms
-// emit cumulative le-buckets (non-empty bounds only, plus +Inf);
-// reservoir histograms emit a quantile summary in milliseconds.
+// emit cumulative le-buckets (non-empty bounds only, plus +Inf).
 func WritePrometheus(w io.Writer, srcs ...PromSource) {
 	seen := make(map[string]bool)
 	exports := make([]Export, len(srcs))
@@ -100,14 +99,6 @@ func WritePrometheus(w io.Writer, srcs ...PromSource) {
 			fmt.Fprintf(w, "%s_bucket%s %d\n", n, promLabels(s.Labels, `le="+Inf"`), h.Snap.Count)
 			fmt.Fprintf(w, "%s_sum%s %d\n", n, promLabels(s.Labels, ""), h.Snap.Sum)
 			fmt.Fprintf(w, "%s_count%s %d\n", n, promLabels(s.Labels, ""), h.Snap.Count)
-		}
-		for _, h := range ex.Summaries {
-			n := PromName(h.Name)
-			typeOnce(w, seen, n, "summary")
-			fmt.Fprintf(w, "%s%s %g\n", n, promLabels(s.Labels, `quantile="0.5"`), h.Summary.P50Ms)
-			fmt.Fprintf(w, "%s%s %g\n", n, promLabels(s.Labels, `quantile="0.99"`), h.Summary.P99Ms)
-			fmt.Fprintf(w, "%s_sum%s %g\n", n, promLabels(s.Labels, ""), h.Summary.SumMs)
-			fmt.Fprintf(w, "%s_count%s %d\n", n, promLabels(s.Labels, ""), h.Summary.Count)
 		}
 	}
 }

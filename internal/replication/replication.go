@@ -43,8 +43,8 @@ type Config struct {
 	// (defaults 2048 events, 1 MiB).
 	MaxEvents int
 	MaxBytes  int
-	// FetchWait is the follower's long-poll: a caught-up follower
-	// parks on the leader's tail waiter this long instead of spinning
+	// FetchWait is the follower's long-poll: a caught-up follower's
+	// fetch parks on the leader log this long instead of spinning
 	// (default 200ms).
 	FetchWait time.Duration
 	// RetryBackoff paces a fetch loop after an error (default 20ms).

@@ -342,3 +342,74 @@ func TestFollowerLogLookupSkipsController(t *testing.T) {
 		t.Fatal("BrokerLog opened a log for a topic the controller no longer has")
 	}
 }
+
+// TestCaughtUpFollowerParksOnLeaderLog pins the replica long-poll: a
+// caught-up follower's fetch parks on the leader log instead of
+// re-reading it, so an idle partition costs the leader no reads, and an
+// append wakes the parked fetch at once rather than when FetchWait
+// lapses.
+func TestCaughtUpFollowerParksOnLeaderLog(t *testing.T) {
+	const fetchWait = 5 * time.Second
+	f, _, mgrs := testCluster(t, Config{FetchWait: fetchWait}, 1)
+	if _, err := f.CreateTopic("idle", "", cluster.TopicConfig{Partitions: 1, ReplicationFactor: 3}); err != nil {
+		t.Fatalf("CreateTopic: %v", err)
+	}
+	startAll(mgrs)
+	produceN(t, f, "idle", 3, broker.AcksAll)
+	pm := partMeta(t, f, "idle")
+	tp := broker.TP{Topic: "idle", Partition: 0}
+	caughtUp := func(end int64) func() bool {
+		return func() bool {
+			for _, id := range pm.Replicas {
+				n, _ := f.Node(id)
+				if l, ok := n.ReplicaLog(tp); !ok || l.EndOffset() != end {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	waitFor(t, "followers caught up", caughtUp(3))
+	leader, err := f.LeaderLog("idle", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The followers' next fetches read the leader log once, find it dry
+	// and park; wait until the read count settles.
+	waitFor(t, "follower fetches parked", func() bool {
+		before := leader.Reads()
+		time.Sleep(50 * time.Millisecond)
+		return leader.Reads() == before
+	})
+	before := leader.Reads()
+	time.Sleep(300 * time.Millisecond)
+	if delta := leader.Reads() - before; delta != 0 {
+		t.Fatalf("caught-up followers performed %d leader log reads while idle", delta)
+	}
+
+	start := time.Now()
+	produceN(t, f, "idle", 1, broker.AcksLeader)
+	waitFor(t, "append replicated", caughtUp(4))
+	if d := time.Since(start); d > fetchWait/5 {
+		t.Fatalf("append reached the followers after %v: the parked fetch was not woken (FetchWait %v)", d, fetchWait)
+	}
+
+	// In-process fetches carry no stop channel, so stopping the managers
+	// waits for their parked fetches: wake them with appends until every
+	// manager is down.
+	stopped := make(chan struct{})
+	go func() {
+		for _, m := range mgrs {
+			m.Stop()
+		}
+		close(stopped)
+	}()
+	for {
+		select {
+		case <-stopped:
+			return
+		case <-time.After(10 * time.Millisecond):
+			produceN(t, f, "idle", 1, broker.AcksLeader)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/event"
+	"repro/internal/eventlog"
 	"repro/internal/metrics"
 )
 
@@ -52,9 +53,9 @@ type partState struct {
 	// hw is the partition high watermark: max(previous hw, min over
 	// ISR members' tracked LEOs). Monotonic.
 	hw int64
-	// waitCh wakes WaitCommitted callers on HW advance; nil when no
-	// one waits.
-	waitCh chan struct{}
+	// hwCh wakes WaitCommitted callers on HW advance; nil when no one
+	// waits.
+	hwCh chan struct{}
 
 	hwGauge *metrics.Gauge
 	lag     map[int]*metrics.Gauge
@@ -149,9 +150,9 @@ func (t *Tracker) recomputeLocked(st *partState) {
 		t.hHwAdvance.Observe(min - st.hw)
 		st.hw = min
 		st.hwGauge.Set(min)
-		if st.waitCh != nil {
-			close(st.waitCh)
-			st.waitCh = nil
+		if st.hwCh != nil {
+			close(st.hwCh)
+			st.hwCh = nil
 		}
 	}
 }
@@ -234,10 +235,10 @@ func (t *Tracker) WaitCommitted(tp broker.TP, lastOffset int64) error {
 			t.mu.Unlock()
 			return nil
 		}
-		if st.waitCh == nil {
-			st.waitCh = make(chan struct{})
+		if st.hwCh == nil {
+			st.hwCh = make(chan struct{})
 		}
-		ch := st.waitCh
+		ch := st.hwCh
 		t.mu.Unlock()
 		select {
 		case <-ch:
@@ -325,12 +326,8 @@ func (t *Tracker) ReplicaFetch(followerID int, tp broker.TP, epoch, offset int64
 
 	res := broker.ReplicaFetchResult{LeaderEpoch: curEpoch}
 	evs, rerr := log.ReadBudgetInto(offset, maxEvents, maxBytes, dst)
-	if rerr == nil && len(evs) == 0 && wait > 0 {
-		// Caught up: park on the leader's tail waiter like a long-poll
-		// consumer, then take one more non-blocking read.
-		if _, werr := log.WaitAppend(offset, wait, stop); werr == nil {
-			evs, rerr = log.ReadBudgetInto(offset, maxEvents, maxBytes, dst)
-		}
+	if rerr == nil && len(evs) == 0 && wait > 0 && eventlog.WaitReadable(log, offset, wait, stop) {
+		evs, rerr = log.ReadBudgetInto(offset, maxEvents, maxBytes, dst)
 	}
 	if rerr == nil {
 		res.Events = evs

@@ -99,7 +99,7 @@ func (o *Operator) Run(spec RunSpec) (RunResult, error) {
 	}
 
 	// --- Producer phase ---
-	lat := metrics.NewHistogram(16384)
+	var lat metrics.BucketHist // produce round trips, ns
 	var produced int64
 	var mu sync.Mutex
 	start := time.Now()
@@ -117,7 +117,7 @@ func (o *Operator) Run(spec RunSpec) (RunResult, error) {
 					if _, err := tr.Produce("", spec.Topic, -1, batch, spec.Acks); err != nil {
 						return
 					}
-					lat.Observe(time.Since(t0))
+					lat.ObserveDuration(time.Since(t0))
 					mu.Lock()
 					produced += int64(len(batch))
 					mu.Unlock()
@@ -167,11 +167,12 @@ func (o *Operator) Run(spec RunSpec) (RunResult, error) {
 	}
 	consumeElapsed := time.Since(consStart)
 
+	snap := lat.Snapshot()
 	res := RunResult{
 		Produced:     produced,
 		Consumed:     consumed,
-		ProduceMedMs: lat.Median(),
-		ProduceP99Ms: lat.P99(),
+		ProduceMedMs: snap.Quantile(0.5) / 1e6,
+		ProduceP99Ms: snap.Quantile(0.99) / 1e6,
 	}
 	if produceElapsed > 0 {
 		res.ProduceThru = float64(produced) / produceElapsed.Seconds()

@@ -197,8 +197,8 @@ type Trigger struct {
 	stopCh      chan struct{}
 	stopped     bool
 	wg          sync.WaitGroup
-	// retire is closed on resize: the current worker set exits, parked
-	// or not, and its replacement gets a channel of its own.
+	// retire is closed on resize and on Stop: the current worker set
+	// exits, parked or not, and a replacement gets a channel of its own.
 	retire chan struct{}
 
 	active          atomic.Int64
@@ -276,14 +276,21 @@ func (t *Trigger) Stop() {
 	}
 	t.stopped = true
 	close(t.stopCh)
+	if t.retire != nil {
+		close(t.retire)
+	}
 	t.mu.Unlock()
 	t.wg.Wait()
 }
 
 // spawnWorkers retires the current worker set and starts n workers, so a
-// resize is a full worker-set replacement.
+// resize is a full worker-set replacement. A stopped trigger starts none.
 func (t *Trigger) spawnWorkers(n int) {
 	t.mu.Lock()
+	if t.stopped {
+		t.mu.Unlock()
+		return
+	}
 	if t.retire != nil {
 		close(t.retire)
 	}
@@ -304,41 +311,18 @@ type worker struct {
 	positions map[int]int64
 	// fetched and matched are the reused fetch and filter buffers.
 	fetched, matched []event.Event
-	// wake has room for one poke, which is all a parked worker needs;
-	// poke is the append callback every partition shares.
-	wake chan struct{}
-	poke func()
-	// dry lists the partitions the last round read to their end; armed
-	// holds the append callbacks registered on them while parked.
-	dry   []int
-	armed []armedNotify
+	// dry lists the partitions the last round read to their end.
+	dry    []int
+	waiter *eventlog.Waiter
 }
 
-type armedNotify struct {
-	log    *eventlog.Log
-	handle uint64
-}
-
-// worker services the partitions congruent to idx modulo n until the
-// trigger stops or retire closes.
+// worker services the partitions congruent to idx modulo n until retire
+// closes (a resize or Stop).
 func (t *Trigger) worker(idx, n int, retire <-chan struct{}) {
 	defer t.wg.Done()
-	wake := make(chan struct{}, 1)
-	w := &worker{
-		t:         t,
-		positions: make(map[int]int64),
-		wake:      wake,
-		poke: func() {
-			select {
-			case wake <- struct{}{}:
-			default:
-			}
-		},
-	}
+	w := &worker{t: t, positions: make(map[int]int64), waiter: eventlog.NewWaiter()}
 	for {
 		select {
-		case <-t.stopCh:
-			return
 		case <-retire:
 			return
 		default:
@@ -367,42 +351,19 @@ func (t *Trigger) worker(idx, n int, retire <-chan struct{}) {
 // resize, or BatchWindow — the bound on going without a look at what no
 // append announces: a partition that failed to read, or one whose
 // leader has moved to another log. It parks no goroutine per partition:
-// each dry partition's log gets a one-shot callback that pokes w.wake.
+// the worker's one Waiter is armed on every dry partition's log.
 func (w *worker) park(retire <-chan struct{}) {
 	t := w.t
-	// A poke left over from a callback cancelled too late would cost an
-	// empty round; arming below re-checks every log, so none is lost.
-	select {
-	case <-w.wake:
-	default:
-	}
-	ready := false
 	for _, p := range w.dry {
 		log, err := t.fabric.LeaderLog(t.cfg.Topic, p)
 		if err != nil {
 			continue
 		}
-		handle, registered := log.NotifyAppend(w.positions[p], w.poke)
-		if !registered {
-			// Appended to since the read (or closed, which the next
-			// read reports): go round again.
-			ready = true
-			break
-		}
-		w.armed = append(w.armed, armedNotify{log, handle})
-	}
-	if !ready {
-		select {
-		case <-w.wake:
-		case <-retire:
-		case <-t.stopCh:
-		case <-t.clock.After(t.cfg.BatchWindow):
+		if !w.waiter.Arm(log, w.positions[p]) {
+			return // appended to (or closed) since the read: go round
 		}
 	}
-	for _, a := range w.armed {
-		a.log.CancelNotify(a.handle)
-	}
-	w.armed = w.armed[:0]
+	w.waiter.Wait(retire, t.clock.After(t.cfg.BatchWindow))
 }
 
 // processOne fetches and handles one batch from partition p. It reports

@@ -126,11 +126,20 @@ func TestStopWhileParkedReturnsPromptly(t *testing.T) {
 }
 
 // triggerGoroutines counts the live goroutines started by Trigger
-// methods: workers, scale loops, and whatever else they might spawn.
+// methods: workers, scale loops, and whatever else they might spawn. One
+// still inside its final wg.Done is exiting — Stop has already returned
+// on it — and is not counted, or a baseline taken just after the
+// previous test's Stop could include it.
 func triggerGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
-	return strings.Count(string(buf), "created by repro/internal/trigger.(*Trigger).")
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by repro/internal/trigger.(*Trigger).") && !strings.Contains(g, "sync.(*WaitGroup).Done(") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestResizeWhileParkedTakesEffectPromptly: when the scale loop replaces

@@ -208,40 +208,25 @@ func TestOutOfOrderResponseDelivery(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSlowHandlerDoesNotBlockPipeline pipelines a cheap ping behind an
-// expensive fetch on one connection against the real server: concurrent
-// handlers must deliver the ping response while the fetch is still being
-// encoded and written.
+// TestSlowHandlerDoesNotBlockPipeline pipelines a cheap ping behind a
+// fetch that cannot finish on one connection against the real server:
+// the fetch long-polls an empty partition, so it stays parked until the
+// test appends, and the ping's response must arrive first in every
+// round. A serial server answers strictly in request order: it would
+// hold the ping behind the parked fetch until the long-poll lapsed.
 func TestSlowHandlerDoesNotBlockPipeline(t *testing.T) {
 	f, addr, stop := startServer(t, true)
 	defer stop()
 	if _, err := f.CreateTopic("slow", "", cluster.TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// ~24 MB of fetchable data makes the fetch handler's encode+write
-	// take macroscopic time.
-	payload := make([]byte, 8192)
-	batch := make([]event.Event, 128)
-	for i := range batch {
-		batch[i] = event.Event{Value: payload}
-	}
-	for i := 0; i < 24; i++ {
-		if _, err := f.Produce("", "slow", 0, batch, broker.AcksLeader); err != nil {
-			t.Fatal(err)
-		}
-	}
 	conn, rd, _ := dialNegotiated(t, addr, 0)
-	// Raw frames on purpose: each round puts a fetch and a ping on the
-	// server back to back before either response is read. A serial
-	// server answers strictly in request order, so the ping beating the
-	// fetch even once proves handlers interleave; requiring one win in
-	// several rounds keeps the test deterministic on a loaded host where
-	// a fetch occasionally completes within its first scheduler quantum.
-	pingFirst := 0
 	const rounds = 5
 	for r := 0; r < rounds; r++ {
 		fetchCorr, pingCorr := uint64(2*r+1), uint64(2*r+2)
-		frames, err := appendFrameRequestV2(nil, fetchCorr, &FetchReq{Topic: "slow", MaxEvents: 1 << 20}, nil)
+		// The partition holds r events, so a fetch at offset r is dry.
+		fetch := &FetchReq{Topic: "slow", Offset: int64(r), MaxEvents: 16, WaitMaxMS: 5000}
+		frames, err := appendFrameRequestV2(nil, fetchCorr, fetch, nil)
 		if err == nil {
 			frames, err = appendFrameRequestV2(frames, pingCorr, &PingReq{}, nil)
 		}
@@ -251,27 +236,17 @@ func TestSlowHandlerDoesNotBlockPipeline(t *testing.T) {
 		if _, err := conn.Write(frames); err != nil {
 			t.Fatal(err)
 		}
-		fetchEvents := -1
-		for i := 0; i < 2; i++ {
-			hdr := readRespRaw(t, rd)
-			_, corr, _ := DecodeResponseV2(hdr, nil)
-			if i == 0 && corr == pingCorr {
-				pingFirst++
-			}
-			if corr == fetchCorr {
-				var fetch FetchResp
-				if _, _, err := DecodeResponseV2(hdr, &fetch); err != nil {
-					t.Fatal(err)
-				}
-				fetchEvents = fetch.NumEvents
-			}
+		if _, corr, _ := DecodeResponseV2(readRespRaw(t, rd), nil); corr != pingCorr {
+			t.Fatalf("round %d: first response has corr %d, want the ping's %d: a parked fetch blocked the pipeline", r, corr, pingCorr)
 		}
-		if fetchEvents != 24*128 {
-			t.Fatalf("round %d: fetch response events=%d", r, fetchEvents)
+		if _, err := f.Produce("", "slow", 0, []event.Event{{Value: []byte("release")}}, broker.AcksLeader); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if pingFirst == 0 {
-		t.Fatalf("ping never overtook the slow fetch in %d rounds: handlers are not interleaving", rounds)
+		var resp FetchResp
+		_, corr, err := DecodeResponseV2(readRespRaw(t, rd), &resp)
+		if err != nil || corr != fetchCorr || resp.NumEvents != 1 {
+			t.Fatalf("round %d: fetch response corr %d events %d, %v; want corr %d with the appended event", r, corr, resp.NumEvents, err, fetchCorr)
+		}
 	}
 }
 

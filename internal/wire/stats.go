@@ -23,7 +23,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"math"
 
 	"repro/internal/broker"
 	"repro/internal/metrics"
@@ -90,18 +89,6 @@ func (h *StatHist) Quantile(q float64) float64 {
 	return 0
 }
 
-// StatSummary is one legacy reservoir histogram's pre-computed summary
-// (millisecond units, as the registry exports them).
-type StatSummary struct {
-	Name   string
-	Count  int64
-	MeanMs float64
-	MaxMs  float64
-	P50Ms  float64
-	P99Ms  float64
-	SumMs  float64
-}
-
 // StatsTrace is one sampled produce from the stage-trace ring. StageNs
 // is index-aligned with StatsResp.TraceStages, so a client renders
 // stages by the names the server declares rather than compiled-in
@@ -121,9 +108,6 @@ type StatsResp struct {
 	Counters []StatEntry
 	Gauges   []StatEntry
 	Hists    []StatHist
-	// Summaries carries legacy reservoir histograms (Registry.Histogram),
-	// pre-summarized server-side.
-	Summaries []StatSummary
 	// TraceStages names the produce stages, index-aligned with every
 	// trace's StageNs.
 	TraceStages []string
@@ -132,17 +116,6 @@ type StatsResp struct {
 	TraceEvery   uint64
 	TraceSampled uint64
 	Traces       []StatsTrace
-}
-
-func appendF64(buf []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
-}
-
-func getF64(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, errShortMsg
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(b)), b[8:], nil
 }
 
 func appendStatEntries(buf []byte, es []StatEntry) []byte {
@@ -190,16 +163,6 @@ func (m *StatsResp) AppendBody(buf []byte) []byte {
 			buf = binary.AppendUvarint(buf, uint64(bk.Index))
 			buf = appendInt(buf, bk.Count)
 		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(m.Summaries)))
-	for _, s := range m.Summaries {
-		buf = appendStr(buf, s.Name)
-		buf = appendInt(buf, s.Count)
-		buf = appendF64(buf, s.MeanMs)
-		buf = appendF64(buf, s.MaxMs)
-		buf = appendF64(buf, s.P50Ms)
-		buf = appendF64(buf, s.P99Ms)
-		buf = appendF64(buf, s.SumMs)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(m.TraceStages)))
 	for _, s := range m.TraceStages {
@@ -273,39 +236,6 @@ func (m *StatsResp) DecodeBody(b []byte) error {
 			h.Buckets = append(h.Buckets, bk)
 		}
 		m.Hists = append(m.Hists, h)
-	}
-	ns, b, err := getUint(b)
-	if err != nil || ns > uint64(len(b)) {
-		return errShortMsg
-	}
-	m.Summaries = nil
-	if ns > 0 {
-		m.Summaries = make([]StatSummary, 0, ns)
-	}
-	for i := uint64(0); i < ns; i++ {
-		var s StatSummary
-		if s.Name, b, err = getStr(b); err != nil {
-			return err
-		}
-		if s.Count, b, err = getInt(b); err != nil {
-			return err
-		}
-		if s.MeanMs, b, err = getF64(b); err != nil {
-			return err
-		}
-		if s.MaxMs, b, err = getF64(b); err != nil {
-			return err
-		}
-		if s.P50Ms, b, err = getF64(b); err != nil {
-			return err
-		}
-		if s.P99Ms, b, err = getF64(b); err != nil {
-			return err
-		}
-		if s.SumMs, b, err = getF64(b); err != nil {
-			return err
-		}
-		m.Summaries = append(m.Summaries, s)
 	}
 	nst, b, err := getUint(b)
 	if err != nil || nst > uint64(len(b)) {
@@ -386,14 +316,6 @@ func (m *StatsResp) appendExport(ex *metrics.Export) {
 			}
 		}
 		m.Hists = append(m.Hists, sh)
-	}
-	for _, s := range ex.Summaries {
-		m.Summaries = append(m.Summaries, StatSummary{
-			Name: s.Name, Count: s.Summary.Count,
-			MeanMs: s.Summary.MeanMs, MaxMs: s.Summary.MaxMs,
-			P50Ms: s.Summary.P50Ms, P99Ms: s.Summary.P99Ms,
-			SumMs: s.Summary.SumMs,
-		})
 	}
 }
 

@@ -133,8 +133,8 @@ func fuzzRespSeeds() []struct {
 }
 
 // statsRespSeed returns a StatsResp exercising every section of the
-// body: counters, gauges, sparse histograms, legacy summaries, and the
-// produce stage-trace ring.
+// body: counters, gauges, sparse histograms, and the produce
+// stage-trace ring.
 func statsRespSeed() *StatsResp {
 	return &StatsResp{
 		BrokerID: 1,
@@ -144,9 +144,6 @@ func statsRespSeed() *StatsResp {
 			{Name: "fabric.produce_ns", Count: 10, Sum: 50_000,
 				Buckets: []StatBucket{{Index: 64, Count: 7}, {Index: 129, Count: 3}}},
 			{Name: "wire_fetch_ns", Count: 0, Sum: 0},
-		},
-		Summaries: []StatSummary{
-			{Name: "fabric.e2e_ms", Count: 5, MeanMs: 1.5, MaxMs: 4, P50Ms: 1.25, P99Ms: 3.9, SumMs: 7.5},
 		},
 		TraceStages:  []string{"leader_append", "replication_hw", "ack"},
 		TraceEvery:   128,
@@ -355,19 +352,25 @@ func dialNegotiated(t *testing.T, addr string, offer uint32) (net.Conn, *bufio.R
 	return conn, rd, resp.Features
 }
 
-// readRespRaw reads one v2 response frame from rd and returns a copy of
-// its header, discarding the payload.
+// readRespRaw reads the next v2 response frame from rd and returns a
+// copy of its header, discarding the payload. Metadata pushes are
+// skipped: the server's epoch watcher may still be pushing a topic
+// created just before the dial.
 func readRespRaw(t *testing.T, rd *bufio.Reader) []byte {
 	t.Helper()
-	var hdr []byte
-	hb, err := readHeaderInto(rd, &hdr)
-	if err != nil {
-		t.Fatal(err)
+	for {
+		var hdr []byte
+		hb, err := readHeaderInto(rd, &hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadPayloadInto(rd, nil); err != nil {
+			t.Fatal(err)
+		}
+		if len(hb) == 0 || hb[0] != v2OpMetadataPush {
+			return hb
+		}
 	}
-	if _, err := ReadPayloadInto(rd, nil); err != nil {
-		t.Fatal(err)
-	}
-	return hb
 }
 
 // TestDialDuringMetadataPush is the start-up race regression test: a

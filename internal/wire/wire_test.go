@@ -343,8 +343,8 @@ func TestLongPollIdleConsumerPerformsNoReads(t *testing.T) {
 	defer stop()
 	sessionTopic(t, f, "lp", 1, 5)
 	// Pin to plain request/response fetch so this exercises the
-	// FetchReq.WaitMaxMS -> FetchWaitInto -> WaitAppend long-poll path
-	// specifically (a session's pump arms append callbacks instead).
+	// FetchReq.WaitMaxMS -> FetchWaitInto -> eventlog.Waiter long-poll
+	// path specifically (a session's pump arms append callbacks itself).
 	c, err := DialOptions(addr, Options{Anonymous: true, MaskFeatures: FeatSessionFetch})
 	if err != nil {
 		t.Fatal(err)

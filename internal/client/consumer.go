@@ -113,8 +113,9 @@ func nextMemberID() string {
 // transport backs those fetches is invisible here: against a
 // FeatSessionFetch peer the wire client multiplexes every assigned
 // partition over one session (and one server goroutine) per
-// connection, against older peers it falls back to per-partition
-// streams, and the consumer's Poll loop is identical either way.
+// connection, against peers without it each fetch is a plain
+// request/response long-poll, and the consumer's Poll loop is
+// identical either way.
 type Consumer struct {
 	t   Transport
 	bf  BufferedFetcher // t's buffered-fetch extension, nil if absent

@@ -38,6 +38,30 @@ func TestAppendBatchMarshalMatchesPerEventMarshal(t *testing.T) {
 	}
 }
 
+// TestAppendBatchMarshalGrowsAmortised pins the growth rule the server's
+// push path depends on: appending batch after batch into one buffer
+// (a connection's pending frames) reallocates it a logarithmic number of
+// times. Growing to the exact fit would reallocate, and copy everything
+// so far, on every append: 64 allocations here.
+func TestAppendBatchMarshalGrowsAmortised(t *testing.T) {
+	const batches = 64
+	evs := batchOf(8)
+	allocs := testing.AllocsPerRun(20, func() {
+		var buf []byte
+		for i := 0; i < batches; i++ {
+			buf = AppendBatchMarshal(buf, evs)
+		}
+	})
+	// Amortised growth reads 12 (Go 1.24: doubling while small, then
+	// ~1.25x plus size-class rounding), and 24 under -race, where the
+	// compiler does not fuse slices.Grow's append-of-make into one
+	// allocation; exact fit reads 64 either way.
+	const bound = batches / 2
+	if allocs > bound {
+		t.Fatalf("%v allocations to append %d batches into one buffer, want ≤ %d", allocs, batches, bound)
+	}
+}
+
 func TestUnmarshalBatchRoundTrip(t *testing.T) {
 	evs := batchOf(6)
 	buf := AppendBatchMarshal(nil, evs)

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -230,18 +231,17 @@ func readBytesZC(b []byte) ([]byte, int, error) {
 	return b[4 : 4+n : 4+n], 4 + n, nil
 }
 
-// AppendBatchMarshal encodes evs back-to-back into one buffer sized
-// exactly once — the wire payload form.
+// AppendBatchMarshal encodes evs back-to-back onto buf — the wire
+// payload form — growing it at most once per call, and amortised: when
+// buf lacks room it grows by a multiple of its length (slices.Grow), not
+// to the exact fit. A caller appending many batches into one buffer
+// therefore copies it O(log n) times, not once per batch.
 func AppendBatchMarshal(buf []byte, evs []Event) []byte {
 	total := 0
 	for i := range evs {
 		total += evs[i].MarshaledSize()
 	}
-	if cap(buf)-len(buf) < total {
-		grown := make([]byte, len(buf), len(buf)+total)
-		copy(grown, buf)
-		buf = grown
-	}
+	buf = slices.Grow(buf, total)
 	for i := range evs {
 		buf = evs[i].AppendMarshal(buf)
 	}

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -633,8 +634,8 @@ func (l *Log) EnforceRetention(now time.Time) int {
 	defer l.mu.Unlock()
 	deleted := 0
 	var dropped []*segment
-	for len(l.segments) > 1 {
-		seg := l.segments[0]
+	for len(l.segments)-len(dropped) > 1 {
+		seg := l.segments[len(dropped)]
 		expired := l.cfg.Retention > 0 && !seg.lastAppend.IsZero() && now.Sub(seg.lastAppend) > l.cfg.Retention
 		overBytes := l.cfg.RetentionBytes > 0 && l.bytes > l.cfg.RetentionBytes
 		if !expired && !overBytes {
@@ -644,9 +645,12 @@ func (l *Log) EnforceRetention(now time.Time) int {
 		l.bytes -= int64(seg.bytes)
 		l.start = seg.nextOffset()
 		dropped = append(dropped, seg)
-		l.segments = l.segments[1:]
 	}
 	l.removeSegmentFiles(dropped)
+	// Copy the survivors down rather than reslicing past the dropped
+	// head: slices.Delete zeroes the vacated tail, so no dropped segment
+	// (and none of its records) stays reachable through the backing array.
+	l.segments = slices.Delete(l.segments, 0, len(dropped))
 	return deleted
 }
 

@@ -3,10 +3,12 @@ package eventlog
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"weak"
 
 	"repro/internal/event"
 )
@@ -170,6 +172,29 @@ func TestRetentionDropsOldSegments(t *testing.T) {
 	if err != nil || len(got) != 10 {
 		t.Fatalf("read after retention: %v, %d events", err, len(got))
 	}
+}
+
+// TestRetentionReleasesDroppedSegments pins that retention frees what it
+// drops: a segment (and every record it holds) must not stay reachable
+// through the segment slice's backing array after EnforceRetention.
+func TestRetentionReleasesDroppedSegments(t *testing.T) {
+	l := New(Config{SegmentEvents: 10, Retention: time.Hour})
+	for i := 0; i < 30; i++ {
+		if _, err := l.Append(ev(fmt.Sprintf("e%d", i)), t0.Add(time.Duration(i)*time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.mu.RLock()
+	first := weak.Make(l.segments[0])
+	l.mu.RUnlock()
+	if deleted := l.EnforceRetention(t0.Add(3 * time.Hour)); deleted != 20 {
+		t.Fatalf("deleted = %d, want 20", deleted)
+	}
+	runtime.GC()
+	if first.Value() != nil {
+		t.Fatal("dropped segment still reachable after retention and a GC")
+	}
+	runtime.KeepAlive(l)
 }
 
 func TestRetentionBytes(t *testing.T) {

@@ -307,6 +307,7 @@ func (l *Log) Truncate(offset int64) error {
 		}
 	}
 	l.removeSegmentFiles(dropped)
+	clear(dropped) // unreachable through the backing array, as in EnforceRetention
 	l.segments = l.segments[:cut+1]
 	seg := l.segments[cut]
 	keep := searchRecords(seg.records, offset)

@@ -89,9 +89,12 @@ type Response struct {
 	ErrKind string `json:"err_kind,omitempty"`
 }
 
-// maxPooledFrame bounds the capacity of a frame buffer a writer or
-// reader keeps for reuse: one giant fetch must not pin megabytes
-// forever.
+// maxPooledFrame bounds the capacity of a frame buffer a client writer
+// or reader keeps for reuse: one giant fetch must not pin megabytes
+// forever. On the server it is also the pending-bytes bound of a
+// connection's write buffer: a session pump does not fetch its next
+// batch while this much is pending, so the server's respWriter keeps
+// both of its buffers (each at most maxRetainedWriteBuf) across flushes.
 const maxPooledFrame = 1 << 20
 
 // WriteFrame writes a frame with a JSON header (the negotiate frame).

@@ -305,20 +305,34 @@ func (s *Server) Close() {
 // many requests are in flight, their responses leave as a handful of
 // packets — which also lets the client's reader drain them from one
 // netpoll wakeup instead of one per response.
+//
+// The pending buffer and the one being written swap on every flush and
+// are both kept for the next cycle (up to maxRetainedWriteBuf), so a
+// steady push stream allocates nothing here. What bounds them is the
+// only bulk pusher no request bounds: a session pump waits in
+// waitPending before fetching while maxPooledFrame bytes are pending.
 type respWriter struct {
 	conn net.Conn
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []byte // encoded frames awaiting flush
-	err    error  // sticky write failure
-	closed bool
-	done   chan struct{} // closed when the flusher exits
+	mu      sync.Mutex
+	cond    *sync.Cond // wakes the flusher: data pending, failure or close
+	drained *sync.Cond // wakes pumps in waitPending: buffer taken, failure, close or session stop
+	buf     []byte     // encoded frames awaiting flush
+	err     error      // sticky write failure
+	closed  bool
+	done    chan struct{} // closed when the flusher exits
 }
+
+// maxRetainedWriteBuf caps the capacity of a write buffer the respWriter
+// keeps across flushes: pending push bytes stay under maxPooledFrame
+// plus one frame, so at steady state both buffers fit and are reused;
+// an outsized request response is written once and then dropped.
+const maxRetainedWriteBuf = 2 * maxPooledFrame
 
 func newRespWriter(conn net.Conn) *respWriter {
 	w := &respWriter{conn: conn, done: make(chan struct{})}
 	w.cond = sync.NewCond(&w.mu)
+	w.drained = sync.NewCond(&w.mu)
 	go w.flushLoop()
 	return w
 }
@@ -326,7 +340,10 @@ func newRespWriter(conn net.Conn) *respWriter {
 // writeV2 enqueues one v2 response frame: a typed binary header (or an
 // error code + detail when respErr is non-nil) followed by the
 // marshaled event batch, encoded directly into the pending buffer — no
-// intermediate payload buffer or second copy.
+// intermediate payload buffer, and no second copy of the frames already
+// pending: the buffer grows amortised (event.AppendBatchMarshal), and at
+// steady state not at all, since it is reused across flushes. It never
+// blocks on the peer; only session pumps wait, in waitPending.
 func (w *respWriter) writeV2(op uint8, corr uint64, m Msg, respErr error, evs []event.Event) error {
 	w.mu.Lock()
 	if w.err != nil {
@@ -345,6 +362,32 @@ func (w *respWriter) writeV2(op uint8, corr uint64, m Msg, respErr error, evs []
 	return nil
 }
 
+// waitPending parks the caller while limit or more bytes are pending,
+// until the flusher takes the buffer, the writer fails or closes, or
+// stop is closed (whoever closes stop then calls wakePending). It
+// reports false once the writer has failed or closed.
+func (w *respWriter) waitPending(limit int, stop <-chan struct{}) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for len(w.buf) >= limit && w.err == nil && !w.closed {
+		select {
+		case <-stop:
+			return true
+		default:
+		}
+		w.drained.Wait()
+	}
+	return w.err == nil && !w.closed
+}
+
+// wakePending releases every waitPending caller to recheck its stop
+// channel. Taking the lock orders it after any check already made.
+func (w *respWriter) wakePending() {
+	w.mu.Lock()
+	w.drained.Broadcast()
+	w.mu.Unlock()
+}
+
 // close stops the flusher and waits for everything enqueued to reach
 // the connection, so tearing the connection down cannot drop responses
 // to requests that were already handled. The write deadline bounds the
@@ -353,6 +396,7 @@ func (w *respWriter) close() {
 	w.mu.Lock()
 	w.closed = true
 	w.cond.Broadcast()
+	w.drained.Broadcast()
 	w.mu.Unlock()
 	_ = w.conn.SetWriteDeadline(time.Now().Add(IOTimeout))
 	<-w.done
@@ -371,18 +415,20 @@ func (w *respWriter) flushLoop() {
 			return
 		}
 		out, w.buf = w.buf, out[:0]
+		w.drained.Broadcast()
 		w.mu.Unlock()
 		_, err := w.conn.Write(out)
 		if err != nil {
 			w.mu.Lock()
 			w.err = err
 			w.cond.Broadcast()
+			w.drained.Broadcast()
 			w.mu.Unlock()
 			// Wake the read loop so the connection tears down.
 			w.conn.Close()
 			return
 		}
-		if cap(out) > maxPooledFrame {
+		if cap(out) > maxRetainedWriteBuf {
 			out = nil
 		}
 	}

@@ -24,7 +24,7 @@
 // event, so zero-payload events still consume window and a stalled
 // reader can never force unbounded frames), because a single window in
 // events would let one large-record partition starve the rest: bytes
-// are the unit the respWriter buffer actually grows in.
+// are the unit pushed frames actually occupy.
 //
 // Per-sub errors (offset out of range, leadership moved, ACL change)
 // are pushed as OpSessionClose frames carrying the sub's corr and the
@@ -56,8 +56,10 @@ const maxSessionSubs = 4096
 const defaultSessionWindow = 1 << 20
 
 // maxSessionWindow caps the shared byte window server-side. The window
-// is what bounds the respWriter buffering a stalled reader can force,
-// so it must be a server-enforced limit, not an attacker-chosen value.
+// bounds what a stalled reader can leave pushed but unconsumed — in
+// socket buffers and the client's queues; the server's own write buffer
+// is bounded separately, by the pump's wait on maxPooledFrame — so it
+// must be a server-enforced limit, not an attacker-chosen value.
 const maxSessionWindow = 16 << 20
 
 // errSession reports session-protocol misuse (duplicate or unknown
@@ -523,6 +525,7 @@ func (ss *connSessions) closeSession(id uint64) {
 	for _, sub := range cancels {
 		sub.log.CancelNotify(sub.notifyH)
 	}
+	ss.w.wakePending() // a pump parked on a stalled reader sees stop
 	ss.srv.met().sessionsOpen.Add(-1)
 }
 
@@ -564,10 +567,21 @@ func (sess *serverSession) nextReadyLocked() *srvSub {
 // itself and arms the log's append callback instead), push it, charge
 // the window, repeat. One goroutine regardless of how many partitions
 // the session subscribes.
+//
+// Before each fetch the pump also waits while maxPooledFrame bytes are
+// pending in the connection's write buffer. The window bounds what the
+// client has not yet consumed, but up to all of it could otherwise pile
+// up in that buffer behind a slow socket; with the wait, the server
+// holds at most the bound plus one frame per pump, and the writer can
+// reuse its buffers instead of regrowing them every flush.
 func (ss *connSessions) pump(sess *serverSession) {
 	defer ss.wg.Done()
 	met := ss.srv.met()
 	for {
+		if !ss.w.waitPending(maxPooledFrame, sess.stop) {
+			ss.closeSession(sess.id)
+			return
+		}
 		sess.mu.Lock()
 		for !sess.closed && (sess.creditBytes <= 0 || sess.ready == 0) {
 			if sess.creditBytes <= 0 && sess.ready > 0 {

@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -420,6 +421,251 @@ func TestSessionGoroutineReleaseOnConnDrop(t *testing.T) {
 	waitGoroutines(t, base+2) // the dropped client's endpoint may linger until Close
 	if n := s.met().sessionsOpen.Value(); n != 0 {
 		t.Fatalf("%d sessions still open after connection drop", n)
+	}
+}
+
+// stallFrameBytes is the push batch bound the stalled-reader sessions
+// open with: the "one frame" the pending bound may be overshot by.
+const stallFrameBytes = 64 << 10
+
+// serverWriterFor returns the server's respWriter for the server side of
+// the client connection conn (white-box).
+func serverWriterFor(t *testing.T, s *Server, conn net.Conn) *respWriter {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for sc, cst := range s.conns {
+		if sc.RemoteAddr().String() == conn.LocalAddr().String() && cst.w != nil {
+			return cst.w
+		}
+	}
+	t.Fatal("no server writer for the connection")
+	return nil
+}
+
+// stallSession opens a session with the largest window on a raw
+// connection whose reader never reads (and whose receive buffer is
+// pinned small), subscribes it to topic's partition 0 — which must hold
+// more than the window — and waits until the server's write buffer
+// reaches the pending bound. It returns the connection and the largest
+// pending byte count seen, including after the pump has had time to
+// push more if it were not parked.
+func stallSession(t *testing.T, s *Server, addr, topic string) (net.Conn, int) {
+	t.Helper()
+	conn, rd, _ := dialNegotiated(t, addr, allFeatures)
+	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	send := func(corr uint64, m ReqMsg) {
+		frame, err := appendFrameRequestV2(nil, corr, m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1, &SessionOpenReq{ID: 1, MaxBytes: stallFrameBytes, CreditBytes: maxSessionWindow})
+	var open SessionOpenResp
+	if _, _, err := DecodeResponseV2(readRespRaw(t, rd), &open); err != nil || open.CreditBytes != maxSessionWindow {
+		t.Fatalf("session open: window %d, %v", open.CreditBytes, err)
+	}
+	w := serverWriterFor(t, s, conn)
+	pending := func() int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.buf)
+	}
+	send(2, &SessionSubReq{SessionID: 1, SubID: 1, Topic: topic})
+	// From here on nothing reads the connection.
+	peak := 0
+	for deadline := time.Now().Add(10 * time.Second); peak < maxPooledFrame; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("pending bytes peaked at %d, never reached the %d-byte bound", peak, maxPooledFrame)
+		}
+		peak = max(peak, pending())
+	}
+	// A parked pump adds nothing more; one that is not would keep
+	// pushing into the buffer the stalled flusher cannot take. An absence
+	// has no event to wait on, so give it time to show.
+	time.Sleep(100 * time.Millisecond)
+	return conn, max(peak, pending())
+}
+
+// TestSessionStalledReaderBoundsPending pins the server's write-side
+// memory bound: a session pushing to a client that stopped reading parks
+// its pump once maxPooledFrame bytes are pending — the window (16 MiB
+// here) is far from spent, and no credit stall is counted — so the
+// server holds at most the bound plus one frame. The parked pump is then
+// released by a SessionClose, and separately by a connection drop, with
+// no goroutine left behind.
+func TestSessionStalledReaderBoundsPending(t *testing.T) {
+	f, s, addr, stop := startSessServer(t)
+	defer stop()
+	// 20 MiB of 4 KiB events: more than the largest window.
+	if _, err := f.CreateTopic("stall", "", cluster.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	evs := make([]event.Event, 256)
+	for i := range evs {
+		evs[i] = event.Event{Value: make([]byte, 4<<10)}
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := f.Produce("", "stall", 0, evs, broker.AcksLeader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The pending buffer may overshoot the bound by the frame that
+	// crossed it: stallFrameBytes of payload plus its event headers.
+	const limit = maxPooledFrame + stallFrameBytes + 4<<10
+	check := func(peak int) {
+		t.Helper()
+		if peak > limit {
+			t.Fatalf("server pending bytes peaked at %d, want ≤ %d (bound %d + one frame)", peak, limit, maxPooledFrame)
+		}
+		if n := s.met().creditStalls.Value(); n != 0 {
+			t.Fatalf("%d credit stalls: the window, not the pending bound, stopped the pump", n)
+		}
+	}
+
+	t.Run("session-close", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		conn, peak := stallSession(t, s, addr, "stall")
+		check(peak)
+		frame, err := appendFrameRequestV2(nil, 3, &SessionCloseReq{SessionID: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		// The pump exits; the connection and its stalled flusher stay.
+		waitGoroutines(t, base+2)
+		if n := s.met().sessionsOpen.Value(); n != 0 {
+			t.Fatalf("%d sessions open after SessionClose", n)
+		}
+		conn.Close()
+		waitGoroutines(t, base)
+	})
+	t.Run("conn-drop", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		conn, peak := stallSession(t, s, addr, "stall")
+		check(peak)
+		conn.Close()
+		waitGoroutines(t, base)
+		if n := s.met().sessionsOpen.Value(); n != 0 {
+			t.Fatalf("%d sessions open after the connection dropped", n)
+		}
+	})
+}
+
+// BenchmarkSessionPush measures the server's session push path on one
+// connection: a session pushes 512-event frames of 256 B events from a
+// preloaded partition to a raw client that drains them, decodes each
+// batch into a reused slice and grants its window straight back, so
+// every allocation counted is the server's. One op is one frame. It
+// reports events/s and the bytes allocated per frame, and fails when
+// steady-state pushes allocate more than 1 KiB per frame — that is, when
+// any frame-sized buffer is allocated on the way, such as a write buffer
+// regrown every flush.
+func BenchmarkSessionPush(b *testing.B) {
+	const frameEvents, valueBytes, logFrames = 512, 256, 64
+	f := broker.NewFabric(nil)
+	if err := f.AddBrokers(1, 2, 8); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := f.CreateTopic("push", "", cluster.TopicConfig{Partitions: 1}); err != nil {
+		b.Fatal(err)
+	}
+	evs := make([]event.Event, frameEvents)
+	for i := range evs {
+		evs[i] = event.Event{Value: make([]byte, valueBytes)}
+	}
+	for i := 0; i < logFrames; i++ {
+		if _, err := f.Produce("", "push", 0, evs, broker.AcksLeader); err != nil {
+			b.Fatal(err)
+		}
+	}
+	s := NewServer(f)
+	s.AllowAnonymous = true
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+
+	conn, rd, _ := dialNegotiated(b, addr, allFeatures)
+	var out []byte
+	send := func(m ReqMsg) {
+		if out, err = appendFrameRequestV2(out[:0], 1, m, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := conn.Write(out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The 8 MiB window of the catch-up workload: enough for the pump to
+	// run many frames ahead of the client.
+	send(&SessionOpenReq{ID: 1, CreditBytes: 8 << 20})
+	if _, _, err := DecodeResponseV2(readRespRaw(b, rd), nil); err != nil {
+		b.Fatal(err)
+	}
+	sub := &SessionSubReq{SessionID: 1, SubID: 1, Topic: "push"}
+	send(sub)
+	credit := &SessionCreditReq{SessionID: 1}
+	var hdr, data []byte
+	var resp FetchResp
+	var got []event.Event
+	lap := 0
+	// drain reads n pushed frames, re-subscribing from offset 0 under a
+	// fresh sub ID each time the log has been read to its end.
+	drain := func(n int) {
+		for n > 0 {
+			hb, err := readHeaderInto(rd, &hdr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload, err := ReadPayloadInto(rd, data[:0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if hb[0] != v2OpSessionBatch {
+				continue // the sub answers, which carry no payload
+			}
+			data = payload
+			if _, _, err := DecodeResponseV2(hb, &resp); err != nil {
+				b.Fatal(err)
+			}
+			if got, _, err = event.AppendUnmarshalBatch(got[:0], data, resp.NumEvents); err != nil {
+				b.Fatal(err)
+			}
+			credit.CreditBytes = sessionBatchSize(got)
+			send(credit)
+			n--
+			if lap += len(got); lap == frameEvents*logFrames {
+				lap = 0
+				sub.Remove = true
+				send(sub)
+				sub.SubID++
+				sub.Remove = false
+				send(sub)
+			}
+		}
+	}
+	drain(logFrames) // warm-up: every reused buffer reaches its size
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	drain(b.N)
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	perFrame := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N)
+	b.ReportMetric(float64(b.N*frameEvents)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(perFrame, "B/frame")
+	// Re-subscribing costs a few hundred bytes once per logFrames frames;
+	// below that many frames the figure is not steady state.
+	if b.N >= logFrames && perFrame > 1<<10 {
+		b.Fatalf("%.0f B allocated per pushed frame, want ≤ 1024", perFrame)
 	}
 }
 

@@ -331,7 +331,7 @@ func TestNegotiationSelectsV2(t *testing.T) {
 // exchange offering offer, failing the test unless the server answers
 // with v2. It returns the connection (closed at cleanup), the reader
 // every later frame must be read through, and the granted features.
-func dialNegotiated(t *testing.T, addr string, offer uint32) (net.Conn, *bufio.Reader, uint32) {
+func dialNegotiated(t testing.TB, addr string, offer uint32) (net.Conn, *bufio.Reader, uint32) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -356,7 +356,7 @@ func dialNegotiated(t *testing.T, addr string, offer uint32) (net.Conn, *bufio.R
 // copy of its header, discarding the payload. Metadata pushes are
 // skipped: the server's epoch watcher may still be pushing a topic
 // created just before the dial.
-func readRespRaw(t *testing.T, rd *bufio.Reader) []byte {
+func readRespRaw(t testing.TB, rd *bufio.Reader) []byte {
 	t.Helper()
 	for {
 		var hdr []byte

@@ -6,8 +6,6 @@
 //	octopus-bench -figure 4       # trigger autoscaling run
 //	octopus-bench -table cost     # §VII-C cost analysis
 //	octopus-bench -real           # reduced-scale run on the real fabric
-//	octopus-bench -stream         # consume-transport comparison
-//	octopus-bench -cluster        # leader-direct vs proxied routing (PR 5)
 //	octopus-bench -connections    # multiplexed session footprint at connection scale
 package main
 
@@ -26,15 +24,12 @@ func main() {
 	figure := flag.String("figure", "", "figure to regenerate: 3, 4, 5, 7, 8, triggers")
 	all := flag.Bool("all", false, "regenerate everything")
 	real := flag.Bool("real", false, "also run the reduced-scale real-fabric shape check")
-	stream := flag.Bool("stream", false, "compare request/response, pipelined and session-push consume over an emulated remote link")
-	clusterBench := flag.Bool("cluster", false, "compare leader-direct routing vs proxying through one listener over emulated remote links")
-	clusterBrokers := flag.Int("cluster-brokers", 3, "broker count for -cluster")
 	connBench := flag.Bool("connections", false, "measure multiplexed fetch sessions at connection scale")
 	connCount := flag.Int("conn-count", 16, "connection count for -connections")
 	csvDir := flag.String("csv", "", "export every artifact as CSV into this directory")
 	flag.Parse()
 
-	if !*all && *table == "" && *figure == "" && !*real && !*stream && !*clusterBench && !*connBench && *csvDir == "" {
+	if !*all && *table == "" && *figure == "" && !*real && !*connBench && *csvDir == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -84,12 +79,6 @@ func main() {
 	}
 	if *real {
 		runReal()
-	}
-	if *stream {
-		runStreamBench()
-	}
-	if *clusterBench {
-		runClusterBench(*clusterBrokers)
 	}
 	if *connBench {
 		runConnBench(*connCount)

@@ -51,7 +51,7 @@ func main() {
 		log.Fatalf("connect: %v", err)
 	}
 	defer conn.Close()
-	fmt.Fprintf(os.Stderr, "connected to %s (wire protocol v%d, features %#x)\n", *addr, wire.ProtocolV2, conn.Features())
+	fmt.Fprintf(os.Stderr, "connected to %s (wire protocol v%d)\n", *addr, wire.ProtocolV2)
 
 	switch args[0] {
 	case "produce":
@@ -86,7 +86,7 @@ func metadata(conn *wire.Client, args []string) {
 	}
 	meta, err := conn.ClusterMetadata(topics...)
 	if err != nil {
-		log.Fatalf("metadata: %v (the server may predate FeatClusterMeta)", err)
+		log.Fatalf("metadata: %v", err)
 	}
 	fmt.Printf("metadata epoch %d, leader-direct routing %v\n", meta.Epoch, conn.RouterEnabled())
 	fmt.Printf("brokers (%d):\n", len(meta.Brokers))
@@ -129,7 +129,7 @@ func isr(conn *wire.Client, args []string) {
 	}
 	meta, err := conn.ClusterMetadata(topics...)
 	if err != nil {
-		log.Fatalf("metadata: %v (the server may predate FeatClusterMeta)", err)
+		log.Fatalf("metadata: %v", err)
 	}
 	if meta.Replication == nil {
 		log.Fatal("no replication section: the cluster serves without the replication subsystem")
@@ -195,7 +195,7 @@ func stats(conn *wire.Client, args []string) {
 	for {
 		st, err := fetchStats(conn, *at)
 		if err != nil {
-			log.Fatalf("stats: %v (the server may predate FeatStats)", err)
+			log.Fatalf("stats: %v", err)
 		}
 		printStats(st)
 		if *watch <= 0 {
@@ -253,7 +253,7 @@ func traceCmd(conn *wire.Client, args []string) {
 	_ = fs.Parse(args)
 	st, err := fetchStats(conn, *at)
 	if err != nil {
-		log.Fatalf("trace: %v (the server may predate FeatStats)", err)
+		log.Fatalf("trace: %v", err)
 	}
 	if len(st.TraceStages) == 0 || st.TraceEvery == 0 {
 		log.Fatal("no stage tracing on this broker")

@@ -7,9 +7,9 @@
 //
 // With -cluster, every broker gets its own wire listener (ports
 // ascending from -wire's port: broker 0 on the base port, broker 1 on
-// base+1, ...), scoped to the partitions it leads, and clients that
-// negotiate FeatClusterMeta discover the whole cluster from any one of
-// them and dial partition leaders directly:
+// base+1, ...), scoped to the partitions it leads, and clients
+// discover the whole cluster from any one of them and dial partition
+// leaders directly:
 //
 //	octopus-server -brokers 4 -cluster -wire 127.0.0.1:9092
 //
@@ -152,7 +152,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("wire listen: %v", err)
 		}
-		log.Printf("wire endpoint%s on %s (protocol v%d, fetch sessions negotiated per connection)", mode, addr, wire.ProtocolV2)
+		log.Printf("wire endpoint%s on %s (protocol v%d, one fetch session per connection)", mode, addr, wire.ProtocolV2)
 		promSources = func() []metrics.PromSource {
 			srcs := []metrics.PromSource{{Reg: oct.Fabric.Metrics}}
 			if srv := oct.WireServer(); srv != nil {

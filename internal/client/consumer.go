@@ -109,13 +109,10 @@ func nextMemberID() string {
 // When the transport is a BufferedFetcher, each assigned partition gets
 // a fetch session owning a reusable receive buffer (its arena growth is
 // bounded by ReceiveBufferBytes), so the steady-state consume path stops
-// allocating; see Poll for the resulting lifetime contract. Which wire
-// transport backs those fetches is invisible here: against a
-// FeatSessionFetch peer the wire client multiplexes every assigned
-// partition over one session (and one server goroutine) per
-// connection, against peers without it each fetch is a plain
-// request/response long-poll, and the consumer's Poll loop is
-// identical either way.
+// allocating; see Poll for the resulting lifetime contract. The wire
+// client serves those fetches by multiplexing every assigned partition
+// over one session (and one server goroutine) per connection; the
+// consumer's Poll loop does not depend on it.
 type Consumer struct {
 	t   Transport
 	bf  BufferedFetcher // t's buffered-fetch extension, nil if absent

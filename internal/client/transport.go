@@ -63,8 +63,7 @@ type BufferedFetcher interface {
 // for an append instead of returning immediately, so idle consumers
 // stop burning CPU (and, over the wire, round trips) re-polling empty
 // partitions. Implementations park on the partition log through an
-// eventlog.Waiter (Direct) or on the negotiated wire mechanism —
-// FetchReq.WaitMaxMS long-polls or a fetch session's queue of pushed
+// eventlog.Waiter (Direct) or on a fetch session's queue of pushed
 // frames (wire.Client).
 // The consumer uses it when ConsumerConfig.PollWait is set.
 type WaitFetcher interface {

@@ -229,11 +229,10 @@ func (c *Cluster) StopBroker(id int) error {
 // killing it: the controller re-elects leaders for everything it led
 // (first surviving ISR member) and bumps the metadata epoch, while the
 // broker's listener, connections, and replica logs all stay up. This is
-// the planned-maintenance half of failure injection — with metadata
-// push negotiated, clients re-route on the pushed epoch before any
-// request fails; without it, the drained broker answers misrouted
-// data-plane requests with ErrNotLeader until clients reactively
-// re-fetch metadata.
+// the planned-maintenance half of failure injection — clients re-route
+// on the pushed epoch before any request fails; one whose request
+// loses the race with the push gets ErrNotLeader from the drained
+// broker and re-fetches metadata.
 func (c *Cluster) DrainBroker(id int) error {
 	if _, ok := c.Fabric.Node(id); !ok {
 		return fmt.Errorf("clusternet: unknown broker %d", id)

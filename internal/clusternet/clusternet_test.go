@@ -203,9 +203,6 @@ func TestFailoverMidStream(t *testing.T) {
 	}
 	seedID := (leader + 1) % 3
 	wc := dialSeed(t, cl, seedID)
-	if wc.Features()&wire.FeatSessionFetch == 0 {
-		t.Fatal("session fetch not negotiated")
-	}
 
 	const before, after = 1000, 500
 	evs := make([]event.Event, 100)
@@ -344,27 +341,19 @@ func TestRestartRejoins(t *testing.T) {
 	}
 }
 
-// drainSuite drives the pushed-metadata acceptance scenario: a client
-// with open fetch sessions on every broker, a graceful leadership drain
-// of one of them, and a full produce/consume pass afterwards. It
-// returns the misroute delta that pass produced and the number of
-// fetch/produce round trips that failed.
-func drainSuite(t *testing.T, push bool) (misroutes int64, failed int) {
-	t.Helper()
+// TestDrainWithMetadataPush is the acceptance gate for pushed metadata:
+// a client with open fetch sessions on every broker rides a graceful
+// leadership drain of one of them, then a full produce/consume pass,
+// with ZERO failed round trips and ZERO misroutes — the push re-routes
+// it before any request can miss.
+func TestDrainWithMetadataPush(t *testing.T) {
 	const parts, perPart = 4, 50
 	cl, f := startCluster(t, 3, "dr", parts, 2)
-	var mask uint32
-	if !push {
-		mask = wire.FeatMetaPush
-	}
-	wc, err := wire.DialOptions(cl.Addr(0), wire.Options{Anonymous: true, PoolSize: 1, MaskFeatures: mask})
+	wc, err := wire.DialOptions(cl.Addr(0), wire.Options{Anonymous: true, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wc.Close()
-	if got := wc.Features()&wire.FeatMetaPush != 0; got != push {
-		t.Fatalf("metadata push negotiated = %v, want %v", got, push)
-	}
 
 	// Open a live fetch session against every partition leader.
 	for p := 0; p < parts; p++ {
@@ -378,7 +367,7 @@ func drainSuite(t *testing.T, push bool) (misroutes int64, failed int) {
 	}
 	offs := make([]int64, parts)
 	var buf broker.FetchBuffer
-	consume := func(want int64, tolerateMisroute bool) {
+	consume := func(want int64) {
 		t.Helper()
 		deadline := time.Now().Add(15 * time.Second)
 		for time.Now().Before(deadline) {
@@ -390,10 +379,6 @@ func drainSuite(t *testing.T, push bool) (misroutes int64, failed int) {
 				done = false
 				res, err := wc.FetchBuffered("", "dr", p, offs[p], 100, 1<<20, &buf)
 				if err != nil {
-					failed++
-					if tolerateMisroute && errors.Is(err, wire.ErrNotLeader) {
-						continue // reactive re-route recovers on the next call
-					}
 					t.Fatalf("fetch p%d@%d: %v", p, offs[p], err)
 				}
 				for _, ev := range res.Events {
@@ -409,7 +394,7 @@ func drainSuite(t *testing.T, push bool) (misroutes int64, failed int) {
 		}
 		t.Fatalf("consumption stalled at %v, want %d per partition", offs, want)
 	}
-	consume(perPart, false)
+	consume(perPart)
 	if n := cl.Misroutes(); n != 0 {
 		t.Fatalf("pre-drain misroutes = %d", n)
 	}
@@ -427,16 +412,14 @@ func drainSuite(t *testing.T, push bool) (misroutes int64, failed int) {
 	if newLeader, err := f.PartitionLeader("dr", 0); err != nil || newLeader == leader {
 		t.Fatalf("leadership did not move off broker %d (now %d, %v)", leader, newLeader, err)
 	}
-	if push {
-		// The pushed document must land with no data-plane traffic at
-		// all: the broker offers it, the client adopts it.
-		deadline := time.Now().Add(5 * time.Second)
-		for wc.MetadataEpoch() <= epoch0 && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-		}
-		if wc.MetadataEpoch() <= epoch0 {
-			t.Fatal("pushed metadata never adopted after drain")
-		}
+	// The pushed document must land with no data-plane traffic at all:
+	// the broker offers it, the client adopts it.
+	deadline := time.Now().Add(5 * time.Second)
+	for wc.MetadataEpoch() <= epoch0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if wc.MetadataEpoch() <= epoch0 {
+		t.Fatal("pushed metadata never adopted after drain")
 	}
 
 	// Full post-drain pass: produce into and consume from every
@@ -446,39 +429,12 @@ func drainSuite(t *testing.T, push bool) (misroutes int64, failed int) {
 		for i := 0; i < 10; i++ {
 			val := fmt.Sprintf("p%d-%d", p, perPart+i)
 			if _, err := wc.Produce("", "dr", p, []event.Event{{Value: []byte(val)}}, broker.AcksLeader); err != nil {
-				failed++
-				if push || !errors.Is(err, wire.ErrNotLeader) {
-					t.Fatalf("produce %s after drain: %v", val, err)
-				}
-				i-- // reactive client retries the same value
+				t.Fatalf("produce %s after drain: %v", val, err)
 			}
 		}
 	}
-	consume(perPart+10, !push)
-	return cl.Misroutes() - before, failed
-}
-
-// TestDrainWithMetadataPush is the acceptance gate for pushed metadata:
-// a leadership drain with FeatMetaPush negotiated produces ZERO failed
-// round trips and ZERO misroutes on a client with open sessions — the
-// push re-routes it before any request can miss.
-func TestDrainWithMetadataPush(t *testing.T) {
-	misroutes, failed := drainSuite(t, true)
-	if failed != 0 {
-		t.Fatalf("%d round trips failed through a pushed-metadata drain, want 0", failed)
-	}
-	if misroutes != 0 {
-		t.Fatalf("%d misroutes through a pushed-metadata drain, want 0", misroutes)
-	}
-}
-
-// TestDrainWithoutMetadataPush pins the fallback: with push masked, the
-// same drain is only discovered reactively — the drained broker refuses
-// misrouted requests and the client re-fetches metadata, exactly the
-// pre-push behavior.
-func TestDrainWithoutMetadataPush(t *testing.T) {
-	misroutes, _ := drainSuite(t, false)
-	if misroutes == 0 {
-		t.Fatal("reactive drain produced no misroutes: push-off fallback is not exercising reactive rerouting")
+	consume(perPart + 10)
+	if n := cl.Misroutes() - before; n != 0 {
+		t.Fatalf("%d misroutes through a pushed-metadata drain, want 0", n)
 	}
 }

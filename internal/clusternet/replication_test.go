@@ -62,9 +62,6 @@ func isrSize(t *testing.T, f *broker.Fabric, topic string, p int) int {
 func TestReplicatedSteadyState(t *testing.T) {
 	cl, f := startReplicated(t, 3, "rs", 1, 3, 2, replication.Config{})
 	wc := dialSeed(t, cl, 0)
-	if wc.Features()&wire.FeatReplication == 0 {
-		t.Fatal("replication feature not negotiated")
-	}
 
 	const total = 300
 	evs := make([]event.Event, 50)
@@ -214,59 +211,6 @@ func TestDurableRecoveryFailover(t *testing.T) {
 	waitCond(t, "recovered broker replicating new records", 5*time.Second, func() bool {
 		return recLog.EndOffset() == leaderLog.EndOffset()
 	})
-}
-
-// TestReplicationFeatureMaskedFallsBackToSingleReplica: when every
-// follower's replication client masks FeatReplication (the stand-in
-// for a rolling fleet of legacy brokers), leaders refuse their fetches
-// as unknown ops, no follower ever acks, and the first acks=all
-// produce shrinks the ISR down to the leader — after which the cluster
-// serves exactly like the pre-replication single-replica fabric.
-func TestReplicationFeatureMaskedFallsBackToSingleReplica(t *testing.T) {
-	f := broker.NewFabric(nil)
-	if err := f.AddBrokers(3, 2, 8); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := Serve(f, Options{AllowAnonymous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-	if _, err := f.CreateTopic("lm", "", cluster.TopicConfig{Partitions: 1, ReplicationFactor: 3}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := replication.Config{CommitTimeout: 100 * time.Millisecond}
-	tr := replication.NewTracker(f, cfg)
-	f.SetReplicator(tr)
-	t.Cleanup(func() { f.SetReplicator(nil) })
-	for _, id := range f.NodeIDs() {
-		mc, err := wire.DialOptions(cl.Addr(id), wire.Options{Anonymous: true, MaskFeatures: wire.FeatReplication})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { mc.Close() })
-		m := replication.NewManager(f, id, wireReplicaClient{c: mc}, cfg)
-		m.Start()
-		t.Cleanup(m.Stop)
-	}
-
-	wc := dialSeed(t, cl, 0)
-	// The first acks=all waits out CommitTimeout, evicts the silent
-	// followers, and commits against the leader alone.
-	if _, err := wc.Produce("", "lm", 0, []event.Event{{Value: []byte("x")}}, broker.AcksAll); err != nil {
-		t.Fatalf("acks=all with masked replication: %v", err)
-	}
-	if got := isrSize(t, f, "lm", 0); got != 1 {
-		t.Fatalf("ISR size %d after fallback; want 1 (leader only)", got)
-	}
-	// Steady single-replica operation from here on.
-	if _, err := wc.Produce("", "lm", 0, []event.Event{{Value: []byte("y")}}, broker.AcksAll); err != nil {
-		t.Fatalf("acks=all after fallback: %v", err)
-	}
-	res, err := wc.Fetch("", "lm", 0, 0, 10, 0)
-	if err != nil || len(res.Events) != 2 {
-		t.Fatalf("fetch after fallback: %d events, %v", len(res.Events), err)
-	}
 }
 
 // TestNoLeaderBoundedRetry: killing every replica of a partition

@@ -37,12 +37,9 @@ import (
 type Config struct {
 	// Brokers is the cluster size (default 2, the MSK minimum).
 	Brokers int
-	// VCPUs and MemGB describe the broker instance type
-	// (default 2 / 8 GB, kafka.m5.large).
+	// VCPUs sizes the broker instance type (default 2, kafka.m5.large
+	// with its 8 GB of memory).
 	VCPUs int
-	MemGB int
-	// Clock supplies time (default real).
-	Clock vclock.Clock
 	// DataDir, when set, backs every broker's replica logs with durable
 	// segment files under <DataDir>/broker-<id> — appends hit disk and
 	// a restarted process replays them (truncating any torn tail).
@@ -57,13 +54,10 @@ func (c *Config) fill() {
 	if c.VCPUs <= 0 {
 		c.VCPUs = 2
 	}
-	if c.MemGB <= 0 {
-		c.MemGB = 8
-	}
-	if c.Clock == nil {
-		c.Clock = vclock.Real{}
-	}
 }
+
+// brokerMemGB is every broker's memory, kafka.m5.large's 8 GB.
+const brokerMemGB = 8
 
 // Octopus is a running deployment.
 type Octopus struct {
@@ -77,9 +71,9 @@ type Octopus struct {
 // Launch assembles and starts a deployment.
 func Launch(cfg Config) (*Octopus, error) {
 	cfg.fill()
-	f := broker.NewFabric(cfg.Clock)
+	f := broker.NewFabric(vclock.Real{})
 	for i := 0; i < cfg.Brokers; i++ {
-		info := cluster.BrokerInfo{ID: i, VCPUs: cfg.VCPUs, MemGB: cfg.MemGB}
+		info := cluster.BrokerInfo{ID: i, VCPUs: cfg.VCPUs, MemGB: brokerMemGB}
 		if cfg.DataDir != "" {
 			info.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("broker-%d", i))
 		}

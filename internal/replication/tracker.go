@@ -219,10 +219,9 @@ func (t *Tracker) HighWatermark(tp broker.TP) (int64, bool) {
 // WaitCommitted implements broker.Replicator: block until the HW
 // passes lastOffset. On timeout, followers still below the batch are
 // shrunk out of the ISR — but never below min.insync.replicas, where
-// the wait fails with ErrNotEnoughReplicas instead. This doubles as
-// the interop fallback: against peers without FeatReplication the
-// followers never ack, the ISR shrinks to the leader, and (with the
-// default min of 1) the cluster keeps serving as a single replica.
+// the wait fails with ErrNotEnoughReplicas instead. With the default
+// min of 1, followers that never ack shrink the ISR to the leader and
+// the partition keeps serving as a single replica.
 func (t *Tracker) WaitCommitted(tp broker.TP, lastOffset int64) error {
 	t0 := time.Now()
 	defer func() { t.hCommitWaitNs.Observe(int64(time.Since(t0))) }()

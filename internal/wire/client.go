@@ -41,13 +41,6 @@ type Options struct {
 	// Zero asks for the server default (1 MiB); larger values are
 	// clamped to the server's cap.
 	StreamWindowBytes int
-	// MaskFeatures holds the feature bits (Feat*) the client withholds
-	// from negotiation, as a client that predates them would: without
-	// FeatClusterMeta it routes every request to its seed address,
-	// without FeatSessionFetch it consumes by request/response
-	// long-poll, and so on. Interop tests and same-run benchmark
-	// baselines set it; zero offers every feature.
-	MaskFeatures uint32
 }
 
 func (o *Options) fill() {
@@ -76,13 +69,12 @@ func (o *Options) fill() {
 // always share one connection (preserving ordering), while other
 // partitions proceed on their own connections.
 //
-// When the seed connection negotiates FeatClusterMeta, the client is a
-// metadata-driven router (router.go): it learns every broker's
-// advertised address and each partition's leader from OpMetadata,
-// dials partition leaders directly, and on ErrNotLeader or a broker
-// connection failure re-fetches metadata and re-routes. Without the
-// feature every request goes to the seed address — the single-listener
-// behavior.
+// The client is a metadata-driven router (router.go): at dial time it
+// learns every broker's advertised address and each partition's leader
+// from OpMetadata, dials partition leaders directly, and on
+// ErrNotLeader or a broker connection failure re-fetches metadata and
+// re-routes. Until a metadata fetch succeeds every request goes to the
+// seed address — the single-listener behavior.
 type Client struct {
 	// seed is the bootstrap address: the one the caller dialed, which
 	// also carries control-plane ops and every request the router
@@ -157,9 +149,6 @@ type wireConn struct {
 	rd *bufio.Reader
 	// hdrBuf is the reader's reusable header scratch buffer.
 	hdrBuf []byte
-	// features is the negotiated feature set, fixed by the handshake
-	// before the reader and writer start.
-	features uint32
 
 	mu   sync.Mutex
 	cond *sync.Cond // signaled on queue push and on failure
@@ -178,21 +167,18 @@ type wireConn struct {
 	// on it instead of polling the sticky error.
 	done chan struct{}
 
-	// Multiplexed fetch session (FeatSessionFetch): at most one per
-	// connection, multiplexing every subscribed topic-partition over a
-	// single shared credit window (sessionclient.go). sessOpenMu
-	// serializes session opens (never held while the reader needs
-	// sessMu); sessMu guards the pointer and the noSessions latch.
+	// Multiplexed fetch session: at most one per connection,
+	// multiplexing every subscribed topic-partition over a single
+	// shared credit window (sessionclient.go). sessOpenMu serializes
+	// session opens (never held while the reader needs sessMu); sessMu
+	// guards the pointer.
 	sessOpenMu sync.Mutex
 	sessMu     sync.Mutex
 	session    *clientSession
 	nextSessID uint64
-	// noSessions latches when the server refuses a session open despite
-	// negotiation, pinning this connection to request/response fetch.
-	noSessions bool
 
 	// onMetaPush, set before the reader starts, adopts server-pushed
-	// metadata documents (FeatMetaPush) into the client's routing table.
+	// metadata documents into the client's routing table.
 	onMetaPush func(*MetadataResp)
 }
 
@@ -213,50 +199,13 @@ func DialOptions(addr string, o Options) (*Client, error) {
 	c := &Client{seed: addr, opts: o, eps: make(map[string]*endpoint)}
 	// Establish the seed's slot 0 eagerly so bad credentials or an
 	// unreachable server surface at dial time.
-	wc, err := c.connAt(addr, 0)
-	if err != nil {
+	if _, err := c.connAt(addr, 0); err != nil {
 		return nil, err
 	}
-	// When the server offered cluster metadata, bootstrap the routing
-	// table now: from here on, data-plane requests dial partition
-	// leaders directly.
-	if wc.features&FeatClusterMeta != 0 {
-		_ = c.refreshMetadata() // failure leaves the router disabled: seed-only routing
-	}
+	// Bootstrap the routing table now: from here on, data-plane
+	// requests dial partition leaders directly.
+	_ = c.refreshMetadata() // failure leaves the router disabled: seed-only routing
 	return c, nil
-}
-
-// Features reports the feature bitmask negotiated with the server (0
-// before any connection is established).
-func (c *Client) Features() uint32 {
-	if wc := c.seedConn(); wc != nil {
-		return wc.features
-	}
-	return 0
-}
-
-// seedConn returns a live connection for feature probes: the seed
-// endpoint's when one is established, else any endpoint's — after the
-// seed broker dies, the client keeps serving through other brokers,
-// and its negotiated features must not read as 0.
-func (c *Client) seedConn() *wireConn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ep := c.eps[c.seed]; ep != nil {
-		for _, wc := range ep.slots {
-			if wc != nil {
-				return wc
-			}
-		}
-	}
-	for _, ep := range c.eps {
-		for _, wc := range ep.slots {
-			if wc != nil {
-				return wc
-			}
-		}
-	}
-	return nil
 }
 
 // errNow snapshots the connection's sticky error.
@@ -380,17 +329,15 @@ func (c *Client) connect(addr string) (*wireConn, error) {
 		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 	}
 	rd := bufio.NewReaderSize(conn, 64<<10)
-	features, err := negotiate(conn, rd, allFeatures&^c.opts.MaskFeatures)
-	if err != nil {
+	if err := negotiate(conn, rd); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: negotiate with %s: %w", addr, err)
 	}
 	wc := &wireConn{
-		conn:     conn,
-		rd:       rd,
-		features: features,
-		pending:  make(map[uint64]*call),
-		done:     make(chan struct{}),
+		conn:    conn,
+		rd:      rd,
+		pending: make(map[uint64]*call),
+		done:    make(chan struct{}),
 	}
 	wc.cond = sync.NewCond(&wc.mu)
 	// Pushed metadata re-routes before a request fails: adopt the
@@ -430,20 +377,20 @@ func (c *Client) connect(addr string) (*wireConn, error) {
 // metadata push) waits in rd and is read as v2 by construction. A
 // server that cannot speak v2 answers with an error, which fails the
 // dial.
-func negotiate(conn net.Conn, rd *bufio.Reader, offer uint32) (uint32, error) {
+func negotiate(conn net.Conn, rd *bufio.Reader) error {
 	_ = conn.SetDeadline(time.Now().Add(IOTimeout))
-	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2, Features: offer}, nil); err != nil {
-		return 0, err
+	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2}, nil); err != nil {
+		return err
 	}
 	var resp Response
 	if _, err := ReadFrame(rd, &resp); err != nil {
-		return 0, err
+		return err
 	}
 	if resp.Err != "" || resp.Version < ProtocolV2 {
-		return 0, fmt.Errorf("server refused protocol v%d (answered version %d: %q)", ProtocolV2, resp.Version, resp.Err)
+		return fmt.Errorf("server refused protocol v%d (answered version %d: %q)", ProtocolV2, resp.Version, resp.Err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	return resp.Features & offer, nil
+	return nil
 }
 
 // Close shuts every pool connection on every endpoint, failing all
@@ -656,9 +603,8 @@ func (wc *wireConn) readLoop() {
 			continue
 		}
 		if op == v2OpMetadataPush {
-			// Server-pushed cluster metadata (FeatMetaPush): adopt the
-			// fresh routing table so the next request already targets
-			// the new leaders.
+			// Server-pushed cluster metadata: adopt the fresh routing
+			// table so the next request already targets the new leaders.
 			var md *MetadataResp
 			if code == codeOK {
 				md = &MetadataResp{}
@@ -899,30 +845,25 @@ func (c *Client) Fetch(_ string, topic string, partition int, offset int64, maxE
 }
 
 // FetchBuffered implements the SDK consumer's buffered-fetch extension
-// (client.BufferedFetcher). When the connection negotiated
-// FeatSessionFetch, the call is served from the connection's fetch
-// session the server pushes into — zero request round trips at steady
-// state; see sessionclient.go. Otherwise (peers without the feature)
-// the response payload is read directly into buf.Arena by the
-// reader goroutine and decoded into buf.Events, so a steady-state poll
-// reuses one receive buffer instead of allocating a frame and an event
-// slice per fetch. Either way, returned events are valid until the
-// next fetch on this topic-partition.
-func (c *Client) FetchBuffered(_ string, topic string, partition int, offset int64, maxEvents, maxBytes int, buf *broker.FetchBuffer) (broker.FetchResult, error) {
-	return c.fetchBuffered(topic, partition, offset, maxEvents, maxBytes, 0, buf)
+// (client.BufferedFetcher). The call is served from the connection's
+// fetch session the server pushes into — zero request round trips at
+// steady state; see sessionclient.go. The session keeps its own
+// double-buffered frames and decode arrays, so buf is unused. Returned
+// events are valid until the next fetch on this topic-partition.
+func (c *Client) FetchBuffered(_ string, topic string, partition int, offset int64, maxEvents, maxBytes int, _ *broker.FetchBuffer) (broker.FetchResult, error) {
+	return c.fetchBuffered(topic, partition, offset, maxEvents, maxBytes, 0)
 }
 
 // FetchBufferedWait implements the SDK's long-poll extension
-// (client.WaitFetcher): an empty fetch blocks up to wait for data. On a
-// session connection the wait parks on the subscription's local queue;
-// on the request/response path it rides FetchReq.WaitMaxMS to the
-// server's tail waiter. Either way an idle consumer stops hot-looping.
-func (c *Client) FetchBufferedWait(_ string, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.FetchResult, error) {
-	return c.fetchBuffered(topic, partition, offset, maxEvents, maxBytes, wait, buf)
+// (client.WaitFetcher): an empty fetch blocks up to wait for data,
+// parked on the subscription's local queue, so an idle consumer stops
+// hot-looping.
+func (c *Client) FetchBufferedWait(_ string, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, _ *broker.FetchBuffer) (broker.FetchResult, error) {
+	return c.fetchBuffered(topic, partition, offset, maxEvents, maxBytes, wait)
 }
 
-func (c *Client) fetchBuffered(topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.FetchResult, error) {
-	res, err := c.fetchBufferedAt(c.dataAddr(topic, partition), topic, partition, offset, maxEvents, maxBytes, wait, buf)
+func (c *Client) fetchBuffered(topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration) (broker.FetchResult, error) {
+	res, err := c.fetchBufferedAt(c.dataAddr(topic, partition), topic, partition, offset, maxEvents, maxBytes, wait)
 	if err == nil || !c.RouterEnabled() || !rerouteable(err) {
 		return res, err
 	}
@@ -930,66 +871,38 @@ func (c *Client) fetchBuffered(topic string, partition int, offset int64, maxEve
 	// re-fetch metadata and retry once against the freshly resolved
 	// leader. Session subscriptions re-subscribe there at the same
 	// offset — the consumer's position, which the new leader serves
-	// losslessly because acked events were replicated synchronously.
+	// because a consumer only ever reads below the high watermark.
 	if rerr := c.refreshMetadata(); rerr != nil {
 		return res, err
 	}
-	return c.fetchBufferedAt(c.dataAddr(topic, partition), topic, partition, offset, maxEvents, maxBytes, wait, buf)
+	return c.fetchBufferedAt(c.dataAddr(topic, partition), topic, partition, offset, maxEvents, maxBytes, wait)
 }
 
-// fetchBufferedAt serves one buffered fetch from the addressed broker:
-// through the connection's multiplexed fetch session when it
-// negotiated FeatSessionFetch, else by request/response long-poll.
-func (c *Client) fetchBufferedAt(addr, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.FetchResult, error) {
+// fetchBufferedAt serves one buffered fetch from the addressed broker
+// through the connection's multiplexed fetch session. A connection that
+// has already failed is replaced before the session opens, and a
+// transport failure mid-fetch gets callAt's single retry over a fresh
+// connection to the same address.
+func (c *Client) fetchBufferedAt(addr, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration) (broker.FetchResult, error) {
 	slot := c.slotFor(topic, partition)
 	wc, err := c.connAt(addr, slot)
 	if err != nil {
 		return broker.FetchResult{}, err
 	}
-	if wc.sessionEnabled() {
-		res, serr, handled := c.fetchSession(wc, topic, partition, offset, maxEvents, maxBytes, wait)
-		if handled {
-			if serr == nil || errors.Is(serr, ErrConnClosed) || wc.errNow() == nil {
-				return res, serr
-			}
-			// Transport failure mid-session: mirror callAt's single retry
-			// over a fresh connection to the same address.
-			wc2, rerr := c.reconnectAt(addr, slot, wc)
-			if rerr != nil {
-				return broker.FetchResult{}, serr
-			}
-			if wc2.sessionEnabled() {
-				if res2, serr2, handled2 := c.fetchSession(wc2, topic, partition, offset, maxEvents, maxBytes, wait); handled2 {
-					return res2, serr2
-				}
-			}
+	if wc.errNow() != nil {
+		if wc, err = c.reconnectAt(addr, slot, wc); err != nil {
+			return broker.FetchResult{}, err
 		}
 	}
-	return c.plainFetchBuffered(addr, slot, topic, partition, offset, maxEvents, maxBytes, wait, buf)
-}
-
-// plainFetchBuffered is the request/response buffered fetch (peers
-// without FeatSessionFetch).
-func (c *Client) plainFetchBuffered(addr string, slot int, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.FetchResult, error) {
-	req := FetchReq{Topic: topic, Partition: partition, Offset: offset, MaxEvents: maxEvents, MaxBytes: maxBytes, WaitMaxMS: int(wait / time.Millisecond)}
-	var resp FetchResp
-	cl, err := c.callAt(addr, slot, &req, &resp, nil, buf.Arena[:0])
-	if err != nil {
+	res, err := c.fetchSession(wc, topic, partition, offset, maxEvents, maxBytes, wait)
+	if err == nil || errors.Is(err, ErrConnClosed) || wc.errNow() == nil {
+		return res, err
+	}
+	wc2, rerr := c.reconnectAt(addr, slot, wc)
+	if rerr != nil {
 		return broker.FetchResult{}, err
 	}
-	if cl.arena != nil {
-		buf.Arena = cl.arena
-	}
-	evs, pos, err := event.AppendUnmarshalBatch(buf.Events[:0], cl.data, resp.NumEvents)
-	if err != nil {
-		return broker.FetchResult{}, fmt.Errorf("wire: %w", err)
-	}
-	if pos != len(cl.data) {
-		return broker.FetchResult{}, fmt.Errorf("wire: %d trailing bytes after %d events", len(cl.data)-pos, resp.NumEvents)
-	}
-	buf.Events = evs
-	resp.Stamp(evs, topic, partition)
-	return broker.FetchResult{Events: evs, HighWatermark: resp.HighWatermark, StartOffset: resp.StartOffset}, nil
+	return c.fetchSession(wc2, topic, partition, offset, maxEvents, maxBytes, wait)
 }
 
 // offsetCall runs a partition-routed request whose response is a
@@ -1064,8 +977,7 @@ func (c *Client) Commit(groupID, memberID string, generation int, topic string, 
 }
 
 // Stats fetches an observability snapshot — exported metrics plus the
-// produce stage-trace ring — from the control endpoint's broker. It
-// fails with an unknown-op error against peers without FeatStats.
+// produce stage-trace ring — from the control endpoint's broker.
 func (c *Client) Stats() (*StatsResp, error) {
 	var resp StatsResp
 	if _, err := c.controlCall(&StatsReq{}, &resp); err != nil {

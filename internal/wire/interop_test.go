@@ -15,11 +15,10 @@ import (
 
 // runWireSuite drives the full remote pipeline — SDK producer and
 // grouped prefetching consumer, offset and metadata ops, typed error
-// sentinels, and concurrent pipelined produces — against a server that
-// withholds serverMask from negotiation with a client that withholds
-// clientMask. It is the interop regression harness: every fallback
-// pairing must pass the identical suite.
-func runWireSuite(t *testing.T, serverMask, clientMask uint32) {
+// sentinels, the stats snapshot, and concurrent pipelined produces —
+// against a server over one client, with everything v2 carries in use:
+// metadata routing, the fetch session, metadata push and stats.
+func runWireSuite(t *testing.T) {
 	t.Helper()
 	f := broker.NewFabric(nil)
 	if err := f.AddBrokers(2, 2, 8); err != nil {
@@ -30,46 +29,19 @@ func runWireSuite(t *testing.T, serverMask, clientMask uint32) {
 	}
 	s := NewServer(f)
 	s.AllowAnonymous = true
-	s.MaskFeatures = serverMask
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	c, err := DialOptions(addr, Options{Anonymous: true, PoolSize: 2, MaskFeatures: clientMask})
+	c, err := DialOptions(addr, Options{Anonymous: true, PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	negotiated := allFeatures &^ serverMask &^ clientMask
-	if got := c.Features(); got != negotiated {
-		t.Fatalf("negotiated features %#x, want %#x (server mask %#x, client mask %#x)", got, negotiated, serverMask, clientMask)
-	}
-	wantMeta := negotiated&FeatClusterMeta != 0
-	if gotMeta := c.RouterEnabled(); gotMeta != wantMeta {
-		t.Fatalf("metadata routing enabled = %v, want %v", gotMeta, wantMeta)
-	}
-	wantSession := negotiated&FeatSessionFetch != 0
-	wantStats := negotiated&FeatStats != 0
-	if negotiated&FeatReplication == 0 {
-		// The fallback contract: without the feature, replication ops
-		// are refused as unknown — a clean error, never a hang or a
-		// batch served to an un-negotiated peer.
-		var rb broker.FetchBuffer
-		if _, err := c.ReplicaFetch(1, "ip", 0, 0, 0, 10, 1<<20, 0, &rb); err == nil {
-			t.Fatal("ReplicaFetch succeeded without FeatReplication")
-		}
-		if err := c.ReplicaAck(1, "ip", 0, 0, 0); err == nil {
-			t.Fatal("ReplicaAck succeeded without FeatReplication")
-		}
-	}
-	if !wantMeta {
-		// The fallback contract: without the feature, OpMetadata is an
-		// unknown op and the client slot-hashes over the seed address.
-		if _, err := c.ClusterMetadata(); err == nil {
-			t.Fatal("ClusterMetadata succeeded without FeatClusterMeta")
-		}
+	if !c.RouterEnabled() {
+		t.Fatal("metadata routing not enabled after dial")
 	}
 
 	// SDK producer: batched, keyed, flushed.
@@ -113,50 +85,37 @@ func runWireSuite(t *testing.T, serverMask, clientMask uint32) {
 	if got != total {
 		t.Fatalf("consumed %d of %d", got, total)
 	}
-	// The negotiated transport is what actually served the consumer:
-	// the multiplexed session when negotiated, never otherwise.
-	sessOpen := s.met().sessionsOpen.Value()
-	if wantSession && sessOpen == 0 {
-		t.Fatal("no fetch session opened despite FeatSessionFetch")
-	}
-	if !wantSession && sessOpen != 0 {
-		t.Fatalf("%d fetch sessions open without FeatSessionFetch", sessOpen)
+	// The multiplexed session is what actually served the consumer.
+	if s.met().sessionsOpen.Value() == 0 {
+		t.Fatal("no fetch session opened")
 	}
 
-	// Observability: with FeatStats negotiated the broker's snapshot
-	// arrives over the same connection and reflects the traffic above;
-	// without it, OpStats is refused — a clean error, never leaked
-	// telemetry.
-	if wantStats {
-		st, err := c.Stats()
-		if err != nil {
-			t.Fatalf("stats: %v", err)
+	// Observability: the broker's snapshot arrives over the same
+	// connection and reflects the traffic above.
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	produced := int64(-1)
+	for _, e := range st.Counters {
+		if e.Name == "fabric.produced" {
+			produced = e.Value
 		}
-		produced := int64(-1)
-		for _, e := range st.Counters {
-			if e.Name == "fabric.produced" {
-				produced = e.Value
-			}
+	}
+	if produced < total {
+		t.Fatalf("stats fabric.produced = %d, want >= %d", produced, total)
+	}
+	histObserved := false
+	for i := range st.Hists {
+		if st.Hists[i].Count > 0 && len(st.Hists[i].Buckets) > 0 {
+			histObserved = true
 		}
-		if produced < total {
-			t.Fatalf("stats fabric.produced = %d, want >= %d", produced, total)
-		}
-		histObserved := false
-		for i := range st.Hists {
-			if st.Hists[i].Count > 0 && len(st.Hists[i].Buckets) > 0 {
-				histObserved = true
-			}
-		}
-		if !histObserved {
-			t.Fatal("stats snapshot carries no populated histogram after traffic")
-		}
-		if len(st.TraceStages) == 0 || st.TraceEvery == 0 {
-			t.Fatalf("stage tracing not exposed: stages %v every %d", st.TraceStages, st.TraceEvery)
-		}
-	} else {
-		if _, err := c.Stats(); err == nil {
-			t.Fatal("Stats succeeded without FeatStats")
-		}
+	}
+	if !histObserved {
+		t.Fatal("stats snapshot carries no populated histogram after traffic")
+	}
+	if len(st.TraceStages) == 0 || st.TraceEvery == 0 {
+		t.Fatalf("stage tracing not exposed: stages %v every %d", st.TraceStages, st.TraceEvery)
 	}
 
 	// Offset + metadata ops.
@@ -205,31 +164,7 @@ func runWireSuite(t *testing.T, serverMask, clientMask uint32) {
 	wg.Wait()
 }
 
-// TestInteropV2V2 anchors the suite on the all-on pairing (fetch
-// sessions negotiated and active). Each test after it masks one feature
-// on one side; the suite must pass identically through the fallback.
-func TestInteropV2V2(t *testing.T) { runWireSuite(t, 0, 0) }
-
-// Cluster metadata masked: OpMetadata is an unknown op and the client
-// slot-hashes over its seed address.
-func TestInteropClusterMetaOffServerSide(t *testing.T) { runWireSuite(t, FeatClusterMeta, 0) }
-func TestInteropClusterMetaOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatClusterMeta) }
-
-// Fetch sessions masked: the client consumes over pipelined
-// request/response long-poll fetch.
-func TestInteropSessionOffServerSide(t *testing.T) { runWireSuite(t, FeatSessionFetch, 0) }
-func TestInteropSessionOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatSessionFetch) }
-
-// Metadata push masked: the client re-routes reactively after a
-// misrouted request.
-func TestInteropMetaPushOffServerSide(t *testing.T) { runWireSuite(t, FeatMetaPush, 0) }
-func TestInteropMetaPushOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatMetaPush) }
-
-// Replication masked: OpReplicaFetch/OpReplicaAck are refused as
-// unknown ops — the single-replica behavior of a pre-replication peer.
-func TestInteropReplicationOffServerSide(t *testing.T) { runWireSuite(t, FeatReplication, 0) }
-func TestInteropReplicationOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatReplication) }
-
-// Stats masked: OpStats is refused as an unknown op.
-func TestInteropStatsOffServerSide(t *testing.T) { runWireSuite(t, FeatStats, 0) }
-func TestInteropStatsOffClientSide(t *testing.T) { runWireSuite(t, 0, FeatStats) }
+// TestInteropV2V2 runs the suite between a current client and a
+// current server: the only pairing there is, since every peer speaks
+// all of v2.
+func TestInteropV2V2(t *testing.T) { runWireSuite(t) }

@@ -1,4 +1,4 @@
-// Cluster metadata discovery (FeatClusterMeta): the OpMetadata request.
+// Cluster metadata discovery: the OpMetadata request.
 //
 // A multi-listener cluster (internal/clusternet) runs one wire server
 // per broker, each restricted to the partitions its broker leads.
@@ -11,11 +11,10 @@
 // broker connection fails — the epoch tells it whether the fetched
 // document is newer than what it already routes by.
 //
-// The message is gated by the FeatClusterMeta feature bit. Against a
-// peer that masked the feature the request is answered as an unknown op and the client falls back to
-// single-address slot hashing — exactly the pre-cluster behavior.
-// Both bodies tolerate trailing bytes, so later revisions can append
-// fields without breaking old peers.
+// The server answers only authenticated connections. The same document
+// is pushed (OpMetadataPush) to every authenticated connection on each
+// epoch bump. Both bodies tolerate trailing bytes, so later revisions
+// can append fields without breaking old peers.
 package wire
 
 import (

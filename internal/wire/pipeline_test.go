@@ -110,8 +110,9 @@ func rawListen(t *testing.T, handler func(conn net.Conn)) string {
 }
 
 // handshakeRaw answers the client's connection-open sequence for a raw
-// fake server: OpNegotiate gets v2 with no optional features, and the
-// anonymous ping probe gets an empty success.
+// fake server: OpNegotiate gets v2, the anonymous ping probe gets an
+// empty success, and the dial's metadata bootstrap is refused as an
+// unknown op, so the client keeps every request on its seed connection.
 func handshakeRaw(t *testing.T, conn net.Conn) bool {
 	t.Helper()
 	var req Request
@@ -122,7 +123,17 @@ func handshakeRaw(t *testing.T, conn net.Conn) bool {
 		return false
 	}
 	corr, m, err := rawRequest(conn)
-	return err == nil && rawRespond(conn, m.V2Op(), corr, &EmptyResp{}) == nil
+	if err != nil || rawRespond(conn, m.V2Op(), corr, &EmptyResp{}) != nil {
+		return false
+	}
+	if corr, m, err = rawRequest(conn); err != nil {
+		return false
+	}
+	frame, err := appendFrameResponseV2(nil, m.V2Op(), corr, nil, fmt.Errorf("%w %d", errUnknownOp, m.V2Op()), nil)
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	return err == nil
 }
 
 // rawRequest reads one v2 request frame off a raw fake server's
@@ -220,7 +231,7 @@ func TestSlowHandlerDoesNotBlockPipeline(t *testing.T) {
 	if _, err := f.CreateTopic("slow", "", cluster.TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
-	conn, rd, _ := dialNegotiated(t, addr, 0)
+	conn, rd := dialNegotiated(t, addr)
 	const rounds = 5
 	for r := 0; r < rounds; r++ {
 		fetchCorr, pingCorr := uint64(2*r+1), uint64(2*r+2)

@@ -16,8 +16,7 @@
 // (protocolv2.go). A connection opens with one OpNegotiate exchange
 // whose two headers are JSON (Request and Response, this file), the
 // form every protocol version since the first can parse; it agrees on
-// protocol v2 and the feature set, and every later frame in both
-// directions is v2. A peer that cannot speak v2 gets an error answer
+// protocol v2, and every later frame in both directions is v2. A peer that cannot speak v2 gets an error answer
 // to its first frame and the connection closes.
 //
 // The transport is pipelined: request headers carry a correlation ID
@@ -42,8 +41,8 @@ type Op string
 
 // OpNegotiate is the connection-open handshake: the client's first
 // frame, in JSON so that servers of every vintage can parse it. The
-// server answers with the protocol version and the feature
-// intersection, or with an error when the client cannot speak v2.
+// server answers with the protocol version, or with an error when the
+// client cannot speak v2.
 const OpNegotiate Op = "negotiate"
 
 // MaxFrame bounds a frame's payload to keep a misbehaving peer from
@@ -70,20 +69,16 @@ type Request struct {
 	Op Op `json:"op"`
 	// Corr is the request's correlation ID, echoed on the response.
 	Corr uint64 `json:"corr,omitempty"`
-	// MaxVersion is the highest protocol version the client speaks and
-	// Features the feature bits it offers.
-	MaxVersion int    `json:"max_version,omitempty"`
-	Features   uint32 `json:"features,omitempty"`
+	// MaxVersion is the highest protocol version the client speaks.
+	MaxVersion int `json:"max_version,omitempty"`
 }
 
 // Response is the JSON header of the server's negotiate answer.
 type Response struct {
 	// Corr echoes the request's correlation ID.
 	Corr uint64 `json:"corr,omitempty"`
-	// Version is the protocol version the server selected and Features
-	// the feature intersection.
-	Version  int    `json:"version,omitempty"`
-	Features uint32 `json:"features,omitempty"`
+	// Version is the protocol version the server selected.
+	Version int `json:"version,omitempty"`
 	// Err refuses the connection; ErrKind is its class ("unknown_op").
 	Err     string `json:"err,omitempty"`
 	ErrKind string `json:"err_kind,omitempty"`

@@ -38,57 +38,14 @@ import (
 
 // ProtocolV2 is the protocol version this build speaks: the client
 // offers it in the negotiate frame and the server answers with it.
+// Negotiation agrees on v2 and nothing else, since every peer speaks
+// all of it. The negotiate frame once carried a feature word; its bits
+// 1<<0 through 1<<7 stay reserved and are never reused. 1<<0 and 1<<1
+// named dense fetch offsets and typed error codes, 1<<2 the retired
+// per-partition stream transport, and 1<<3 through 1<<7 cluster
+// metadata, fetch sessions, metadata push, replication and stats. A
+// peer that still sends the word is accepted and the word ignored.
 const ProtocolV2 = 2
-
-// Feature bits exchanged during negotiation. Each is an optional
-// capability that either side may mask out (Options.MaskFeatures,
-// Server.MaskFeatures).
-const (
-	// Bits 1<<0 and 1<<1 are reserved and never reused: they named dense
-	// fetch offsets and typed error codes, which v2 framing always has.
-	// Bit 1<<2 is reserved too: it was FeatStreamFetch, the retired
-	// per-partition stream transport. Servers never grant any of the
-	// three, and older peers that offer them check none.
-
-	// FeatClusterMeta: the server answers OpMetadata with the cluster's
-	// epoch, broker addresses and per-partition leadership, enabling
-	// leader-direct client routing against multi-listener clusters
-	// (internal/clusternet). Either side may mask it out; the client
-	// then falls back to single-address slot hashing.
-	FeatClusterMeta uint32 = 1 << 3
-	// FeatSessionFetch: the server supports multiplexed fetch sessions
-	// (OpSessionOpen/OpSessionSub/OpSessionBatch/OpSessionCredit/
-	// OpSessionClose): one session per connection subscribes to many
-	// topic-partitions, served by a single server pump goroutine under
-	// one shared byte-credit window — connection-scale serving cost.
-	// Either side may mask it out; the connection degrades to
-	// request/response fetch, long-polling via FetchReq.WaitMaxMS.
-	FeatSessionFetch uint32 = 1 << 4
-	// FeatMetaPush: the server pushes OpMetadataPush frames to every
-	// connection that negotiated the feature whenever the controller
-	// bumps the metadata epoch, so clients re-route to new leaders
-	// before a request fails. Either side may mask it out; the client
-	// then falls back to reactive metadata re-fetch (FeatClusterMeta).
-	FeatMetaPush uint32 = 1 << 5
-	// FeatReplication: the server accepts inter-broker replication ops
-	// (OpReplicaFetch/OpReplicaAck): followers pull batches from the
-	// partition leader at their local end offset, fenced by the leader
-	// epoch. Masked (old peers, or MaskFeatures), brokers fall
-	// back to single-replica operation — produce acks gate only on the
-	// leader, exactly the pre-replication behavior.
-	FeatReplication uint32 = 1 << 6
-	// FeatStats: the server answers OpStats with a broker observability
-	// snapshot — every counter, gauge and bucketed histogram the broker
-	// exports, plus the produce-path stage-trace ring — so operator
-	// tooling (octopus-cli stats/trace) scrapes any broker over its
-	// ordinary data-plane connection. Masked (old peers, or
-	// MaskFeatures), the op is refused as unknown and tooling falls back
-	// to the HTTP metrics listener, when one is configured.
-	FeatStats uint32 = 1 << 7
-
-	allFeatures = FeatClusterMeta | FeatSessionFetch | FeatMetaPush |
-		FeatReplication | FeatStats
-)
 
 // v2 operation bytes, one per message pair.
 const (
@@ -112,9 +69,9 @@ const (
 	_
 	_
 	_
-	// v2OpMetadata is cluster metadata discovery (FeatClusterMeta).
+	// v2OpMetadata is cluster metadata discovery.
 	v2OpMetadata
-	// Multiplexed fetch session ops (FeatSessionFetch). SessionOpen and
+	// Multiplexed fetch session ops. SessionOpen and
 	// SessionSub are ordinary request/response pairs (the client sends
 	// sub removals one-way and lets the response drop); SessionBatch and
 	// server-side SessionClose are pushed frames correlated by
@@ -125,15 +82,15 @@ const (
 	v2OpSessionBatch
 	v2OpSessionCredit
 	v2OpSessionClose
-	// v2OpMetadataPush is a server-pushed cluster metadata document
-	// (FeatMetaPush), frame-compatible with an OpMetadata response body.
+	// v2OpMetadataPush is a server-pushed cluster metadata document,
+	// frame-compatible with an OpMetadata response body.
 	v2OpMetadataPush
-	// Inter-broker replication ops (FeatReplication): a follower pulls
+	// Inter-broker replication ops: a follower pulls
 	// a batch from the leader's log at its own end offset, and acks its
 	// new end offset after appending, both fenced by the leader epoch.
 	v2OpReplicaFetch
 	v2OpReplicaAck
-	// v2OpStats is the broker observability snapshot (FeatStats): the
+	// v2OpStats is the broker observability snapshot: the
 	// exported metrics plus the produce stage-trace ring, as one
 	// request/response pair.
 	v2OpStats

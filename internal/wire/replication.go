@@ -6,7 +6,7 @@ import (
 	"repro/internal/event"
 )
 
-// Inter-broker replication messages (FeatReplication).
+// Inter-broker replication messages.
 //
 // Replication is pull-based: a follower issues OpReplicaFetch against
 // the partition leader at its own log end offset, appends the returned
@@ -20,10 +20,7 @@ import (
 // Every replication message carries the follower's view of the leader
 // epoch. A deposed leader rejects stale-epoch fetches with
 // ErrFencedEpoch; a follower that discovers a newer epoch truncates
-// its log to the new leader's end and re-fetches. Both ops are
-// negotiated behind FeatReplication — when the peer masks the bit,
-// followers never fetch, the ISR shrinks to the leader, and the
-// cluster degrades to the pre-replication single-replica behavior.
+// its log to the new leader's end and re-fetches.
 
 // ReplicaFetchReq is a follower's pull against the partition leader
 // (OpReplicaFetch). Offset is the follower's log end — everything

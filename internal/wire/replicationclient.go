@@ -8,8 +8,7 @@ import (
 	"repro/internal/event"
 )
 
-// Client methods for the inter-broker replication ops
-// (FeatReplication). They ride the same metadata-driven router as the
+// Client methods for the inter-broker replication ops. They ride the same metadata-driven router as the
 // data plane — a replica fetch auto-dials the partition leader's
 // advertised address, re-routes on ErrNotLeader, and waits out a
 // re-election on ErrNoLeader — which is exactly what a follower's

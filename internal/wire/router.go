@@ -6,26 +6,27 @@
 // data-plane requests for partitions led elsewhere come back as
 // ErrNotLeader. The router turns the client into a leader-direct one:
 //
-//   - Bootstrap: at dial time, when the seed connection negotiated
-//     FeatClusterMeta, the client fetches OpMetadata once and builds a
-//     routing table — broker id → advertised address, topic →
-//     per-partition leader ids — keyed by the controller's metadata
-//     epoch.
+//   - Bootstrap: at dial time the client fetches OpMetadata once from
+//     the seed and builds a routing table — broker id → advertised
+//     address, topic → per-partition leader ids — keyed by the
+//     controller's metadata epoch.
 //   - Steady state: every data-plane request resolves its partition's
 //     leader address and rides that broker's own connection pool; the
 //     seed keeps carrying control-plane ops and anything the table
 //     cannot place. Pre-partitioned produce (Client.Produce with
 //     partition < 0) buckets events client-side with the fabric's own
 //     partitioner, so no broker ever sees an event it does not lead.
-//   - Invalidation: an ErrNotLeader response or a broker connection
-//     failure triggers one metadata re-fetch (serialized; the epoch
-//     rejects stale documents) and a single retry against the freshly
-//     resolved leader. Leader elections bump the controller epoch, so
-//     the refreshed document always reflects the new leadership.
+//   - Invalidation: every broker pushes the fresh document on each
+//     controller epoch bump, so the table usually moves before any
+//     request misses. A push can still lose the race with a request:
+//     an ErrNotLeader response or a broker connection failure triggers
+//     one metadata re-fetch (serialized; the epoch rejects stale
+//     documents) and a single retry against the freshly resolved
+//     leader. Leader elections bump the controller epoch, so the
+//     refreshed document always reflects the new leadership.
 //
-// Without the feature — either side masking FeatClusterMeta — the
-// router never enables and the client falls back to single-address
-// slot hashing.
+// Until a metadata fetch succeeds (a failed bootstrap) the router stays
+// disabled and the client slot-hashes over its seed address.
 package wire
 
 import (
@@ -294,8 +295,7 @@ func (c *Client) refreshMetadata() error {
 
 // ClusterMetadata fetches the cluster metadata document — epoch,
 // brokers (address and liveness) and the requested topics'
-// per-partition leadership (every topic when none is named). It fails
-// with an unknown-op error against peers without FeatClusterMeta.
+// per-partition leadership (every topic when none is named).
 func (c *Client) ClusterMetadata(topics ...string) (*MetadataResp, error) {
 	req := MetadataReq{Topics: topics}
 	var resp MetadataResp

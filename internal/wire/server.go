@@ -34,9 +34,9 @@ var errUnknownOp = errors.New("wire: unknown op")
 // requests under that identity; ACLs are enforced by the fabric.
 //
 // A connection opens with one JSON OpNegotiate exchange that agrees on
-// protocol v2 and the feature set; every later frame in both directions
-// carries a typed binary header. A client whose first frame is anything
-// else gets one error answer and the connection closes.
+// protocol v2; every later frame in both directions carries a typed
+// binary header. A client whose first frame is anything else gets one
+// error answer and the connection closes.
 //
 // Requests on one connection are handled concurrently (up to
 // maxConnConcurrency in flight): the read loop decodes each header,
@@ -49,14 +49,6 @@ type Server struct {
 	// trusted in-process identity. Off by default; used by tests and
 	// single-user deployments.
 	AllowAnonymous bool
-	// MaskFeatures holds the feature bits (Feat*) the server withholds
-	// from negotiation, as a server that predates them would: their ops
-	// are refused as unknown and clients fall back (slot hashing,
-	// request/response fetch, reactive re-routing, single-replica
-	// operation, the HTTP metrics listener). Masking FeatMetaPush also
-	// keeps the epoch watcher from starting. Interop tests set it; zero
-	// grants every feature.
-	MaskFeatures uint32
 	// LocalBroker scopes this server to one broker of the fabric:
 	// produce, fetch and session-subscribe requests for partitions that
 	// broker does not lead are refused with ErrNotLeader (and counted
@@ -86,12 +78,11 @@ type Server struct {
 
 // connState is the per-connection state the server tracks outside the
 // connection's own read loop, so the metadata pusher can find every
-// push-capable connection. Mutated under Server.mu (negotiation and
-// auth happen once per connection; pushes read a snapshot).
+// authenticated connection. Mutated under Server.mu (auth happens once
+// per connection; pushes read a snapshot).
 type connState struct {
-	w        *respWriter
-	features uint32
-	authed   bool
+	w      *respWriter
+	authed bool
 }
 
 // serverMetrics is the server's session instrumentation, exported
@@ -203,9 +194,9 @@ func (s *Server) Listen(addr string) (string, error) {
 	}
 	// Start the metadata pusher with the first listener: on every
 	// controller epoch bump it pushes the fresh cluster view to every
-	// connection that negotiated FeatMetaPush, so clients re-route
-	// before a request fails rather than after.
-	watch := !s.watching && s.MaskFeatures&FeatMetaPush == 0 && s.Fabric.Ctl != nil
+	// authenticated connection, so clients re-route before a request
+	// fails rather than after.
+	watch := !s.watching && s.Fabric.Ctl != nil
 	if watch {
 		s.watching = true
 		s.wg.Add(1)
@@ -219,10 +210,10 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// watchEpochs pushes cluster metadata to push-capable connections on
-// every controller epoch bump. Bursts of bumps coalesce in the
-// watcher's channel, so a storm of topology changes costs a handful of
-// pushes, not one per change.
+// watchEpochs pushes cluster metadata to every authenticated
+// connection on each controller epoch bump. Bursts of bumps coalesce in
+// the watcher's channel, so a storm of topology changes costs a handful
+// of pushes, not one per change.
 func (s *Server) watchEpochs() {
 	defer s.wg.Done()
 	ch, cancel := s.Fabric.Ctl.WatchEpoch()
@@ -239,13 +230,13 @@ func (s *Server) watchEpochs() {
 
 // pushMetadata builds one metadata response and pushes it (corr 0 —
 // push frames are routed by op, not correlation) to every
-// authenticated connection that negotiated FeatMetaPush.
+// authenticated connection.
 func (s *Server) pushMetadata() {
 	resp := buildMetadataResp(s.Fabric, nil)
 	s.mu.Lock()
 	targets := make([]*respWriter, 0, len(s.conns))
 	for _, cst := range s.conns {
-		if cst.w != nil && cst.authed && cst.features&FeatMetaPush != 0 {
+		if cst.w != nil && cst.authed {
 			targets = append(targets, cst.w)
 		}
 	}
@@ -447,8 +438,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Payload buffers are still allocated fresh per frame, which the
 	// produce donation path depends on.
 	rd := bufio.NewReaderSize(conn, 64<<10)
-	features, ok := s.handshake(conn, rd)
-	if !ok {
+	if !s.handshake(conn, rd) {
 		return
 	}
 	var handlers sync.WaitGroup
@@ -457,13 +447,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	// so teardown never blocks behind a wait.
 	done := make(chan struct{})
 	sessions := newConnSessions(s, w)
-	// cst mirrors this connection's auth and feature state for the
-	// metadata pusher; all mutations happen under s.mu.
+	// cst mirrors this connection's auth state for the metadata
+	// pusher; all mutations happen under s.mu.
 	s.mu.Lock()
 	cst := s.conns[conn]
 	if cst != nil {
 		cst.w = w
-		cst.features = features
 	}
 	s.mu.Unlock()
 	defer func() {
@@ -523,20 +512,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		case *MetadataReq:
 			// Control-plane and cheap: handled inline like auth. Gated
-			// on the negotiated feature so a masked server answers
-			// exactly as one that predates the op, and on
-			// authentication — cluster topology (broker addresses,
+			// on authentication — cluster topology (broker addresses,
 			// liveness, leadership) must not leak to anyone who can
 			// merely reach a port.
 			var resp *MetadataResp
 			var merr error
-			switch {
-			case features&FeatClusterMeta == 0:
-				merr = fmt.Errorf("%w %d: cluster metadata not negotiated", errUnknownOp, op)
-			case !authed:
-				merr = fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
-			default:
+			if authed {
 				resp = buildMetadataResp(s.Fabric, q.Topics)
+			} else {
+				merr = fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
 			}
 			putReqMsg(op, m)
 			if w.writeV2(op, corr, resp, merr, nil) != nil {
@@ -544,11 +528,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			continue
 		case *SessionOpenReq:
-			var resp *SessionOpenResp
-			oerr := fmt.Errorf("%w %d: session fetch not negotiated", errUnknownOp, op)
-			if features&FeatSessionFetch != 0 {
-				resp, oerr = sessions.open(q, identity, authed)
-			}
+			resp, oerr := sessions.open(q, identity, authed)
 			putReqMsg(op, m)
 			if oerr != nil {
 				if w.writeV2(op, corr, nil, oerr, nil) != nil {
@@ -564,11 +544,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Always answered — the client treats removes as one-way
 			// and lets the response drop, but adds need the partition
 			// positions back.
-			var resp *SessionSubResp
-			serr := fmt.Errorf("%w %d: session fetch not negotiated", errUnknownOp, op)
-			if features&FeatSessionFetch != 0 {
-				resp, serr = sessions.sub(q, authed)
-			}
+			resp, serr := sessions.sub(q, authed)
 			putReqMsg(op, m)
 			if serr != nil {
 				if w.writeV2(op, corr, nil, serr, nil) != nil {
@@ -591,36 +567,21 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		case *StatsReq:
 			// Control-plane and cheap: handled inline like metadata,
-			// with the same feature and auth gates — a broker's
-			// telemetry (traffic volumes, latency shapes, topology
-			// hints in metric names) must not leak to anyone who can
-			// merely reach a port.
+			// with the same auth gate — a broker's telemetry (traffic
+			// volumes, latency shapes, topology hints in metric names)
+			// must not leak to anyone who can merely reach a port.
 			var resp *StatsResp
 			var serr error
-			switch {
-			case features&FeatStats == 0:
-				serr = fmt.Errorf("%w %d: stats not negotiated", errUnknownOp, op)
-			case !authed:
-				serr = fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
-			default:
+			if authed {
 				resp = buildStatsResp(s)
+			} else {
+				serr = fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
 			}
 			putReqMsg(op, m)
 			if w.writeV2(op, corr, resp, serr, nil) != nil {
 				return
 			}
 			continue
-		case *ReplicaFetchReq, *ReplicaAckReq:
-			// Feature-gated like metadata, but the fetch long-polls
-			// and carries events, so a negotiated request falls
-			// through to the async dispatch below.
-			if features&FeatReplication == 0 {
-				putReqMsg(op, m)
-				if w.writeV2(op, corr, nil, fmt.Errorf("%w %d: replication not negotiated", errUnknownOp, op), nil) != nil {
-					return
-				}
-				continue
-			}
 		}
 		sem <- struct{}{}
 		handlers.Add(1)
@@ -642,19 +603,19 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // handshake reads the connection's first frame, which must be a JSON
-// OpNegotiate offering protocol v2, and answers it with the negotiated
-// feature set; every later frame in both directions is v2. Any other
-// first frame — a request from a client that cannot speak v2, or bytes
-// that are not a JSON header — gets one JSON error answer, and ok=false
-// tells the caller to close the connection.
-func (s *Server) handshake(conn net.Conn, rd *bufio.Reader) (features uint32, ok bool) {
+// OpNegotiate offering protocol v2, and answers it with v2; every later
+// frame in both directions is v2. Any other first frame — a request
+// from a client that cannot speak v2, or bytes that are not a JSON
+// header — gets one JSON error answer, and false tells the caller to
+// close the connection.
+func (s *Server) handshake(conn net.Conn, rd *bufio.Reader) bool {
 	var hdrBuf []byte
 	hb, err := readHeaderInto(rd, &hdrBuf)
 	if err != nil {
-		return 0, false
+		return false
 	}
 	if _, err := ReadPayloadInto(rd, nil); err != nil {
-		return 0, false
+		return false
 	}
 	var req Request
 	if json.Unmarshal(hb, &req) != nil || req.Op != OpNegotiate || req.MaxVersion < ProtocolV2 {
@@ -663,13 +624,9 @@ func (s *Server) handshake(conn net.Conn, rd *bufio.Reader) (features uint32, ok
 			Err:     fmt.Sprintf("%v %q: this server speaks protocol v%d only, opened by %q", errUnknownOp, req.Op, ProtocolV2, OpNegotiate),
 			ErrKind: "unknown_op",
 		}, nil)
-		return 0, false
+		return false
 	}
-	features = req.Features & (allFeatures &^ s.MaskFeatures)
-	if err := WriteFrame(conn, &Response{Corr: req.Corr, Version: ProtocolV2, Features: features}, nil); err != nil {
-		return 0, false
-	}
-	return features, true
+	return WriteFrame(conn, &Response{Corr: req.Corr, Version: ProtocolV2}, nil) == nil
 }
 
 // authenticate handles OpAuth against the fabric's identity store.

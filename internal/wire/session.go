@@ -1,5 +1,5 @@
-// Multiplexed fetch sessions (FeatSessionFetch): credit-based server
-// push at connection scale.
+// Multiplexed fetch sessions: credit-based server push at connection
+// scale, the one consume path the wire client uses.
 //
 // Request/response fetch costs one round trip per batch. A session
 // inverts the flow: the server pushes batches as data arrives, and at
@@ -63,7 +63,7 @@ const defaultSessionWindow = 1 << 20
 const maxSessionWindow = 16 << 20
 
 // errSession reports session-protocol misuse (duplicate or unknown
-// IDs, session ops without the negotiated feature).
+// IDs).
 var errSession = fmt.Errorf("wire: session protocol error")
 
 // sessCorr packs a session batch's correlation value: the session ID in

@@ -96,9 +96,6 @@ func TestSessionFetchMultiplexesPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Features()&FeatSessionFetch == 0 {
-		t.Fatal("session fetch not negotiated on a current pairing")
-	}
 
 	var buf broker.FetchBuffer
 	offs := make([]int64, parts)
@@ -452,7 +449,7 @@ func serverWriterFor(t *testing.T, s *Server, conn net.Conn) *respWriter {
 // push more if it were not parked.
 func stallSession(t *testing.T, s *Server, addr, topic string) (net.Conn, int) {
 	t.Helper()
-	conn, rd, _ := dialNegotiated(t, addr, allFeatures)
+	conn, rd := dialNegotiated(t, addr)
 	if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +591,7 @@ func BenchmarkSessionPush(b *testing.B) {
 	}
 	defer s.Close()
 
-	conn, rd, _ := dialNegotiated(b, addr, allFeatures)
+	conn, rd := dialNegotiated(b, addr)
 	var out []byte
 	send := func(m ReqMsg) {
 		if out, err = appendFrameRequestV2(out[:0], 1, m, nil); err != nil {
@@ -763,55 +760,6 @@ func TestSessionDisconnectRecovers(t *testing.T) {
 	if off != 200 {
 		t.Fatalf("reconnected consumption reached %d of 200", off)
 	}
-}
-
-// TestSessionOpenFallsBackOnFeaturelessPeer: a client against a server
-// with sessions masked off silently consumes over request/response
-// fetch.
-func TestSessionOpenFallsBackOnFeaturelessPeer(t *testing.T) {
-	t.Run("v2-server-sessions-disabled", func(t *testing.T) {
-		f := broker.NewFabric(nil)
-		if err := f.AddBrokers(2, 2, 8); err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(f)
-		srv.AllowAnonymous = true
-		srv.MaskFeatures = FeatSessionFetch
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		sessionTopic(t, f, "fb", 1, 120)
-		c, err := DialAnonymous(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if c.Features()&FeatSessionFetch != 0 {
-			t.Fatal("server offered sessions despite the mask")
-		}
-		var buf broker.FetchBuffer
-		var off int64
-		for off < 120 {
-			res, err := c.FetchBufferedWait("", "fb", 0, off, 50, 1<<20, 50*time.Millisecond, &buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Events) == 0 {
-				t.Fatalf("empty fetch at %d on a loaded partition", off)
-			}
-			for _, ev := range res.Events {
-				if ev.Offset != off {
-					t.Fatalf("offset %d, want %d", ev.Offset, off)
-				}
-				off++
-			}
-		}
-		if c.sessSub("fb", 0) != nil || srv.met().sessionsOpen.Value() != 0 {
-			t.Fatal("session open against a feature-less peer")
-		}
-	})
 }
 
 // TestSessionConsumerEndToEnd drives the full SDK consumer (group,

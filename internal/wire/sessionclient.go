@@ -1,6 +1,6 @@
 // Client side of multiplexed fetch sessions: many topic-partitions
-// behind one session per connection (FeatSessionFetch), behind the same
-// BufferedFetcher surface as plain fetch.
+// behind one session per connection, serving the client's
+// BufferedFetcher surface.
 //
 // The client opens ONE session per connection and adds a subscription
 // per topic-partition to it. The server runs a single pump for the
@@ -18,9 +18,6 @@
 // frames for the old position hit the unknown-sub path and are
 // refunded, never misread), and pushed-metadata re-routes remove a
 // moved partition's sub the moment the client adopts the new table.
-// Against peers without the feature the first session open comes back
-// as an unknown op and the connection latches to request/response
-// fetch, long-polling via FetchReq.WaitMaxMS.
 package wire
 
 import (
@@ -130,37 +127,19 @@ type clientSub struct {
 	err       error
 }
 
-// sessionEnabled reports whether this connection negotiated
-// FeatSessionFetch and has not since learned the server refuses opens.
-func (wc *wireConn) sessionEnabled() bool {
-	wc.mu.Lock()
-	ok := wc.features&FeatSessionFetch != 0 && wc.err == nil
-	wc.mu.Unlock()
-	if !ok {
-		return false
-	}
-	wc.sessMu.Lock()
-	defer wc.sessMu.Unlock()
-	return !wc.noSessions
-}
-
 // sessionFor returns the connection's session, opening one on first
-// use (or after a session-fatal error). ok=false means the server
-// refuses session opens and the caller must fall back to plain fetch.
-// Opens are serialized on sessOpenMu, which is never held where the
-// reader goroutine could need it — the reader only takes sessMu.
-func (wc *wireConn) sessionFor(windowBytes, maxEvents, maxBytes int) (sess *clientSession, err error, ok bool) {
+// use (or after a session-fatal error). Opens are serialized on
+// sessOpenMu, which is never held where the reader goroutine could
+// need it — the reader only takes sessMu.
+func (wc *wireConn) sessionFor(windowBytes, maxEvents, maxBytes int) (*clientSession, error) {
 	wc.sessOpenMu.Lock()
 	defer wc.sessOpenMu.Unlock()
 	wc.sessMu.Lock()
-	sess, no := wc.session, wc.noSessions
+	sess := wc.session
 	wc.sessMu.Unlock()
-	if no {
-		return nil, nil, false
-	}
 	if sess != nil {
 		if sess.errNow() == nil {
-			return sess, nil, true
+			return sess, nil
 		}
 		// Session-fatal error: discard and open a fresh one below.
 		wc.sessMu.Lock()
@@ -199,20 +178,13 @@ func (wc *wireConn) sessionFor(windowBytes, maxEvents, maxBytes int) (sess *clie
 		if wc.session == sess {
 			wc.session = nil
 		}
-		if errors.Is(oerr, errUnknownOp) {
-			// The server negotiated the feature away (or predates it):
-			// remember and fall back for the connection's lifetime.
-			wc.noSessions = true
-			wc.sessMu.Unlock()
-			return nil, nil, false
-		}
 		wc.sessMu.Unlock()
-		return nil, oerr, true
+		return nil, oerr
 	}
 	sess.mu.Lock()
 	sess.window = resp.CreditBytes
 	sess.mu.Unlock()
-	return sess, nil, true
+	return sess, nil
 }
 
 func (sess *clientSession) errNow() error {
@@ -588,22 +560,17 @@ func (s *clientSub) takeFrame() (*streamFrame, error) {
 }
 
 // fetchSession serves one FetchBuffered call from the connection's
-// multiplexed session. handled=false means sessions are unavailable on
-// this connection (the server refused the open as an unknown op) and
-// the caller must fall back to plain fetch.
-func (c *Client) fetchSession(wc *wireConn, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration) (broker.FetchResult, error, bool) {
+// multiplexed session.
+func (c *Client) fetchSession(wc *wireConn, topic string, partition int, offset int64, maxEvents, maxBytes int, wait time.Duration) (broker.FetchResult, error) {
 	// The session's push batch bounds are the server's defaults, not this
 	// call's limits: one session serves every later fetch on the
 	// connection, and the per-call maxEvents cap is applied client-side
 	// when decoded events are handed out. Pinning batches to the first
 	// caller's (possibly tiny) maxEvents would multiply the frame count —
 	// and the per-frame cost — for everyone else.
-	sess, err, ok := wc.sessionFor(c.opts.StreamWindowBytes, 0, 0)
-	if !ok {
-		return broker.FetchResult{}, nil, false
-	}
+	sess, err := wc.sessionFor(c.opts.StreamWindowBytes, 0, 0)
 	if err != nil {
-		return broker.FetchResult{}, err, true
+		return broker.FetchResult{}, err
 	}
 	sub := sess.subFor(streamKey{topic, partition})
 	if sub != nil {
@@ -616,7 +583,7 @@ func (c *Client) fetchSession(wc *wireConn, topic string, partition int, offset 
 				// Clean end: re-subscribe below instead of surfacing.
 				sub = nil
 			} else {
-				return broker.FetchResult{}, serr, true
+				return broker.FetchResult{}, serr
 			}
 		} else if sub.next != offset {
 			// Seek or rebalance: remove and re-subscribe at the new
@@ -633,7 +600,7 @@ func (c *Client) fetchSession(wc *wireConn, topic string, partition int, offset 
 		var aerr error
 		sub, aerr = sess.addSub(topic, partition, offset)
 		if aerr != nil {
-			return broker.FetchResult{}, aerr, true
+			return broker.FetchResult{}, aerr
 		}
 		sub.mu.Lock()
 		defer sub.mu.Unlock()
@@ -643,15 +610,15 @@ func (c *Client) fetchSession(wc *wireConn, topic string, partition int, offset 
 		if perr := sub.pullFrame(wait); perr != nil {
 			sess.removeSub(sub, false)
 			if errors.Is(perr, errSessionSubEnded) {
-				return broker.FetchResult{Events: nil, HighWatermark: sub.hw, StartOffset: sub.start}, nil, true
+				return broker.FetchResult{Events: nil, HighWatermark: sub.hw, StartOffset: sub.start}, nil
 			}
-			return broker.FetchResult{}, perr, true
+			return broker.FetchResult{}, perr
 		}
 	}
 	if sub.idx >= len(sub.evs) {
 		// Nothing pushed (yet): an empty poll, exactly like an empty
 		// request/response fetch.
-		return broker.FetchResult{Events: nil, HighWatermark: sub.hw, StartOffset: sub.start}, nil, true
+		return broker.FetchResult{Events: nil, HighWatermark: sub.hw, StartOffset: sub.start}, nil
 	}
 	n := len(sub.evs) - sub.idx
 	if maxEvents > 0 && n > maxEvents {
@@ -671,7 +638,7 @@ func (c *Client) fetchSession(wc *wireConn, topic string, partition int, offset 
 	}
 	sub.qmu.Unlock()
 	sess.noteConsumed(grant)
-	return broker.FetchResult{Events: out, HighWatermark: sub.hw, StartOffset: sub.start}, nil, true
+	return broker.FetchResult{Events: out, HighWatermark: sub.hw, StartOffset: sub.start}, nil
 }
 
 // pullFrame adopts the next pushed frame into the serve position,

@@ -1,5 +1,4 @@
-// Broker observability over the data plane (FeatStats): the OpStats
-// request.
+// Broker observability over the data plane: the OpStats request.
 //
 // Every broker already keeps its hot-path telemetry in an
 // internal/metrics Registry — counters, gauges, bucketed latency/size
@@ -9,11 +8,9 @@
 // any broker over the same authenticated wire connection it produces
 // and fetches through, with no side-channel HTTP listener required.
 //
-// The message is gated by the FeatStats feature bit. Against a peer
-// that masked the feature the request is answered as an unknown op and tooling falls back to the HTTP
-// metrics endpoint, when one is configured. Both bodies tolerate
-// trailing bytes, so later revisions can append fields without
-// breaking old peers.
+// The server answers only authenticated connections. Both bodies
+// tolerate trailing bytes, so later revisions can append fields
+// without breaking old peers.
 //
 // Histograms travel sparsely: only non-empty buckets cross the wire as
 // (index, count) pairs against the fixed log-linear bucket layout

@@ -312,8 +312,8 @@ func (t trackedReader) Read(p []byte) (int, error) {
 }
 
 // TestNegotiationSelectsV2 pins the happy-path handshake: current
-// client against current server lands on protocol v2 with every
-// feature.
+// client against current server lands on protocol v2 and bootstraps
+// its routing table from the same connection.
 func TestNegotiationSelectsV2(t *testing.T) {
 	_, addr, stop := startServer(t, true)
 	defer stop()
@@ -322,34 +322,44 @@ func TestNegotiationSelectsV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.Features(); got != allFeatures {
-		t.Fatalf("negotiated features %#x, want %#x", got, allFeatures)
+	if !c.RouterEnabled() {
+		t.Fatal("routing table not bootstrapped at dial")
 	}
 }
 
-// dialNegotiated opens a raw connection to addr and runs the negotiate
-// exchange offering offer, failing the test unless the server answers
-// with v2. It returns the connection (closed at cleanup), the reader
-// every later frame must be read through, and the granted features.
-func dialNegotiated(t testing.TB, addr string, offer uint32) (net.Conn, *bufio.Reader, uint32) {
+// dialNegotiated opens a raw connection to addr and runs the current
+// client's negotiate exchange (see dialNegotiatedAs).
+func dialNegotiated(t testing.TB, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	return dialNegotiatedAs(t, addr, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2})
+}
+
+// dialNegotiatedAs opens a raw connection to addr and sends hdr as the
+// negotiate frame, failing the test unless the server answers with v2
+// and no feature word. It returns the connection (closed at cleanup)
+// and the reader every later frame must be read through.
+func dialNegotiatedAs(t testing.TB, addr string, hdr any) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if err := WriteFrame(conn, &Request{Op: OpNegotiate, Corr: 1, MaxVersion: ProtocolV2, Features: offer}, nil); err != nil {
+	if err := WriteFrame(conn, hdr, nil); err != nil {
 		t.Fatal(err)
 	}
 	rd := bufio.NewReader(conn)
-	var resp Response
+	var resp struct {
+		Response
+		Features uint32 `json:"features"`
+	}
 	if _, err := ReadFrame(rd, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Version != ProtocolV2 || resp.Err != "" {
-		t.Fatalf("negotiation = v%d %q", resp.Version, resp.Err)
+	if resp.Version != ProtocolV2 || resp.Err != "" || resp.Features != 0 {
+		t.Fatalf("negotiation = v%d %q, features %#x", resp.Version, resp.Err, resp.Features)
 	}
-	return conn, rd, resp.Features
+	return conn, rd
 }
 
 // readRespRaw reads the next v2 response frame from rd and returns a
@@ -386,7 +396,7 @@ func TestDialDuringMetadataPush(t *testing.T) {
 			return
 		}
 		var out bytes.Buffer
-		if WriteFrame(&out, &Response{Corr: req.Corr, Version: ProtocolV2, Features: FeatMetaPush}, nil) != nil {
+		if WriteFrame(&out, &Response{Corr: req.Corr, Version: ProtocolV2}, nil) != nil {
 			return
 		}
 		push, err := appendFrameResponseV2(nil, v2OpMetadataPush, 0, &MetadataResp{Epoch: pushedEpoch}, nil, nil)
@@ -505,11 +515,11 @@ func TestV1PeerRefused(t *testing.T) {
 // op keeps its wire value.
 var retiredStreamOps = []uint8{v2OpCommitted + 1, v2OpCommitted + 2, v2OpCommitted + 3, v2OpCommitted + 4}
 
-// TestRetiredStreamSurface pins the retired stream transport's wire
-// footprint: later op bytes keep their values, a negotiated v2
-// connection answers every retired op byte as an unknown op, a client
-// offering the reserved feature bits 1<<0..1<<2 does not get them
-// back, and the same connection then serves a fetch.
+// TestRetiredStreamSurface pins the retired wire surface: later op
+// bytes keep their values, a peer that still sends the retired feature
+// word (every reserved bit 1<<0..1<<7) negotiates v2 and gets no word
+// back, that connection answers every retired stream op byte as an
+// unknown op, and it then serves a fetch.
 func TestRetiredStreamSurface(t *testing.T) {
 	if v2OpMetadata != 18 || v2OpSessionOpen != 19 || v2OpReplicaFetch != 25 || v2OpStats != 27 {
 		t.Fatalf("op bytes moved: metadata %d, session open %d, replica fetch %d, stats %d",
@@ -518,11 +528,9 @@ func TestRetiredStreamSurface(t *testing.T) {
 	f, addr, stop := startServer(t, true)
 	defer stop()
 	sessionTopic(t, f, "rs", 1, 3)
-	const retiredBits = 1<<0 | 1<<1 | 1<<2
-	conn, rd, feats := dialNegotiated(t, addr, allFeatures|retiredBits)
-	if feats != allFeatures {
-		t.Fatalf("negotiated features %#x, want %#x without the reserved bits %#x", feats, allFeatures, retiredBits)
-	}
+	conn, rd := dialNegotiatedAs(t, addr, map[string]any{
+		"op": OpNegotiate, "corr": 1, "max_version": ProtocolV2, "features": 0xff,
+	})
 	for i, op := range retiredStreamOps {
 		corr := uint64(10 + i)
 		hdr := binary.BigEndian.AppendUint64([]byte{op}, corr)
@@ -741,17 +749,13 @@ func FuzzDecodeSessionFrames(f *testing.F) {
 }
 
 // TestMetadataRequiresAuth pins the inline OpMetadata handler's auth
-// gate: a connection that negotiated v2 + FeatClusterMeta but never
-// authenticated must get bad-credentials, not the cluster topology —
+// gate: a connection that negotiated v2 but never authenticated must get bad-credentials, not the cluster topology —
 // broker addresses and leadership are not for anyone who can merely
 // reach a port.
 func TestMetadataRequiresAuth(t *testing.T) {
 	_, addr, stop := startServer(t, false) // authentication required
 	defer stop()
-	conn, rd, feats := dialNegotiated(t, addr, allFeatures)
-	if feats&FeatClusterMeta == 0 {
-		t.Fatalf("negotiated features %#x", feats)
-	}
+	conn, rd := dialNegotiated(t, addr)
 	frame, err := appendFrameRequestV2(nil, 2, &MetadataReq{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -770,16 +774,13 @@ func TestMetadataRequiresAuth(t *testing.T) {
 }
 
 // TestStatsRequiresAuth pins the inline OpStats handler's auth gate: a
-// connection that negotiated v2 + FeatStats but never authenticated
+// connection that negotiated v2 but never authenticated
 // must get bad-credentials, not the broker's telemetry — metric names
 // alone map out topics and deployment shape.
 func TestStatsRequiresAuth(t *testing.T) {
 	_, addr, stop := startServer(t, false) // authentication required
 	defer stop()
-	conn, rd, feats := dialNegotiated(t, addr, allFeatures)
-	if feats&FeatStats == 0 {
-		t.Fatalf("negotiated features %#x", feats)
-	}
+	conn, rd := dialNegotiated(t, addr)
 	frame, err := appendFrameRequestV2(nil, 2, &StatsReq{}, nil)
 	if err != nil {
 		t.Fatal(err)

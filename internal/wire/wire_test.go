@@ -31,7 +31,7 @@ func startServer(t *testing.T, anonymous bool) (*broker.Fabric, string, func()) 
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	req := Request{Op: OpNegotiate, Corr: 3, MaxVersion: ProtocolV2, Features: FeatStats}
+	req := Request{Op: OpNegotiate, Corr: 3, MaxVersion: ProtocolV2}
 	payload := []byte("binary-payload")
 	if err := WriteFrame(&buf, &req, payload); err != nil {
 		t.Fatal(err)
@@ -334,47 +334,123 @@ func TestClientReconnectsAfterConnectionDrop(t *testing.T) {
 	}
 }
 
+// waitUntil polls cond until it holds, failing the test after 5s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// idleWindow is how long the idle tests watch a parked consumer for
+// log reads.
+const idleWindow = 400 * time.Millisecond
+
 // TestLongPollIdleConsumerPerformsNoReads is the tail-waiter regression
-// test: an idle consumer parked in a long poll issues no log reads
-// between appends — the CPU cost of an idle subscription is a blocked
-// goroutine, not a poll loop.
+// test for the server's request/response long-poll: a FetchReq parked
+// on WaitMaxMS issues no log reads between appends — the CPU cost of an
+// idle poller is a blocked goroutine, not a poll loop — and an append
+// wakes it.
 func TestLongPollIdleConsumerPerformsNoReads(t *testing.T) {
 	f, addr, stop := startServer(t, true)
 	defer stop()
 	sessionTopic(t, f, "lp", 1, 5)
-	// Pin to plain request/response fetch so this exercises the
-	// FetchReq.WaitMaxMS -> FetchWaitInto -> eventlog.Waiter long-poll
-	// path specifically (a session's pump arms append callbacks itself).
-	c, err := DialOptions(addr, Options{Anonymous: true, MaskFeatures: FeatSessionFetch})
+	log, err := f.LeaderLog("lp", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, rd := dialNegotiated(t, addr)
+	frame, err := appendFrameRequestV2(nil, 7, &FetchReq{Topic: "lp", Offset: 5, MaxEvents: 100, MaxBytes: 1 << 20, WaitMaxMS: 5000}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads0 := log.Reads()
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	type fetchRes struct {
+		corr uint64
+		resp FetchResp
+		data []byte
+		err  error
+	}
+	done := make(chan fetchRes, 1)
+	go func() {
+		var r fetchRes
+		var hdr []byte
+		hb, err := readHeaderInto(rd, &hdr)
+		if err == nil {
+			_, r.corr, r.err = DecodeResponseV2(hb, &r.resp)
+			r.data, err = ReadPayloadInto(rd, nil)
+		}
+		if r.err == nil {
+			r.err = err
+		}
+		done <- r
+	}()
+	// One dry read, then the handler parks on the log's tail waiter.
+	waitUntil(t, "the long-poll's first read", func() bool { return log.Reads() > reads0 })
+	before := log.Reads()
+	time.Sleep(idleWindow)
+	if delta := log.Reads() - before; delta != 0 {
+		t.Fatalf("parked long-poll fetch performed %d log reads", delta)
+	}
+	if _, err := f.Produce("", "lp", 0, []event.Event{{Value: []byte("wake")}}, broker.AcksLeader); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-done:
+		if r.err != nil || r.corr != 7 {
+			t.Fatalf("long-poll answer corr %d: %v", r.corr, r.err)
+		}
+		evs, err := DecodeEvents(r.data, r.resp.NumEvents)
+		if err != nil || len(evs) != 1 || string(evs[0].Value) != "wake" {
+			t.Fatalf("parked fetch woke with %d events (%v)", len(evs), err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("parked long-poll did not wake on append")
+	}
+}
+
+// TestSessionIdleConsumerPerformsNoReads is the session twin: an SDK
+// consumer drained to the tail parks on its subscription's local queue
+// while the server's pump parks on the log's append callback, so an
+// idle consumer costs no log reads at all — and an append wakes both.
+func TestSessionIdleConsumerPerformsNoReads(t *testing.T) {
+	f, addr, stop := startServer(t, true)
+	defer stop()
+	sessionTopic(t, f, "sl", 1, 5)
+	log, err := f.LeaderLog("sl", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialOptions(addr, Options{Anonymous: true, PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Features()&FeatSessionFetch != 0 {
-		t.Fatal("session fetch negotiated despite the mask")
-	}
 	cons := client.NewConsumer(c, client.ConsumerConfig{
 		Start: client.StartEarliest, PollWait: 3 * time.Second,
 	})
 	defer cons.Close()
-	if err := cons.Assign("lp", 0); err != nil {
+	if err := cons.Assign("sl", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Drain the preloaded events.
-	drained := 0
-	for drained < 5 {
+	for drained := 0; drained < 5; {
 		evs, err := cons.Poll(100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		drained += len(evs)
 	}
-	log, err := f.LeaderLog("lp", 0)
-	if err != nil {
-		t.Fatal(err)
+	if c.sessSub("sl", 0) == nil {
+		t.Fatal("consumer not served by a fetch session")
 	}
-	// Idle: a Poll is parked server-side. Reads must not grow while no
-	// data arrives.
+	// The pump's reads: the one that pushed the backlog and the dry one
+	// that armed the append callback. After that it is parked.
+	waitUntil(t, "the pump's dry read", func() bool { return log.Reads() >= 2 })
 	type pollRes struct {
 		evs []event.Event
 		err error
@@ -384,14 +460,12 @@ func TestLongPollIdleConsumerPerformsNoReads(t *testing.T) {
 		evs, err := cons.Poll(100)
 		done <- pollRes{evs, err}
 	}()
-	time.Sleep(100 * time.Millisecond) // let the poll reach the server and park
 	before := log.Reads()
-	time.Sleep(400 * time.Millisecond)
+	time.Sleep(idleWindow)
 	if delta := log.Reads() - before; delta != 0 {
-		t.Fatalf("idle long-polling consumer performed %d log reads", delta)
+		t.Fatalf("idle session consumer caused %d log reads", delta)
 	}
-	// An append wakes the parked poll promptly.
-	if _, err := f.Produce("", "lp", 0, []event.Event{{Value: []byte("wake")}}, broker.AcksLeader); err != nil {
+	if _, err := f.Produce("", "sl", 0, []event.Event{{Value: []byte("wake")}}, broker.AcksLeader); err != nil {
 		t.Fatal(err)
 	}
 	select {

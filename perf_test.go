@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,8 +141,8 @@ func BenchmarkConsumerPollAllocs(b *testing.B) {
 }
 
 // delayProxy is testbed.DelayProxy with benchmark-scoped cleanup: the
-// emulated WAN link that makes the pipelining and streaming gates
-// meaningful on any host (on loopback there is no latency to hide).
+// emulated WAN link that makes the pipelining gate meaningful on any
+// host (on loopback there is no latency to hide).
 func delayProxy(b *testing.B, target string, oneWay time.Duration) string {
 	b.Helper()
 	addr, stop, err := testbed.DelayProxy(target, oneWay)
@@ -409,61 +408,6 @@ func BenchmarkWireHeaderAllocs(b *testing.B) {
 	b.ReportMetric(allocs, "allocs/roundtrip")
 }
 
-// BenchmarkLeaderDirectRouting gates PR 5's tentpole: the same
-// round-trip-bound produce workload runs against a 3-broker clusternet
-// fabric two ways over emulated 2 ms links. Leader-direct: the client
-// bootstraps metadata from one broker and dials each partition's
-// leader through that broker's own link (one hop per produce).
-// Proxy-through-one-listener: every request funnels through a single
-// all-partition listener behind a forwarding hop (two chained links) —
-// what reaching a partition leader through a gateway broker costs.
-// Leader-direct must beat 1.5x the proxied throughput in the same run,
-// and not one request may misroute, or the benchmark fails.
-func BenchmarkLeaderDirectRouting(b *testing.B) {
-	// The identical fixture backs octopus-bench -cluster, so the
-	// operator-visible comparison is the one CI gates.
-	fx, err := testbed.NewClusterRoutingFixture(3, 6, 40, 16, 1024, time.Millisecond)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(fx.Close)
-	if _, err := fx.Run(fx.Direct); err != nil { // warm: dials every leader link once
-		b.Fatal(err)
-	}
-	proxiedThru, err := fx.Run(fx.Proxied)
-	if err != nil {
-		b.Fatal(err)
-	}
-	directThru, err := fx.Run(fx.Direct)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if directThru < 1.5*proxiedThru {
-		b.Fatalf("leader-direct %.0f ev/s < 1.5x single-listener proxy %.0f ev/s over the same links", directThru, proxiedThru)
-	}
-	if n := fx.Cluster.Misroutes(); n != 0 {
-		b.Fatalf("leader-direct routing misrouted %d requests, want 0", n)
-	}
-	b.SetBytes(int64(len(fx.Batch)) << 10)
-	b.ResetTimer()
-	b.SetParallelism(fx.Workers)
-	var rr atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		p := int(rr.Add(1)) % fx.Partitions
-		for pb.Next() {
-			if _, err := fx.Direct.Produce("", fx.Topic, p, fx.Batch, broker.AcksLeader); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	// Reported after the timed loop: ResetTimer deletes user metrics.
-	b.ReportMetric(proxiedThru, "proxied_events/s")
-	b.ReportMetric(directThru, "direct_events/s")
-	b.ReportMetric(directThru/proxiedThru, "speedup_x")
-}
-
 // BenchmarkManyConnections gates connection-scale serving: Conns
 // connections each consuming 64 partitions over multiplexed fetch
 // sessions (one pump per connection, one shared credit window). Gate:
@@ -634,113 +578,4 @@ func BenchmarkUnmarshalBatchAllocs(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkStreamingFetch gates server push: the same consume workload
-// — a preloaded single-partition backlog drained through the SDK
-// consumer — crosses an emulated remote link (2 ms RTT) through the
-// pipelined request/response fetcher (sessions masked out of
-// negotiation) and through a negotiated fetch session (credit-based
-// server push). Request/response pays one round trip per batch however
-// well it pipelines; the session pays round trips only for the open,
-// the subscribe and the occasional credit grant, so it must beat 2x
-// the pipelined throughput in the same run or the benchmark fails.
-func BenchmarkStreamingFetch(b *testing.B) {
-	f := broker.NewFabric(nil)
-	if err := f.AddBrokers(2, 2, 8); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := f.CreateTopic("sf", "", cluster.TopicConfig{Partitions: 1}); err != nil {
-		b.Fatal(err)
-	}
-	const total, batch = 24000, 400
-	evs := make([]event.Event, batch)
-	for i := range evs {
-		evs[i] = event.Event{Value: make([]byte, 200)}
-	}
-	for n := 0; n < total; n += batch {
-		if _, err := f.Produce("", "sf", 0, evs, broker.AcksLeader); err != nil {
-			b.Fatal(err)
-		}
-	}
-	srv := wire.NewServer(f)
-	srv.AllowAnonymous = true
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	remote := delayProxy(b, addr, time.Millisecond)
-	dial := func(mask uint32) *wire.Client {
-		c, err := wire.DialOptions(remote, wire.Options{Anonymous: true, PoolSize: 1, MaskFeatures: mask})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return c
-	}
-	// consume drains the full backlog through the SDK consumer and
-	// returns events/s. Prefetch on for both sides: the baseline is the
-	// double-buffered pipelined fetcher at its best.
-	consume := func(c *wire.Client) float64 {
-		cons := client.NewConsumer(c, client.ConsumerConfig{
-			Start: client.StartEarliest, Prefetch: true,
-			MaxPollEvents: 500, PollWait: 50 * time.Millisecond,
-		})
-		defer cons.Close()
-		if err := cons.Assign("sf", 0); err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		got := 0
-		for got < total {
-			polled, err := cons.Poll(500)
-			if err != nil {
-				b.Fatal(err)
-			}
-			got += len(polled)
-		}
-		return float64(total) / time.Since(start).Seconds()
-	}
-	pipeClient, pushClient := dial(wire.FeatSessionFetch), dial(0)
-	defer pipeClient.Close()
-	defer pushClient.Close()
-	if feats := pushClient.Features(); feats&wire.FeatSessionFetch == 0 {
-		b.Fatal("session fetch not negotiated")
-	}
-	if feats := pipeClient.Features(); feats&wire.FeatSessionFetch != 0 {
-		b.Fatal("baseline client negotiated sessions")
-	}
-	pipelined := consume(pipeClient)
-	pushed := consume(pushClient)
-	if pushed < 2*pipelined {
-		b.Fatalf("session push %.0f events/s < 2x pipelined %.0f events/s over the same link", pushed, pipelined)
-	}
-	b.SetBytes(200 * 500)
-	b.ResetTimer()
-	// Timed loop: steady-state session polls over the same link,
-	// re-seeking to the backlog start when it drains.
-	cons := client.NewConsumer(pushClient, client.ConsumerConfig{
-		Start: client.StartEarliest, MaxPollEvents: 500, PollWait: 50 * time.Millisecond,
-	})
-	defer cons.Close()
-	if err := cons.Assign("sf", 0); err != nil {
-		b.Fatal(err)
-	}
-	consumed := 0
-	for i := 0; i < b.N; i++ {
-		polled, err := cons.Poll(500)
-		if err != nil {
-			b.Fatal(err)
-		}
-		consumed += len(polled)
-		if consumed >= total {
-			consumed = 0
-			cons.Seek("sf", 0, 0)
-		}
-	}
-	b.StopTimer()
-	// Reported after the timed loop: ResetTimer deletes user metrics.
-	b.ReportMetric(pipelined, "pipelined_events/s")
-	b.ReportMetric(pushed, "pushed_events/s")
-	b.ReportMetric(pushed/pipelined, "speedup_x")
 }

@@ -1,13 +1,11 @@
 package auth
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/zk"
+	"maps"
+	"slices"
+	"sync"
 )
 
 // Permission is a topic-level right, following the Kafka/MSK ACL model
@@ -29,113 +27,82 @@ func AllPermissions() []Permission {
 // ErrDenied reports a failed authorization check.
 var ErrDenied = errors.New("auth: permission denied")
 
-// aclEntry is the stored form of one identity's grant on one topic.
-type aclEntry struct {
-	Identity    string   `json:"identity"`
-	Permissions []string `json:"permissions"`
-}
-
 // ACLStore enforces fine-grained, self-managed topic access control
-// (requirement "Fine-grained access control" of §III-B). Grants are
-// persisted in the coordination registry so that, as in the paper, the
-// registry is the source of truth replicated to the IAM layer.
+// (requirement "Fine-grained access control" of §III-B). It is the
+// source of truth for which identities hold which rights on which
+// topics (§IV-C). Every authorized produce and fetch runs Check, so a
+// granted check takes a read lock and allocates nothing.
 type ACLStore struct {
-	reg *zk.Registry
+	mu sync.RWMutex
+	// grants maps topic -> identity -> the sorted permissions held. An
+	// identity with no permissions left has no entry.
+	grants map[string]map[string][]Permission
 }
 
-// NewACLStore creates an ACL store backed by the registry.
-func NewACLStore(reg *zk.Registry) *ACLStore { return &ACLStore{reg: reg} }
-
-func aclPath(topic, identity string) string {
-	return "/acls/" + topic + "/" + identity
+// NewACLStore creates an empty ACL store.
+func NewACLStore() *ACLStore {
+	return &ACLStore{grants: make(map[string]map[string][]Permission)}
 }
 
-// Grant adds permissions for identity on topic (idempotent union).
-func (a *ACLStore) Grant(topic, identity string, perms ...Permission) error {
+// Grant adds permissions for identity on topic (idempotent union). No
+// permissions means all of them.
+func (a *ACLStore) Grant(topic, identity string, perms ...Permission) {
 	if len(perms) == 0 {
 		perms = AllPermissions()
 	}
-	path := aclPath(topic, identity)
-	cur := map[string]bool{}
-	if data, _, err := a.reg.Get(path); err == nil {
-		var e aclEntry
-		if err := json.Unmarshal(data, &e); err == nil {
-			for _, p := range e.Permissions {
-				cur[p] = true
-			}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ids := a.grants[topic]
+	if ids == nil {
+		ids = make(map[string][]Permission)
+		a.grants[topic] = ids
+	}
+	held := ids[identity]
+	for _, p := range perms {
+		if !slices.Contains(held, p) {
+			held = append(held, p)
 		}
 	}
-	for _, p := range perms {
-		cur[string(p)] = true
-	}
-	return a.store(path, identity, cur)
+	slices.Sort(held)
+	ids[identity] = held
 }
 
-// Revoke removes permissions for identity on topic. Revoking all
-// permissions deletes the entry.
-func (a *ACLStore) Revoke(topic, identity string, perms ...Permission) error {
-	path := aclPath(topic, identity)
-	data, _, err := a.reg.Get(path)
-	if err != nil {
-		return nil // nothing granted, nothing to revoke
+// Revoke removes permissions for identity on topic; no permissions
+// means all of them. Revoking everything deletes the entry.
+func (a *ACLStore) Revoke(topic, identity string, perms ...Permission) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ids := a.grants[topic]
+	var held []Permission
+	if len(perms) > 0 {
+		held = slices.DeleteFunc(ids[identity], func(p Permission) bool { return slices.Contains(perms, p) })
 	}
-	var e aclEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return fmt.Errorf("auth: corrupt ACL at %s: %w", path, err)
+	if len(held) > 0 {
+		ids[identity] = held
+		return
 	}
-	cur := map[string]bool{}
-	for _, p := range e.Permissions {
-		cur[p] = true
+	delete(ids, identity)
+	if len(ids) == 0 {
+		delete(a.grants, topic)
 	}
-	if len(perms) == 0 {
-		cur = map[string]bool{}
-	}
-	for _, p := range perms {
-		delete(cur, string(p))
-	}
-	if len(cur) == 0 {
-		return a.reg.Delete(path)
-	}
-	return a.store(path, identity, cur)
 }
 
 // RevokeAllForTopic removes every grant on the topic (topic release).
 func (a *ACLStore) RevokeAllForTopic(topic string) {
-	for _, p := range a.reg.List("/acls/" + topic) {
-		_ = a.reg.Delete(p)
-	}
-}
-
-func (a *ACLStore) store(path, identity string, perms map[string]bool) error {
-	list := make([]string, 0, len(perms))
-	for p := range perms {
-		list = append(list, p)
-	}
-	sort.Strings(list)
-	data, err := json.Marshal(aclEntry{Identity: identity, Permissions: list})
-	if err != nil {
-		return err
-	}
-	a.reg.SetOrCreate(path, data)
-	return nil
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	delete(a.grants, topic)
 }
 
 // Check returns nil if identity holds perm on topic.
 func (a *ACLStore) Check(topic, identity string, perm Permission) error {
-	data, _, err := a.reg.Get(aclPath(topic, identity))
-	if err != nil {
+	a.mu.RLock()
+	ok := slices.Contains(a.grants[topic][identity], perm)
+	a.mu.RUnlock()
+	if !ok {
 		return fmt.Errorf("%w: %s on %s for %s", ErrDenied, perm, topic, identity)
 	}
-	var e aclEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return fmt.Errorf("auth: corrupt ACL: %w", err)
-	}
-	for _, p := range e.Permissions {
-		if p == string(perm) {
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s on %s for %s", ErrDenied, perm, topic, identity)
+	return nil
 }
 
 // Allowed reports whether identity holds perm on topic.
@@ -145,48 +112,29 @@ func (a *ACLStore) Allowed(topic, identity string, perm Permission) bool {
 
 // Permissions returns the sorted permissions identity holds on topic.
 func (a *ACLStore) Permissions(topic, identity string) []Permission {
-	data, _, err := a.reg.Get(aclPath(topic, identity))
-	if err != nil {
-		return nil
-	}
-	var e aclEntry
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil
-	}
-	out := make([]Permission, 0, len(e.Permissions))
-	for _, p := range e.Permissions {
-		out = append(out, Permission(p))
-	}
-	return out
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return slices.Clone(a.grants[topic][identity])
 }
 
 // TopicsFor returns the sorted topics on which the identity holds
 // DESCRIBE, backing the GET /topics route.
 func (a *ACLStore) TopicsFor(identity string) []string {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
 	var topics []string
-	for _, path := range a.reg.List("/acls") {
-		rest := strings.TrimPrefix(path, "/acls/")
-		topic, id, ok := strings.Cut(rest, "/")
-		if !ok || id != identity {
-			continue
-		}
-		if a.Allowed(topic, identity, PermDescribe) {
+	for topic, ids := range a.grants {
+		if slices.Contains(ids[identity], PermDescribe) {
 			topics = append(topics, topic)
 		}
 	}
-	sort.Strings(topics)
+	slices.Sort(topics)
 	return topics
 }
 
-// IdentitiesFor returns identities holding any grant on topic.
+// IdentitiesFor returns the sorted identities holding any grant on topic.
 func (a *ACLStore) IdentitiesFor(topic string) []string {
-	var ids []string
-	for _, path := range a.reg.List("/acls/" + topic) {
-		rest := strings.TrimPrefix(path, "/acls/"+topic+"/")
-		if rest != "" && !strings.Contains(rest, "/") {
-			ids = append(ids, rest)
-		}
-	}
-	sort.Strings(ids)
-	return ids
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return slices.Sorted(maps.Keys(a.grants[topic]))
 }

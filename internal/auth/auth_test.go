@@ -2,12 +2,13 @@ package auth
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/vclock"
-	"repro/internal/zk"
 )
 
 var t0 = time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -171,10 +172,8 @@ func TestRotateKeyInvalidatesOld(t *testing.T) {
 }
 
 func TestACLGrantCheckRevoke(t *testing.T) {
-	a := NewACLStore(zk.NewRegistry())
-	if err := a.Grant("topic1", "alice", PermRead, PermDescribe); err != nil {
-		t.Fatal(err)
-	}
+	a := NewACLStore()
+	a.Grant("topic1", "alice", PermRead, PermDescribe)
 	if err := a.Check("topic1", "alice", PermRead); err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +183,7 @@ func TestACLGrantCheckRevoke(t *testing.T) {
 	if err := a.Check("topic1", "bob", PermRead); !errors.Is(err, ErrDenied) {
 		t.Fatalf("bob: %v", err)
 	}
-	if err := a.Revoke("topic1", "alice", PermRead); err != nil {
-		t.Fatal(err)
-	}
+	a.Revoke("topic1", "alice", PermRead)
 	if a.Allowed("topic1", "alice", PermRead) {
 		t.Fatal("read survived revoke")
 	}
@@ -196,10 +193,8 @@ func TestACLGrantCheckRevoke(t *testing.T) {
 }
 
 func TestACLGrantDefaultsToAll(t *testing.T) {
-	a := NewACLStore(zk.NewRegistry())
-	if err := a.Grant("t", "u"); err != nil {
-		t.Fatal(err)
-	}
+	a := NewACLStore()
+	a.Grant("t", "u")
 	for _, p := range AllPermissions() {
 		if !a.Allowed("t", "u", p) {
 			t.Fatalf("missing %s", p)
@@ -208,32 +203,25 @@ func TestACLGrantDefaultsToAll(t *testing.T) {
 }
 
 func TestACLRevokeAllDeletesEntry(t *testing.T) {
-	a := NewACLStore(zk.NewRegistry())
-	if err := a.Grant("t", "u"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Revoke("t", "u"); err != nil {
-		t.Fatal(err)
-	}
+	a := NewACLStore()
+	a.Grant("t", "u")
+	a.Revoke("t", "u")
 	if got := a.Permissions("t", "u"); got != nil {
 		t.Fatalf("perms = %v", got)
 	}
-	// Revoking a non-existent grant is not an error.
-	if err := a.Revoke("t", "nobody", PermRead); err != nil {
-		t.Fatal(err)
+	// Revoking a non-existent grant is a no-op and leaves no entry.
+	a.Revoke("t", "nobody", PermRead)
+	if got := a.IdentitiesFor("t"); got != nil {
+		t.Fatalf("identities = %v", got)
 	}
 }
 
 func TestACLTopicsFor(t *testing.T) {
-	a := NewACLStore(zk.NewRegistry())
+	a := NewACLStore()
 	for _, topic := range []string{"zeta", "alpha", "mid"} {
-		if err := a.Grant(topic, "u"); err != nil {
-			t.Fatal(err)
-		}
+		a.Grant(topic, "u")
 	}
-	if err := a.Grant("hidden", "u", PermWrite); err != nil { // no DESCRIBE
-		t.Fatal(err)
-	}
+	a.Grant("hidden", "u", PermWrite) // no DESCRIBE
 	got := a.TopicsFor("u")
 	want := []string{"alpha", "mid", "zeta"}
 	if !reflect.DeepEqual(got, want) {
@@ -242,9 +230,9 @@ func TestACLTopicsFor(t *testing.T) {
 }
 
 func TestACLIdentitiesFor(t *testing.T) {
-	a := NewACLStore(zk.NewRegistry())
-	_ = a.Grant("t", "bob")
-	_ = a.Grant("t", "alice")
+	a := NewACLStore()
+	a.Grant("t", "bob")
+	a.Grant("t", "alice")
 	got := a.IdentitiesFor("t")
 	if !reflect.DeepEqual(got, []string{"alice", "bob"}) {
 		t.Fatalf("identities = %v", got)
@@ -252,11 +240,53 @@ func TestACLIdentitiesFor(t *testing.T) {
 }
 
 func TestACLRevokeAllForTopic(t *testing.T) {
-	a := NewACLStore(zk.NewRegistry())
-	_ = a.Grant("t", "a")
-	_ = a.Grant("t", "b")
+	a := NewACLStore()
+	a.Grant("t", "a")
+	a.Grant("t", "b")
 	a.RevokeAllForTopic("t")
 	if len(a.IdentitiesFor("t")) != 0 {
 		t.Fatal("grants survived topic release")
+	}
+}
+
+// TestACLConcurrentGrantCheck runs grants and revokes against
+// concurrent checks and listings, for the race detector: the store is
+// shared by every produce and fetch and by the web service.
+func TestACLConcurrentGrantCheck(t *testing.T) {
+	a := NewACLStore()
+	a.Grant("t", "owner")
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := a.Check("t", "owner", PermWrite); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = a.Allowed("t", "guest", PermRead)
+				_ = a.Permissions("t", "guest")
+				_ = a.TopicsFor("guest")
+				_ = a.IdentitiesFor("t")
+			}
+		}()
+	}
+	for i := 0; i < 500; i++ {
+		a.Grant("t", "guest", PermRead, PermDescribe)
+		a.Grant(fmt.Sprintf("t%d", i%7), "guest")
+		a.Revoke("t", "guest", PermRead)
+		a.Revoke("t", "guest")
+	}
+	close(stop)
+	wg.Wait()
+	if got := a.IdentitiesFor("t"); !reflect.DeepEqual(got, []string{"owner"}) {
+		t.Fatalf("identities = %v", got)
 	}
 }

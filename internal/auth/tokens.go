@@ -2,8 +2,8 @@
 // OAuth 2.0-style token service standing in for Globus Auth (identities
 // from many providers, scoped access tokens, refresh tokens, and the
 // delegation model via dependent tokens), plus IAM-style key/secret
-// credentials for the event fabric, and topic ACLs whose source of truth
-// lives in the ZooKeeper-equivalent registry.
+// credentials for the event fabric, and the per-topic ACLs (ACLStore)
+// that decide which identities may read, write or describe each topic.
 package auth
 
 import (

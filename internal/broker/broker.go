@@ -21,7 +21,6 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
 	"repro/internal/vclock"
-	"repro/internal/zk"
 )
 
 // Acks is the producer acknowledgment level (§IV-F: "clients can
@@ -87,10 +86,9 @@ func (tp TP) String() string { return fmt.Sprintf("%s-%d", tp.Topic, tp.Partitio
 
 // Node is one broker: a host for partition replica logs.
 type Node struct {
-	ID      int
-	Info    cluster.BrokerInfo
-	session int64
-	down    atomic.Bool
+	ID   int
+	Info cluster.BrokerInfo
+	down atomic.Bool
 
 	mu   sync.RWMutex
 	logs map[TP]*eventlog.Log
@@ -173,7 +171,6 @@ func (n *Node) InfoCopy() cluster.BrokerInfo {
 // Fabric methods; the wire layer (internal/wire) and the SDK
 // (internal/client) are thin shims over them.
 type Fabric struct {
-	Reg   *zk.Registry
 	Ctl   *cluster.Controller
 	ACL   *auth.ACLStore
 	Auth  *auth.Service
@@ -277,16 +274,14 @@ func (f *Fabric) SetHotPathMetrics(enabled bool) {
 // Tracer returns the fabric's produce stage tracer.
 func (f *Fabric) Tracer() *ProduceTracer { return f.tracer }
 
-// NewFabric assembles a fabric over a fresh registry.
+// NewFabric assembles a fabric with no brokers and no topics.
 func NewFabric(clock vclock.Clock) *Fabric {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	reg := zk.NewRegistry()
 	f := &Fabric{
-		Reg:               reg,
-		Ctl:               cluster.NewController(reg, clock),
-		ACL:               auth.NewACLStore(reg),
+		Ctl:               cluster.NewController(clock),
+		ACL:               auth.NewACLStore(),
 		Auth:              auth.NewService(clock, 0),
 		Clock:             clock,
 		nodes:             make(map[int]*Node),
@@ -306,11 +301,9 @@ func NewFabric(clock vclock.Clock) *Fabric {
 // AddBroker registers and starts a broker node.
 func (f *Fabric) AddBroker(info cluster.BrokerInfo) (*Node, error) {
 	n := newNode(info)
-	sess, err := f.Ctl.RegisterBroker(info)
-	if err != nil {
+	if err := f.Ctl.RegisterBroker(info); err != nil {
 		return nil, err
 	}
-	n.session = sess
 	f.mu.Lock()
 	f.nodes[info.ID] = n
 	f.mu.Unlock()
@@ -349,7 +342,7 @@ func (f *Fabric) NodeIDs() []int {
 }
 
 // PartitionLeader resolves the partition's current leader broker id
-// through the epoch-keyed route cache (no registry read on the hot
+// through the epoch-keyed route cache (no controller read on the hot
 // path). A leaderless partition returns -1 with ErrLeaderUnavailable.
 // The per-broker wire servers use it to refuse misrouted data-plane
 // requests with ErrNotLeader instead of silently serving them.
@@ -429,9 +422,7 @@ func (f *Fabric) CreateTopic(name, owner string, cfg cluster.TopicConfig) (*clus
 		return nil, err
 	}
 	if owner != "" {
-		if err := f.ACL.Grant(name, owner); err != nil {
-			return nil, err
-		}
+		f.ACL.Grant(name, owner)
 	}
 	return meta, nil
 }
@@ -860,15 +851,15 @@ func (f *Fabric) CompactAll() int {
 	return removed
 }
 
-// StopBroker simulates a broker failure: the node stops serving, its
-// registry session expires, and the controller re-elects leaders.
+// StopBroker simulates a broker failure: the node stops serving, the
+// controller deregisters it and re-elects leaders.
 func (f *Fabric) StopBroker(id int) error {
 	n, ok := f.Node(id)
 	if !ok {
 		return fmt.Errorf("broker: unknown broker %d", id)
 	}
 	n.down.Store(true)
-	f.Reg.ExpireSession(n.session)
+	f.Ctl.DeregisterBroker(id)
 	f.Ctl.HandleBrokerFailure(id)
 	f.Metrics.Counter("fabric.broker_failures").Inc()
 	return nil
@@ -922,11 +913,9 @@ func (f *Fabric) RestartBroker(id int) error {
 			}
 		}
 	}
-	sess, err := f.Ctl.RegisterBroker(n.InfoCopy())
-	if err != nil {
+	if err := f.Ctl.RegisterBroker(n.InfoCopy()); err != nil {
 		return err
 	}
-	n.session = sess
 	n.down.Store(false)
 	f.Ctl.HandleBrokerRecovery(id)
 	return nil

@@ -197,7 +197,7 @@ func (f *Fabric) BrokerLog(id int, topic string, partition int) (*eventlog.Log, 
 // CrashBroker simulates kill -9: the node's in-memory state is dropped
 // on the spot — no graceful leadership handoff, no flush beyond what
 // each append batch already persisted — and only then does the control
-// plane notice the death (session expiry, leader re-election). Replica
+// plane notice the death (deregistration, leader re-election). Replica
 // logs backed by a DataDir keep their segment files and replay them in
 // RecoverBroker; in-memory logs are simply gone.
 func (f *Fabric) CrashBroker(id int) error {
@@ -207,7 +207,7 @@ func (f *Fabric) CrashBroker(id int) error {
 	}
 	n.down.Store(true)
 	n.dropLogs()
-	f.Reg.ExpireSession(n.session)
+	f.Ctl.DeregisterBroker(id)
 	f.Ctl.HandleBrokerFailure(id)
 	f.Metrics.Counter("fabric.broker_failures").Inc()
 	return nil
@@ -243,11 +243,9 @@ func (f *Fabric) RecoverBroker(id int) error {
 			}
 		}
 	}
-	sess, err := f.Ctl.RegisterBroker(n.InfoCopy())
-	if err != nil {
+	if err := f.Ctl.RegisterBroker(n.InfoCopy()); err != nil {
 		return err
 	}
-	n.session = sess
 	n.down.Store(false)
 	return nil
 }

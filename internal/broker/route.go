@@ -9,13 +9,11 @@ import (
 	"repro/internal/eventlog"
 )
 
-// Routing cache: the produce/fetch hot path must not touch the registry.
+// Routing cache: the produce/fetch hot path must not touch the controller.
 //
-// Topic metadata lives JSON-encoded in the registry, so the seed resolved
-// every produce and fetch through a registry read plus a full TopicMeta
-// decode — dozens of allocations per call before a single byte reached a
-// log. The fabric now caches a decoded topicRoute per topic: partition
-// leaders, their *eventlog.Log handles, and the in-sync follower handles
+// A controller read takes its lock and deep-copies the TopicMeta, so the
+// fabric caches a resolved topicRoute per topic instead: partition leaders,
+// their *eventlog.Log handles, and the in-sync follower handles
 // replication writes to. Entries are tagged with the controller's
 // metadata epoch; any control-plane mutation (leader election, ISR
 // change, partition growth, topic delete) bumps the epoch, and the next

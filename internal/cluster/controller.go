@@ -1,39 +1,41 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/vclock"
-	"repro/internal/zk"
 )
 
-// Controller is the cluster's single control-plane authority, the role
-// the MSK control plane plus ZooKeeper play in the paper. It serializes
-// topic creation, partition assignment and leader election, persisting
-// everything in the registry so brokers (and the web service) observe a
-// consistent view.
+// Controller is the cluster's single control-plane authority. It holds
+// broker membership and topic metadata as typed state under one lock:
+// mutations (topic creation, partition assignment, leader election, ISR
+// changes) are serialized, and every read returns a deep copy, so
+// brokers and the web service observe a consistent view and may keep or
+// modify what they were handed.
 type Controller struct {
-	mu    sync.Mutex
-	reg   *zk.Registry
+	mu    sync.RWMutex
 	clock vclock.Clock
+	// brokers holds the live (registered) brokers by id.
+	brokers map[int]BrokerInfo
+	// topics holds each topic's metadata. Stored values are never handed
+	// out: readers get a clone.
+	topics map[string]*TopicMeta
 	// rr rotates the starting broker for partition assignment so load
 	// spreads across the cluster as topics are created.
 	rr int
 	// epoch increments on every metadata mutation (topic create/delete,
 	// partition growth, config change, leader election, ISR change,
 	// broker registration). Data-plane caches key their entries by it:
-	// comparing two atomic loads replaces a registry read plus JSON
-	// decode on every produce/fetch.
+	// comparing two atomic loads replaces a locked metadata copy on
+	// every produce/fetch.
 	epoch atomic.Int64
 
 	// watchMu guards the epoch watchers. A separate mutex, not c.mu:
-	// bumpEpoch runs both with and without c.mu held, and watcher
-	// (un)registration must never contend with topic mutation.
+	// watcher (un)registration must never contend with topic mutation.
 	watchMu  sync.Mutex
 	watchers map[uint64]chan struct{}
 	watchID  uint64
@@ -84,30 +86,35 @@ func (c *Controller) WatchEpoch() (<-chan struct{}, func()) {
 	}
 }
 
-// NewController creates a controller over the registry.
-func NewController(reg *zk.Registry, clock vclock.Clock) *Controller {
+// NewController creates a controller with no brokers and no topics.
+func NewController(clock vclock.Clock) *Controller {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	return &Controller{reg: reg, clock: clock}
+	return &Controller{clock: clock, brokers: make(map[int]BrokerInfo), topics: make(map[string]*TopicMeta)}
 }
 
-func brokerPath(id int) string     { return "/brokers/" + strconv.Itoa(id) }
-func topicPath(name string) string { return "/topics/" + name }
-
-// RegisterBroker records a live broker under an ephemeral node bound to
-// the returned session. Expiring the session simulates broker failure.
-func (c *Controller) RegisterBroker(info BrokerInfo) (int64, error) {
-	data, err := json.Marshal(info)
-	if err != nil {
-		return 0, err
+// RegisterBroker records a live broker. Registering an id that is
+// already live fails; DeregisterBroker ends the registration.
+func (c *Controller) RegisterBroker(info BrokerInfo) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.brokers[info.ID]; ok {
+		return fmt.Errorf("cluster: register broker %d: already registered", info.ID)
 	}
-	sess := c.reg.NewSession()
-	if err := c.reg.CreateEphemeral(brokerPath(info.ID), data, sess); err != nil {
-		return 0, fmt.Errorf("cluster: register broker %d: %w", info.ID, err)
-	}
+	c.brokers[info.ID] = info
 	c.bumpEpoch()
-	return sess, nil
+	return nil
+}
+
+// DeregisterBroker removes a broker from the live set: the broker has
+// died or stopped. It does not touch topic metadata — leader election
+// is HandleBrokerFailure's job, and a drained broker goes through that
+// without being deregistered — so it does not bump the epoch.
+func (c *Controller) DeregisterBroker(id int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.brokers, id)
 }
 
 // SetBrokerAddr updates a registered broker's advertised address — the
@@ -119,48 +126,30 @@ func (c *Controller) RegisterBroker(info BrokerInfo) (int64, error) {
 func (c *Controller) SetBrokerAddr(id int, addr string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	data, _, err := c.reg.Get(brokerPath(id))
-	if err != nil {
-		return fmt.Errorf("cluster: broker %d: %w", id, err)
-	}
-	var info BrokerInfo
-	if err := json.Unmarshal(data, &info); err != nil {
-		return err
+	info, ok := c.brokers[id]
+	if !ok {
+		return fmt.Errorf("cluster: broker %d not registered", id)
 	}
 	info.Addr = addr
-	nd, err := json.Marshal(info)
-	if err != nil {
-		return err
-	}
-	if _, err := c.reg.Set(brokerPath(id), nd); err != nil {
-		return err
-	}
+	c.brokers[id] = info
 	c.bumpEpoch()
 	return nil
 }
 
 // LiveBrokers returns the sorted ids of registered brokers.
 func (c *Controller) LiveBrokers() []int {
-	names := c.reg.Children("/brokers")
-	ids := make([]int, 0, len(names))
-	for _, n := range names {
-		if id, err := strconv.Atoi(n); err == nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return slices.Sorted(maps.Keys(c.brokers))
 }
 
 // BrokerInfo returns a registered broker's description.
 func (c *Controller) BrokerInfo(id int) (BrokerInfo, error) {
-	data, _, err := c.reg.Get(brokerPath(id))
-	if err != nil {
-		return BrokerInfo{}, fmt.Errorf("cluster: broker %d: %w", id, err)
-	}
-	var info BrokerInfo
-	if err := json.Unmarshal(data, &info); err != nil {
-		return BrokerInfo{}, err
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	info, ok := c.brokers[id]
+	if !ok {
+		return BrokerInfo{}, fmt.Errorf("cluster: broker %d not registered", id)
 	}
 	return info, nil
 }
@@ -175,17 +164,13 @@ func (c *Controller) CreateTopic(name, owner string, cfg TopicConfig) (*TopicMet
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if data, _, err := c.reg.Get(topicPath(name)); err == nil {
-		existing, err := unmarshalTopic(data)
-		if err != nil {
-			return nil, err
-		}
+	if existing, ok := c.topics[name]; ok {
 		if existing.Owner == owner {
-			return existing, nil // idempotent retry
+			return existing.clone(), nil // idempotent retry
 		}
 		return nil, fmt.Errorf("%w: %s (owned by %s)", ErrTopicExists, name, existing.Owner)
 	}
-	brokers := c.LiveBrokers()
+	brokers := slices.Sorted(maps.Keys(c.brokers))
 	if len(brokers) == 0 {
 		return nil, ErrNoBrokers
 	}
@@ -198,11 +183,9 @@ func (c *Controller) CreateTopic(name, owner string, cfg TopicConfig) (*TopicMet
 	for p := 0; p < cfg.Partitions; p++ {
 		meta.Partitions = append(meta.Partitions, c.assignLocked(name, p, brokers, rf))
 	}
-	if err := c.reg.Create(topicPath(name), meta.marshal()); err != nil {
-		return nil, err
-	}
+	c.topics[name] = meta
 	c.bumpEpoch()
-	return meta, nil
+	return meta.clone(), nil
 }
 
 // assignLocked picks a replica set for one partition.
@@ -222,27 +205,55 @@ func (c *Controller) assignLocked(topic string, id int, brokers []int, rf int) P
 	}
 }
 
-// Topic returns a topic's metadata.
-func (c *Controller) Topic(name string) (*TopicMeta, error) {
-	data, _, err := c.reg.Get(topicPath(name))
-	if err != nil {
+// topicLocked returns the stored metadata of a topic, not a copy; the
+// caller holds c.mu.
+func (c *Controller) topicLocked(name string) (*TopicMeta, error) {
+	meta, ok := c.topics[name]
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoTopic, name)
 	}
-	return unmarshalTopic(data)
+	return meta, nil
+}
+
+// partitionLocked returns the stored metadata of one partition, not a
+// copy; the caller holds c.mu.
+func (c *Controller) partitionLocked(topic string, id int) (*PartitionMeta, error) {
+	meta, err := c.topicLocked(topic)
+	if err != nil {
+		return nil, err
+	}
+	if id < 0 || id >= len(meta.Partitions) {
+		return nil, fmt.Errorf("cluster: %s has no partition %d", topic, id)
+	}
+	return &meta.Partitions[id], nil
+}
+
+// Topic returns a copy of a topic's metadata.
+func (c *Controller) Topic(name string) (*TopicMeta, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	meta, err := c.topicLocked(name)
+	if err != nil {
+		return nil, err
+	}
+	return meta.clone(), nil
 }
 
 // Topics returns all topic names, sorted.
 func (c *Controller) Topics() []string {
-	return c.reg.Children("/topics")
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return slices.Sorted(maps.Keys(c.topics))
 }
 
 // DeleteTopic removes a topic's metadata.
 func (c *Controller) DeleteTopic(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.reg.Delete(topicPath(name)); err != nil {
-		return fmt.Errorf("%w: %s", ErrNoTopic, name)
+	if _, err := c.topicLocked(name); err != nil {
+		return err
 	}
+	delete(c.topics, name)
 	c.bumpEpoch()
 	return nil
 }
@@ -252,7 +263,7 @@ func (c *Controller) DeleteTopic(name string) error {
 func (c *Controller) SetPartitions(name string, n int) (*TopicMeta, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	meta, err := c.Topic(name)
+	meta, err := c.topicLocked(name)
 	if err != nil {
 		return nil, err
 	}
@@ -260,9 +271,9 @@ func (c *Controller) SetPartitions(name string, n int) (*TopicMeta, error) {
 		return nil, fmt.Errorf("%w: %d -> %d", ErrShrinkPartitions, meta.Config.Partitions, n)
 	}
 	if n == meta.Config.Partitions {
-		return meta, nil
+		return meta.clone(), nil
 	}
-	brokers := c.LiveBrokers()
+	brokers := slices.Sorted(maps.Keys(c.brokers))
 	if len(brokers) == 0 {
 		return nil, ErrNoBrokers
 	}
@@ -274,11 +285,8 @@ func (c *Controller) SetPartitions(name string, n int) (*TopicMeta, error) {
 		meta.Partitions = append(meta.Partitions, c.assignLocked(name, p, brokers, rf))
 	}
 	meta.Config.Partitions = n
-	if _, err := c.reg.Set(topicPath(name), meta.marshal()); err != nil {
-		return nil, err
-	}
 	c.bumpEpoch()
-	return meta, nil
+	return meta.clone(), nil
 }
 
 // SetConfig updates retention/compaction settings (partition count and
@@ -286,7 +294,7 @@ func (c *Controller) SetPartitions(name string, n int) (*TopicMeta, error) {
 func (c *Controller) SetConfig(name string, cfg TopicConfig) (*TopicMeta, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	meta, err := c.Topic(name)
+	meta, err := c.topicLocked(name)
 	if err != nil {
 		return nil, err
 	}
@@ -294,51 +302,39 @@ func (c *Controller) SetConfig(name string, cfg TopicConfig) (*TopicMeta, error)
 		meta.Config.Retention = cfg.Retention
 	}
 	meta.Config.Compact = cfg.Compact
-	if _, err := c.reg.Set(topicPath(name), meta.marshal()); err != nil {
-		return nil, err
-	}
 	c.bumpEpoch()
-	return meta, nil
+	return meta.clone(), nil
 }
 
-// Partition returns one partition's metadata.
+// Partition returns a copy of one partition's metadata.
 func (c *Controller) Partition(topic string, id int) (PartitionMeta, error) {
-	meta, err := c.Topic(topic)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	p, err := c.partitionLocked(topic, id)
 	if err != nil {
 		return PartitionMeta{}, err
 	}
-	if id < 0 || id >= len(meta.Partitions) {
-		return PartitionMeta{}, fmt.Errorf("cluster: %s has no partition %d", topic, id)
-	}
-	return meta.Partitions[id], nil
+	return p.clone(), nil
 }
 
 // HandleBrokerFailure re-elects leaders for every partition led by the
 // failed broker, choosing the first surviving ISR member, and removes
 // the broker from ISR sets. Partitions with no surviving ISR member are
-// left leaderless (Leader = -1) until the broker returns.
+// left leaderless (Leader = -1) until the broker returns. It leaves
+// broker membership alone: a drained broker stays registered, and a
+// dead one is deregistered by its caller.
 func (c *Controller) HandleBrokerFailure(brokerID int) []PartitionMeta {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var changed []PartitionMeta
-	for _, name := range c.Topics() {
-		meta, err := c.Topic(name)
-		if err != nil {
-			continue
-		}
-		dirty := false
+	for _, name := range slices.Sorted(maps.Keys(c.topics)) {
+		meta := c.topics[name]
 		for i := range meta.Partitions {
 			p := &meta.Partitions[i]
 			if !p.HasReplica(brokerID) {
 				continue
 			}
-			isr := p.ISR[:0]
-			for _, r := range p.ISR {
-				if r != brokerID {
-					isr = append(isr, r)
-				}
-			}
-			p.ISR = isr
+			p.ISR = slices.DeleteFunc(p.ISR, func(r int) bool { return r == brokerID })
 			if p.Leader == brokerID {
 				if len(p.ISR) > 0 {
 					p.Leader = p.ISR[0]
@@ -347,13 +343,7 @@ func (c *Controller) HandleBrokerFailure(brokerID int) []PartitionMeta {
 				}
 				p.LeaderEpoch++
 			}
-			changed = append(changed, *p)
-			dirty = true
-		}
-		if dirty {
-			if _, err := c.reg.Set(topicPath(name), meta.marshal()); err == nil {
-				continue
-			}
+			changed = append(changed, p.clone())
 		}
 	}
 	c.bumpEpoch()
@@ -367,28 +357,15 @@ func (c *Controller) HandleBrokerRecovery(brokerID int) []PartitionMeta {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var changed []PartitionMeta
-	for _, name := range c.Topics() {
-		meta, err := c.Topic(name)
-		if err != nil {
-			continue
-		}
-		dirty := false
+	for _, name := range slices.Sorted(maps.Keys(c.topics)) {
+		meta := c.topics[name]
 		for i := range meta.Partitions {
 			p := &meta.Partitions[i]
 			if !p.HasReplica(brokerID) || p.InISR(brokerID) {
 				continue
 			}
-			p.ISR = append(p.ISR, brokerID)
-			sort.Ints(p.ISR)
-			if p.Leader == -1 {
-				p.Leader = brokerID
-				p.LeaderEpoch++
-			}
-			changed = append(changed, *p)
-			dirty = true
-		}
-		if dirty {
-			_, _ = c.reg.Set(topicPath(name), meta.marshal())
+			p.rejoin(brokerID)
+			changed = append(changed, p.clone())
 		}
 	}
 	c.bumpEpoch()
@@ -404,31 +381,19 @@ func (c *Controller) HandleBrokerRecovery(brokerID int) []PartitionMeta {
 func (c *Controller) ExpandISR(topic string, id, brokerID int) (PartitionMeta, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	meta, err := c.Topic(topic)
+	p, err := c.partitionLocked(topic, id)
 	if err != nil {
 		return PartitionMeta{}, err
 	}
-	if id < 0 || id >= len(meta.Partitions) {
-		return PartitionMeta{}, fmt.Errorf("cluster: %s has no partition %d", topic, id)
-	}
-	p := &meta.Partitions[id]
 	if !p.HasReplica(brokerID) {
-		return *p, fmt.Errorf("cluster: broker %d is not a replica of %s/%d", brokerID, topic, id)
+		return p.clone(), fmt.Errorf("cluster: broker %d is not a replica of %s/%d", brokerID, topic, id)
 	}
 	if p.InISR(brokerID) {
-		return *p, nil
+		return p.clone(), nil
 	}
-	p.ISR = append(p.ISR, brokerID)
-	sort.Ints(p.ISR)
-	if p.Leader == -1 {
-		p.Leader = brokerID
-		p.LeaderEpoch++
-	}
-	if _, err := c.reg.Set(topicPath(topic), meta.marshal()); err != nil {
-		return *p, err
-	}
+	p.rejoin(brokerID)
 	c.bumpEpoch()
-	return *p, nil
+	return p.clone(), nil
 }
 
 // ShrinkISR removes a lagging replica from one partition's in-sync set,
@@ -438,27 +403,14 @@ func (c *Controller) ExpandISR(topic string, id, brokerID int) (PartitionMeta, e
 func (c *Controller) ShrinkISR(topic string, id, brokerID int) (PartitionMeta, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	meta, err := c.Topic(topic)
+	p, err := c.partitionLocked(topic, id)
 	if err != nil {
 		return PartitionMeta{}, err
 	}
-	if id < 0 || id >= len(meta.Partitions) {
-		return PartitionMeta{}, fmt.Errorf("cluster: %s has no partition %d", topic, id)
-	}
-	p := &meta.Partitions[id]
 	if p.Leader == brokerID || !p.InISR(brokerID) {
-		return *p, nil
+		return p.clone(), nil
 	}
-	isr := p.ISR[:0]
-	for _, r := range p.ISR {
-		if r != brokerID {
-			isr = append(isr, r)
-		}
-	}
-	p.ISR = isr
-	if _, err := c.reg.Set(topicPath(topic), meta.marshal()); err != nil {
-		return *p, err
-	}
+	p.ISR = slices.DeleteFunc(p.ISR, func(r int) bool { return r == brokerID })
 	c.bumpEpoch()
-	return *p, nil
+	return p.clone(), nil
 }

@@ -1,14 +1,17 @@
 // Package cluster implements the control plane of the Octopus event
 // fabric: broker membership, topic metadata, partition assignment,
-// leader election and in-sync-replica (ISR) tracking. State lives in the
-// ZooKeeper-equivalent registry (internal/zk), matching the paper's
-// MSK + ZooKeeper deployment (§IV-A, §IV-F).
+// leader election and in-sync-replica (ISR) tracking. The Controller
+// plays the role the paper's MSK control plane plus ZooKeeper play
+// (§IV-A, §IV-F): it is the source of truth for which brokers are live
+// and where every partition's replicas, leader and ISR are. It keeps
+// that state as typed Go values in memory; the topic ACLs live beside
+// it in auth.ACLStore.
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -101,6 +104,25 @@ func (p *PartitionMeta) InISR(id int) bool {
 	return false
 }
 
+// clone returns a deep copy of the partition's metadata.
+func (p *PartitionMeta) clone() PartitionMeta {
+	c := *p
+	c.Replicas = slices.Clone(p.Replicas)
+	c.ISR = slices.Clone(p.ISR)
+	return c
+}
+
+// rejoin adds broker id back to the ISR and elects it leader of a
+// leaderless partition (bumping the leader epoch).
+func (p *PartitionMeta) rejoin(id int) {
+	p.ISR = append(p.ISR, id)
+	slices.Sort(p.ISR)
+	if p.Leader == -1 {
+		p.Leader = id
+		p.LeaderEpoch++
+	}
+}
+
 // TopicMeta is the full metadata for a topic.
 type TopicMeta struct {
 	Name       string          `json:"name"`
@@ -112,20 +134,14 @@ type TopicMeta struct {
 	CreatedAt time.Time `json:"created_at"`
 }
 
-func (t *TopicMeta) marshal() []byte {
-	b, err := json.Marshal(t)
-	if err != nil {
-		panic("cluster: cannot marshal topic meta: " + err.Error())
+// clone returns a deep copy of the topic's metadata.
+func (t *TopicMeta) clone() *TopicMeta {
+	c := *t
+	c.Partitions = slices.Clone(t.Partitions)
+	for i := range c.Partitions {
+		c.Partitions[i] = c.Partitions[i].clone()
 	}
-	return b
-}
-
-func unmarshalTopic(b []byte) (*TopicMeta, error) {
-	var t TopicMeta
-	if err := json.Unmarshal(b, &t); err != nil {
-		return nil, fmt.Errorf("cluster: corrupt topic metadata: %w", err)
-	}
-	return &t, nil
+	return &c
 }
 
 // BrokerInfo describes a registered broker.

@@ -5,7 +5,7 @@
 //
 // Serve binds one wire.Server per broker node to the broker's
 // configured (or an ephemeral) address, publishes the bound address as
-// the broker's advertised address in the controller registry — which
+// the broker's advertised address with the controller — which
 // bumps the metadata epoch, so OpMetadata responses immediately route
 // clients there — and scopes each server to its broker
 // (wire.Server.LocalBroker): a data-plane request for a partition the

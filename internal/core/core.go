@@ -1,7 +1,7 @@
 // Package core is the public face of the Octopus reproduction: it
-// assembles the event fabric (brokers + controller + coordination
-// registry), the security stack (OAuth-style tokens, IAM keys, topic
-// ACLs), the web service, the managed trigger runtime, and the SDK
+// assembles the event fabric (brokers + the cluster controller), the
+// security stack (OAuth-style tokens, IAM keys, topic ACLs), the web
+// service, the managed trigger runtime, and the SDK
 // factory methods, mirroring the architecture of Figure 2.
 //
 // A minimal end-to-end flow:
@@ -194,7 +194,8 @@ func (t *Topic) Grant(other *User, perms ...auth.Permission) error {
 	if meta.Owner != t.user.Identity.ID {
 		return fmt.Errorf("%w: only the owner may grant", auth.ErrDenied)
 	}
-	return t.oct.Fabric.ACL.Grant(t.Name, other.Identity.ID, perms...)
+	t.oct.Fabric.ACL.Grant(t.Name, other.Identity.ID, perms...)
+	return nil
 }
 
 // Transport returns the user's in-process transport.

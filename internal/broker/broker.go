@@ -9,7 +9,9 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -179,12 +181,9 @@ type Fabric struct {
 	mu    sync.RWMutex
 	nodes map[int]*Node
 
-	// routes caches per-topic routing tables (decoded metadata + leader
-	// log handles), keyed by the controller's metadata epoch; see route.go.
-	routes sync.Map // map[string]*topicRoute
-	// routePruned is the last epoch at which deleted topics were swept
-	// out of the route cache.
-	routePruned atomic.Int64
+	// routes is the route cache for one controller snapshot (resolved
+	// metadata + leader log handles per topic); see route.go.
+	routes atomic.Pointer[routeTable]
 
 	Groups  *Coordinator
 	Metrics *metrics.Registry
@@ -265,10 +264,7 @@ func (f *Fabric) SetHotPathMetrics(enabled bool) {
 		f.hot.Store(nil)
 	}
 	// Force route rebuilds so eventlog observer wiring follows suit.
-	f.routes.Range(func(k, _ any) bool {
-		f.routes.Delete(k)
-		return true
-	})
+	f.routes.Store(new(routeTable))
 }
 
 // Tracer returns the fabric's produce stage tracer.
@@ -289,6 +285,7 @@ func NewFabric(clock vclock.Clock) *Fabric {
 		Quotas:            NewQuotas(clock),
 		MinInsyncReplicas: 1,
 	}
+	f.routes.Store(new(routeTable))
 	f.Groups = NewCoordinator(f)
 	f.cProduced = f.Metrics.Counter("fabric.produced")
 	f.cFetched = f.Metrics.Counter("fabric.fetched")
@@ -342,7 +339,7 @@ func (f *Fabric) NodeIDs() []int {
 }
 
 // PartitionLeader resolves the partition's current leader broker id
-// through the epoch-keyed route cache (no controller read on the hot
+// through the per-snapshot route cache (no metadata copy on the hot
 // path). A leaderless partition returns -1 with ErrLeaderUnavailable.
 // The per-broker wire servers use it to refuse misrouted data-plane
 // requests with ErrNotLeader instead of silently serving them.
@@ -370,7 +367,8 @@ type BrokerStatus struct {
 // ClusterSnapshot is the cluster-wide metadata document served by the
 // wire layer's OpMetadata: the epoch it was built at, every broker the
 // fabric knows (including down ones, so clients can tell "gone" from
-// "never existed") and the requested topics' full placement.
+// "never existed") and the requested topics' full placement. Topics
+// are shared with the controller snapshot they came from: read-only.
 type ClusterSnapshot struct {
 	Epoch   int64
 	Brokers []BrokerStatus
@@ -378,13 +376,12 @@ type ClusterSnapshot struct {
 }
 
 // ClusterSnapshot builds the metadata document for the given topics
-// (nil or empty = every topic). The epoch is read before the content,
-// the same ordering route-cache builds use: a concurrent mutation can
-// only make the snapshot look older than it is, so a client keying its
-// routing table by the epoch re-fetches rather than trusting stale
-// state.
+// (nil or empty = every topic, sorted by name). The epoch and the
+// topics come from one controller snapshot, so a client keying its
+// routing table by the epoch keys it by exactly the content it got.
 func (f *Fabric) ClusterSnapshot(topics []string) ClusterSnapshot {
-	snap := ClusterSnapshot{Epoch: f.Ctl.Epoch()}
+	s := f.Ctl.Snapshot()
+	snap := ClusterSnapshot{Epoch: s.Epoch}
 	for _, id := range f.NodeIDs() {
 		n, ok := f.Node(id)
 		if !ok {
@@ -393,14 +390,12 @@ func (f *Fabric) ClusterSnapshot(topics []string) ClusterSnapshot {
 		snap.Brokers = append(snap.Brokers, BrokerStatus{Info: n.InfoCopy(), Up: !n.Down()})
 	}
 	if len(topics) == 0 {
-		topics = f.Ctl.Topics()
+		topics = slices.Sorted(maps.Keys(s.Topics))
 	}
 	for _, t := range topics {
-		meta, err := f.Ctl.Topic(t)
-		if err != nil {
-			continue // deleted or unknown: simply absent from the response
+		if meta, ok := s.Topics[t]; ok { // unknown: simply absent
+			snap.Topics = append(snap.Topics, meta)
 		}
-		snap.Topics = append(snap.Topics, meta)
 	}
 	return snap
 }
@@ -831,18 +826,17 @@ func (f *Fabric) EnforceRetention() int {
 // records removed.
 func (f *Fabric) CompactAll() int {
 	removed := 0
-	for _, topic := range f.Ctl.Topics() {
-		meta, err := f.Ctl.Topic(topic)
-		if err != nil || !meta.Config.Compact {
+	for topic, meta := range f.Ctl.Snapshot().Topics {
+		if !meta.Config.Compact {
 			continue
 		}
-		for p := 0; p < meta.Config.Partitions; p++ {
-			for _, r := range meta.Partitions[p].Replicas {
+		for _, pm := range meta.Partitions {
+			for _, r := range pm.Replicas {
 				n, ok := f.Node(r)
 				if !ok {
 					continue
 				}
-				if l, ok := n.existingLog(TP{Topic: topic, Partition: p}); ok {
+				if l, ok := n.existingLog(TP{Topic: topic, Partition: pm.ID}); ok {
 					removed += l.Compact()
 				}
 			}
@@ -876,11 +870,7 @@ func (f *Fabric) RestartBroker(id int) error {
 		return nil
 	}
 	// Catch up every replica this node hosts from the current leader.
-	for _, topic := range f.Ctl.Topics() {
-		meta, err := f.Ctl.Topic(topic)
-		if err != nil {
-			continue
-		}
+	for topic, meta := range f.Ctl.Snapshot().Topics {
 		for _, pm := range meta.Partitions {
 			if !pm.HasReplica(id) || pm.Leader < 0 || pm.Leader == id {
 				continue
@@ -906,10 +896,11 @@ func (f *Fabric) RestartBroker(id int) error {
 			if err != nil {
 				continue
 			}
-			if len(missing) > 0 {
-				if _, err := dst.AppendBatch(missing, f.Clock.Now()); err != nil {
-					return fmt.Errorf("broker: catch-up %s on %d: %w", tp, id, err)
-				}
+			// Copied as replicated: the leader's offsets and timestamps
+			// are kept, and a gap the leader's retention left is rolled
+			// over rather than packed down to follower-local offsets.
+			if err := dst.AppendReplicated(missing); err != nil {
+				return fmt.Errorf("broker: catch-up %s on %d: %w", tp, id, err)
 			}
 		}
 	}

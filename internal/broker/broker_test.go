@@ -6,10 +6,13 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/auth"
 	"repro/internal/cluster"
 	"repro/internal/event"
+	"repro/internal/eventlog"
+	"repro/internal/vclock"
 )
 
 func newFabric(t *testing.T, brokers int) *Fabric {
@@ -251,6 +254,113 @@ func TestBrokerRestartCatchesUp(t *testing.T) {
 	}
 }
 
+// restartFixture is a 2-broker fabric on a virtual clock with one RF-2
+// partition whose follower is stopped; it returns the follower id and a
+// function that reads a replica's log of that partition.
+func restartFixture(t *testing.T, cfg cluster.TopicConfig) (*Fabric, *vclock.Virtual, int, func(id int) *eventlog.Log) {
+	t.Helper()
+	clock := vclock.NewVirtual(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC))
+	f := NewFabric(clock)
+	if err := f.AddBrokers(2, 2, 8); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Partitions, cfg.ReplicationFactor = 1, 2
+	if _, err := f.CreateTopic("t", "", cfg); err != nil {
+		t.Fatal(err)
+	}
+	pm, _ := f.Ctl.Partition("t", 0)
+	if _, err := f.Produce("", "t", 0, evs(10, "a"), AcksLeader); err != nil {
+		t.Fatal(err)
+	}
+	follower := pm.Replicas[1]
+	if err := f.StopBroker(follower); err != nil {
+		t.Fatal(err)
+	}
+	replica := func(id int) *eventlog.Log {
+		t.Helper()
+		n, _ := f.Node(id)
+		l, ok := n.existingLog(TP{Topic: "t", Partition: 0})
+		if !ok {
+			t.Fatalf("broker %d has no log", id)
+		}
+		return l
+	}
+	return f, clock, follower, replica
+}
+
+// requireSameRecords fails unless the follower holds exactly the
+// leader's records from the leader's start offset on: same offsets,
+// same values, same timestamps.
+func requireSameRecords(t *testing.T, leader, follower *eventlog.Log) {
+	t.Helper()
+	if le, fe := leader.EndOffset(), follower.EndOffset(); le != fe {
+		t.Fatalf("follower end %d, leader end %d", fe, le)
+	}
+	want, err := leader.Read(leader.StartOffset(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := follower.Read(leader.StartOffset(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("follower holds %d records from %d, leader %d", len(got), leader.StartOffset(), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.Offset != w.Offset || string(g.Value) != string(w.Value) || !g.Timestamp.Equal(w.Timestamp) {
+			t.Fatalf("record %d: follower %d %q %s, leader %d %q %s", i,
+				g.Offset, g.Value, g.Timestamp.Format(time.TimeOnly), w.Offset, w.Value, w.Timestamp.Format(time.TimeOnly))
+		}
+	}
+}
+
+// TestBrokerRestartKeepsLeaderTimestamps: events the follower missed
+// while down keep the time they were produced at, not the restart time.
+func TestBrokerRestartKeepsLeaderTimestamps(t *testing.T) {
+	f, clock, follower, replica := restartFixture(t, cluster.TopicConfig{})
+	clock.Advance(10 * time.Minute)
+	if _, err := f.Produce("", "t", 0, evs(10, "b"), AcksLeader); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(10 * time.Minute)
+	if err := f.RestartBroker(follower); err != nil {
+		t.Fatal(err)
+	}
+	pm, _ := f.Ctl.Partition("t", 0)
+	requireSameRecords(t, replica(pm.Leader), replica(follower))
+}
+
+// TestBrokerRestartCatchesUpOverRetentionGap: when the leader's
+// retention has dropped records the stopped follower never had, the
+// restarted follower resumes at the leader's offsets (rolling over the
+// gap) instead of packing the leader's records down to its own end.
+func TestBrokerRestartCatchesUpOverRetentionGap(t *testing.T) {
+	f, clock, follower, replica := restartFixture(t, cluster.TopicConfig{Retention: time.Hour})
+	pm, _ := f.Ctl.Partition("t", 0)
+	leader := replica(pm.Leader)
+	// Fill the leader's first segment (eventlog.DefaultConfig seals it
+	// at 65,536 records), let it expire, then append to the next one.
+	for leader.EndOffset() <= 65536 {
+		if _, err := f.Produce("", "t", 0, evs(4096, "b"), AcksLeader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock.Advance(2 * time.Hour)
+	if _, err := f.Produce("", "t", 0, evs(10, "c"), AcksLeader); err != nil {
+		t.Fatal(err)
+	}
+	f.EnforceRetention()
+	if start, end := leader.StartOffset(), replica(follower).EndOffset(); start <= end {
+		t.Fatalf("leader start %d not past follower end %d: no gap to roll over", start, end)
+	}
+	if err := f.RestartBroker(follower); err != nil {
+		t.Fatal(err)
+	}
+	requireSameRecords(t, leader, replica(follower))
+}
+
 func TestTotalPartitionFailure(t *testing.T) {
 	f := newFabric(t, 1)
 	mkTopic(t, f, "t", 1, 1)
@@ -480,4 +590,39 @@ func TestGroupAssignmentCoverageProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestClusterSnapshotMatchesItsEpoch: the metadata document's epoch
+// numbers exactly the content it carries. One writer creates topics one
+// after another, each bumping the epoch once, while readers build
+// documents; every document must hold one topic per bump since the
+// start.
+func TestClusterSnapshotMatchesItsEpoch(t *testing.T) {
+	f := newFabric(t, 1)
+	base := f.Ctl.Epoch()
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap := f.ClusterSnapshot(nil)
+				if got, want := int64(len(snap.Topics)), snap.Epoch-base; got != want {
+					t.Errorf("document at epoch %d holds %d topics, want %d", snap.Epoch, got, want)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		mkTopic(t, f, fmt.Sprintf("t%03d", i), 1, 1)
+	}
+	close(done)
+	readers.Wait()
 }

@@ -228,11 +228,7 @@ func (f *Fabric) RecoverBroker(id int) error {
 	if !n.Down() {
 		return nil
 	}
-	for _, topic := range f.Ctl.Topics() {
-		meta, err := f.Ctl.Topic(topic)
-		if err != nil {
-			continue
-		}
+	for topic, meta := range f.Ctl.Snapshot().Topics {
 		for _, pm := range meta.Partitions {
 			if !pm.HasReplica(id) {
 				continue

@@ -9,17 +9,16 @@ import (
 	"repro/internal/eventlog"
 )
 
-// Routing cache: the produce/fetch hot path must not touch the controller.
+// Routing cache: the produce/fetch hot path must not copy metadata.
 //
-// A controller read takes its lock and deep-copies the TopicMeta, so the
-// fabric caches a resolved topicRoute per topic instead: partition leaders,
-// their *eventlog.Log handles, and the in-sync follower handles
-// replication writes to. Entries are tagged with the controller's
-// metadata epoch; any control-plane mutation (leader election, ISR
-// change, partition growth, topic delete) bumps the epoch, and the next
-// data-plane call on a stale entry rebuilds it. Validity is therefore a
-// single atomic comparison per call, and failover correctness reduces to
-// "every leader change bumps the epoch", which the controller guarantees.
+// The fabric resolves each topic of a controller snapshot once into a
+// topicRoute: partition leaders, their *eventlog.Log handles, and the
+// in-sync follower handles replication writes to. The cached routes form
+// one table per snapshot; a call that finds the table built for an older
+// snapshot replaces it whole, so deleted topics and superseded
+// placements leave with it. Validity is one pointer comparison per call,
+// and failover correctness reduces to "every leader change publishes a
+// new snapshot", which the controller guarantees.
 
 // partitionRoute is one partition's resolved placement.
 type partitionRoute struct {
@@ -43,36 +42,43 @@ type partitionRoute struct {
 
 // topicRoute is a topic's fully resolved routing table.
 type topicRoute struct {
-	epoch int64
 	meta  *cluster.TopicMeta
 	parts []partitionRoute
 }
 
-// route returns the topic's routing table, rebuilding it if the metadata
-// epoch moved since it was cached.
-func (f *Fabric) route(topic string) (*topicRoute, error) {
-	epoch := f.Ctl.Epoch()
-	if v, ok := f.routes.Load(topic); ok {
-		rt := v.(*topicRoute)
-		if rt.epoch == epoch {
-			return rt, nil
-		}
-	}
-	return f.buildRoute(topic)
+// routeTable caches the topicRoutes built from one controller snapshot.
+type routeTable struct {
+	snap   *cluster.Snapshot
+	topics sync.Map // map[string]*topicRoute
 }
 
-// buildRoute resolves a topic's metadata into log handles and caches it.
-func (f *Fabric) buildRoute(topic string) (*topicRoute, error) {
-	// Read the epoch before the metadata: if a mutation lands in between,
-	// the entry is stored with the older epoch and the next call rebuilds.
-	epoch := f.Ctl.Epoch()
-	f.pruneRoutes(epoch)
-	meta, err := f.Ctl.Topic(topic)
-	if err != nil {
-		f.routes.Delete(topic)
-		return nil, err
+// route returns the topic's routing table, building it if the cached
+// table is for an older snapshot or lacks the topic.
+func (f *Fabric) route(topic string) (*topicRoute, error) {
+	// Load the table before the snapshot: the table's snapshot was
+	// current before it was stored, so it is never newer than s, and
+	// replacing it never moves the cache backwards.
+	tab := f.routes.Load()
+	s := f.Ctl.Snapshot()
+	if tab.snap != s {
+		next := &routeTable{snap: s}
+		f.routes.CompareAndSwap(tab, next)
+		tab = next
 	}
-	rt := &topicRoute{epoch: epoch, meta: meta, parts: make([]partitionRoute, len(meta.Partitions))}
+	if v, ok := tab.topics.Load(topic); ok {
+		return v.(*topicRoute), nil
+	}
+	return f.buildRoute(tab, topic)
+}
+
+// buildRoute resolves a topic's metadata in tab's snapshot into log
+// handles and caches it in tab.
+func (f *Fabric) buildRoute(tab *routeTable, topic string) (*topicRoute, error) {
+	meta, ok := tab.snap.Topics[topic]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", cluster.ErrNoTopic, topic)
+	}
+	rt := &topicRoute{meta: meta, parts: make([]partitionRoute, len(meta.Partitions))}
 	lcfg := logConfig(meta.Config)
 	if h := f.hot.Load(); h != nil {
 		// Newly opened partition logs report append latency and batch
@@ -96,12 +102,11 @@ func (f *Fabric) buildRoute(topic string) (*topicRoute, error) {
 			continue
 		}
 		tp := TP{Topic: meta.Name, Partition: pm.ID}
-		pr.leader = leader
-		pr.log, err = leader.log(tp, lcfg)
+		log, err := leader.log(tp, lcfg)
 		if err != nil {
 			return nil, err
 		}
-		pr.leaderEpoch = pm.LeaderEpoch
+		pr.leader, pr.log, pr.leaderEpoch = leader, log, pm.LeaderEpoch
 		for _, r := range pm.ISR {
 			if r == pm.Leader {
 				continue
@@ -117,30 +122,8 @@ func (f *Fabric) buildRoute(topic string) (*topicRoute, error) {
 			pr.followers = append(pr.followers, fl)
 		}
 	}
-	f.routes.Store(topic, rt)
+	tab.topics.Store(topic, rt)
 	return rt, nil
-}
-
-// pruneRoutes drops cache entries for topics that no longer exist, so a
-// churny workload (create topic, produce, delete) cannot grow the cache
-// unboundedly: deleted topics are only otherwise evicted when someone
-// touches them again. Runs at most once per metadata epoch, and epoch
-// bumps are control-plane-rare, so the topic-list walk stays off the
-// steady-state path.
-func (f *Fabric) pruneRoutes(epoch int64) {
-	if f.routePruned.Swap(epoch) == epoch {
-		return
-	}
-	live := make(map[string]bool)
-	for _, t := range f.Ctl.Topics() {
-		live[t] = true
-	}
-	f.routes.Range(func(k, _ any) bool {
-		if !live[k.(string)] {
-			f.routes.Delete(k)
-		}
-		return true
-	})
 }
 
 // partitionRoute resolves one partition for the fetch-side paths,

@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -343,6 +345,74 @@ func TestEpochBumpsOncePerMutation(t *testing.T) {
 	bumps("delete", 1, func() { must(c.DeleteTopic("t")) })
 }
 
+// printSnapshot renders everything reachable from a snapshot, so two
+// prints differ if any of it was written.
+func printSnapshot(s *Snapshot) string {
+	out := fmt.Sprintf("%d %+v", s.Epoch, s.Brokers)
+	for _, name := range slices.Sorted(maps.Keys(s.Topics)) {
+		out += fmt.Sprintf(" %+v", *s.Topics[name])
+	}
+	return out
+}
+
+// TestPublishedSnapshotsNeverChange holds a published snapshot while
+// every mutation TestEpochBumpsOncePerMutation runs goes through: each
+// mutation must publish a new snapshot, never write to one a reader may
+// still hold.
+func TestPublishedSnapshotsNeverChange(t *testing.T) {
+	c := NewController(nil)
+	var held []*Snapshot
+	var want []string
+	hold := func() {
+		held = append(held, c.Snapshot())
+		want = append(want, printSnapshot(c.Snapshot()))
+	}
+	must := func(_ any, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	hold()
+	for i := 0; i < 3; i++ {
+		must(nil, c.RegisterBroker(BrokerInfo{ID: i}))
+		hold()
+	}
+	must(nil, c.SetBrokerAddr(0, "127.0.0.1:1"))
+	hold()
+	must(c.CreateTopic("t", "u", TopicConfig{Partitions: 2, ReplicationFactor: 3}))
+	hold()
+	must(c.CreateTopic("t", "u", TopicConfig{}))
+	must(c.SetPartitions("t", 3))
+	hold()
+	must(c.SetPartitions("t", 3))
+	must(c.SetConfig("t", TopicConfig{Compact: true}))
+	hold()
+	pm, err := c.Partition("t", 0)
+	must(nil, err)
+	follower := pm.Replicas[1]
+	for i := 0; i < 2; i++ {
+		must(c.ShrinkISR("t", 0, follower))
+		hold()
+	}
+	for i := 0; i < 2; i++ {
+		must(c.ExpandISR("t", 0, follower))
+		hold()
+	}
+	c.DeregisterBroker(2)
+	hold()
+	c.HandleBrokerFailure(2)
+	hold()
+	c.HandleBrokerRecovery(2)
+	hold()
+	must(nil, c.DeleteTopic("t"))
+	for i, s := range held {
+		if got := printSnapshot(s); got != want[i] {
+			t.Fatalf("snapshot %d changed after it was published:\n got %s\nwant %s", i, got, want[i])
+		}
+	}
+}
+
 // TestReadsReturnCopies checks that what the controller hands out is
 // the caller's own: scribbling over a returned topic or partition does
 // not change a later read.
@@ -388,9 +458,11 @@ func TestReadsReturnCopies(t *testing.T) {
 // TestConcurrentMutationsAndReads runs topic creation, ISR changes and
 // broker failures against concurrent readers, for the race detector.
 // Readers scribble over what they are handed, so a copy that shares
-// memory with the stored state is a reported race; every snapshot must
-// also be consistent (ISR within the replica set, leader in the ISR or
-// none) and the epoch must never go backwards.
+// memory with the stored state is a reported race; one more reader
+// walks the published snapshots read-only, so a mutator writing to a
+// published snapshot is a reported race too. Every view must also be
+// consistent (ISR within the replica set, leader in the ISR or none)
+// and the epoch must never go backwards.
 func TestConcurrentMutationsAndReads(t *testing.T) {
 	c := newCtl(t, 3)
 	if _, err := c.CreateTopic("t", "u", TopicConfig{Partitions: 3, ReplicationFactor: 3}); err != nil {
@@ -446,6 +518,37 @@ func TestConcurrentMutationsAndReads(t *testing.T) {
 			}
 		}()
 	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s := c.Snapshot()
+			if s.Epoch < last {
+				t.Errorf("snapshot epoch went back: %d -> %d", last, s.Epoch)
+				return
+			}
+			last = s.Epoch
+			for _, meta := range s.Topics {
+				for i := range meta.Partitions {
+					p := &meta.Partitions[i]
+					for _, b := range p.ISR {
+						if !p.HasReplica(b) {
+							t.Errorf("%s/%d: ISR %v outside replicas %v", meta.Name, p.ID, p.ISR, p.Replicas)
+						}
+					}
+					if p.Leader != -1 && !p.InISR(p.Leader) {
+						t.Errorf("%s/%d: leader %d not in ISR %v", meta.Name, p.ID, p.Leader, p.ISR)
+					}
+				}
+			}
+		}
+	}()
 	var writers sync.WaitGroup
 	writers.Add(3)
 	go func() {

@@ -10,29 +10,21 @@ import (
 	"repro/internal/vclock"
 )
 
-// Controller is the cluster's single control-plane authority. It holds
-// broker membership and topic metadata as typed state under one lock:
-// mutations (topic creation, partition assignment, leader election, ISR
-// changes) are serialized, and every read returns a deep copy, so
-// brokers and the web service observe a consistent view and may keep or
-// modify what they were handed.
+// Controller is the cluster's single control-plane authority. It
+// publishes broker membership and topic metadata as one immutable
+// Snapshot: mutations (topic creation, partition assignment, leader
+// election, ISR changes) are serialized under a mutex, each builds the
+// next snapshot by cloning only what it changes, and readers load the
+// current snapshot with one atomic read and never take the lock. What a
+// reader sees is therefore always one consistent state: the epoch and
+// the content it numbers.
 type Controller struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	clock vclock.Clock
-	// brokers holds the live (registered) brokers by id.
-	brokers map[int]BrokerInfo
-	// topics holds each topic's metadata. Stored values are never handed
-	// out: readers get a clone.
-	topics map[string]*TopicMeta
+	snap  atomic.Pointer[Snapshot]
 	// rr rotates the starting broker for partition assignment so load
 	// spreads across the cluster as topics are created.
 	rr int
-	// epoch increments on every metadata mutation (topic create/delete,
-	// partition growth, config change, leader election, ISR change,
-	// broker registration). Data-plane caches key their entries by it:
-	// comparing two atomic loads replaces a locked metadata copy on
-	// every produce/fetch.
-	epoch atomic.Int64
 
 	// watchMu guards the epoch watchers. A separate mutex, not c.mu:
 	// watcher (un)registration must never contend with topic mutation.
@@ -41,15 +33,56 @@ type Controller struct {
 	watchID  uint64
 }
 
-// Epoch returns the current metadata epoch. It increases monotonically;
-// any change that could affect routing (leaders, ISRs, partition counts)
-// bumps it, so a cache entry tagged with an older epoch must be rebuilt.
-func (c *Controller) Epoch() int64 { return c.epoch.Load() }
+// Snapshot is one published state of the controller. A published
+// snapshot is never written again and its maps and metadata are shared
+// by every reader: readers must not modify anything reachable from it.
+type Snapshot struct {
+	// Epoch increments on every metadata mutation (topic create/delete,
+	// partition growth, config change, leader election, ISR change,
+	// broker registration or address change). A deregistration changes
+	// no placement and keeps the epoch of the snapshot it replaces.
+	Epoch int64
+	// Brokers holds the live (registered) brokers by id.
+	Brokers map[int]BrokerInfo
+	// Topics holds each topic's metadata by name.
+	Topics map[string]*TopicMeta
+}
 
-// bumpEpoch invalidates all epoch-tagged metadata caches and pokes
-// every registered epoch watcher.
-func (c *Controller) bumpEpoch() {
-	c.epoch.Add(1)
+// topic returns the snapshot's metadata of a topic, not a copy.
+func (s *Snapshot) topic(name string) (*TopicMeta, error) {
+	meta, ok := s.Topics[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoTopic, name)
+	}
+	return meta, nil
+}
+
+// partition returns the snapshot's metadata of one partition, not a
+// copy.
+func (s *Snapshot) partition(topic string, id int) (*PartitionMeta, error) {
+	meta, err := s.topic(topic)
+	if err != nil {
+		return nil, err
+	}
+	if id < 0 || id >= len(meta.Partitions) {
+		return nil, fmt.Errorf("cluster: %s has no partition %d", topic, id)
+	}
+	return &meta.Partitions[id], nil
+}
+
+// Snapshot returns the current published state. It takes no lock; the
+// result is read-only.
+func (c *Controller) Snapshot() *Snapshot { return c.snap.Load() }
+
+// Epoch returns the current snapshot's epoch.
+func (c *Controller) Epoch() int64 { return c.Snapshot().Epoch }
+
+// publish stores next as the current snapshot under the following epoch
+// and pokes every registered epoch watcher. The caller holds c.mu and
+// has written nothing that the current snapshot shares.
+func (c *Controller) publish(next Snapshot) {
+	next.Epoch++
+	c.snap.Store(&next)
 	c.watchMu.Lock()
 	for _, ch := range c.watchers {
 		select {
@@ -60,15 +93,24 @@ func (c *Controller) bumpEpoch() {
 	c.watchMu.Unlock()
 }
 
+// publishTopic publishes the current snapshot with one topic's metadata
+// replaced by meta, which the caller has cloned. The caller holds c.mu.
+func (c *Controller) publishTopic(meta *TopicMeta) {
+	next := *c.Snapshot()
+	next.Topics = maps.Clone(next.Topics)
+	next.Topics[meta.Name] = meta
+	c.publish(next)
+}
+
 // WatchEpoch registers an epoch watcher: the returned channel receives
 // a tick (capacity one, bursts coalesce) after every epoch bump. It is
 // the push side of metadata distribution — a broker's wire server
 // watches the epoch and pushes fresh metadata to connected clients the
 // moment leadership changes, instead of each client discovering the
 // change by eating a failed request. Watchers read the channel, then
-// Epoch()/topic state, so a coalesced burst still observes the final
-// state. The returned cancel function unregisters; it is idempotent
-// and must be called to free the watcher.
+// the Snapshot, so a coalesced burst still observes the final state.
+// The returned cancel function unregisters; it is idempotent and must
+// be called to free the watcher.
 func (c *Controller) WatchEpoch() (<-chan struct{}, func()) {
 	ch := make(chan struct{}, 1)
 	c.watchMu.Lock()
@@ -91,7 +133,9 @@ func NewController(clock vclock.Clock) *Controller {
 	if clock == nil {
 		clock = vclock.Real{}
 	}
-	return &Controller{clock: clock, brokers: make(map[int]BrokerInfo), topics: make(map[string]*TopicMeta)}
+	c := &Controller{clock: clock}
+	c.snap.Store(&Snapshot{Brokers: map[int]BrokerInfo{}, Topics: map[string]*TopicMeta{}})
+	return c
 }
 
 // RegisterBroker records a live broker. Registering an id that is
@@ -99,22 +143,28 @@ func NewController(clock vclock.Clock) *Controller {
 func (c *Controller) RegisterBroker(info BrokerInfo) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.brokers[info.ID]; ok {
+	next := *c.Snapshot()
+	if _, ok := next.Brokers[info.ID]; ok {
 		return fmt.Errorf("cluster: register broker %d: already registered", info.ID)
 	}
-	c.brokers[info.ID] = info
-	c.bumpEpoch()
+	next.Brokers = maps.Clone(next.Brokers)
+	next.Brokers[info.ID] = info
+	c.publish(next)
 	return nil
 }
 
 // DeregisterBroker removes a broker from the live set: the broker has
 // died or stopped. It does not touch topic metadata — leader election
 // is HandleBrokerFailure's job, and a drained broker goes through that
-// without being deregistered — so it does not bump the epoch.
+// without being deregistered — so it publishes the smaller live set
+// under the current epoch.
 func (c *Controller) DeregisterBroker(id int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.brokers, id)
+	next := *c.Snapshot()
+	next.Brokers = maps.Clone(next.Brokers)
+	delete(next.Brokers, id)
+	c.snap.Store(&next)
 }
 
 // SetBrokerAddr updates a registered broker's advertised address — the
@@ -126,28 +176,26 @@ func (c *Controller) DeregisterBroker(id int) {
 func (c *Controller) SetBrokerAddr(id int, addr string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	info, ok := c.brokers[id]
+	next := *c.Snapshot()
+	info, ok := next.Brokers[id]
 	if !ok {
 		return fmt.Errorf("cluster: broker %d not registered", id)
 	}
 	info.Addr = addr
-	c.brokers[id] = info
-	c.bumpEpoch()
+	next.Brokers = maps.Clone(next.Brokers)
+	next.Brokers[id] = info
+	c.publish(next)
 	return nil
 }
 
 // LiveBrokers returns the sorted ids of registered brokers.
 func (c *Controller) LiveBrokers() []int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return slices.Sorted(maps.Keys(c.brokers))
+	return slices.Sorted(maps.Keys(c.Snapshot().Brokers))
 }
 
 // BrokerInfo returns a registered broker's description.
 func (c *Controller) BrokerInfo(id int) (BrokerInfo, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	info, ok := c.brokers[id]
+	info, ok := c.Snapshot().Brokers[id]
 	if !ok {
 		return BrokerInfo{}, fmt.Errorf("cluster: broker %d not registered", id)
 	}
@@ -164,13 +212,14 @@ func (c *Controller) CreateTopic(name, owner string, cfg TopicConfig) (*TopicMet
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	if existing, ok := c.topics[name]; ok {
+	cur := c.Snapshot()
+	if existing, ok := cur.Topics[name]; ok {
 		if existing.Owner == owner {
 			return existing.clone(), nil // idempotent retry
 		}
 		return nil, fmt.Errorf("%w: %s (owned by %s)", ErrTopicExists, name, existing.Owner)
 	}
-	brokers := slices.Sorted(maps.Keys(c.brokers))
+	brokers := slices.Sorted(maps.Keys(cur.Brokers))
 	if len(brokers) == 0 {
 		return nil, ErrNoBrokers
 	}
@@ -183,8 +232,7 @@ func (c *Controller) CreateTopic(name, owner string, cfg TopicConfig) (*TopicMet
 	for p := 0; p < cfg.Partitions; p++ {
 		meta.Partitions = append(meta.Partitions, c.assignLocked(name, p, brokers, rf))
 	}
-	c.topics[name] = meta
-	c.bumpEpoch()
+	c.publishTopic(meta)
 	return meta.clone(), nil
 }
 
@@ -205,34 +253,9 @@ func (c *Controller) assignLocked(topic string, id int, brokers []int, rf int) P
 	}
 }
 
-// topicLocked returns the stored metadata of a topic, not a copy; the
-// caller holds c.mu.
-func (c *Controller) topicLocked(name string) (*TopicMeta, error) {
-	meta, ok := c.topics[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTopic, name)
-	}
-	return meta, nil
-}
-
-// partitionLocked returns the stored metadata of one partition, not a
-// copy; the caller holds c.mu.
-func (c *Controller) partitionLocked(topic string, id int) (*PartitionMeta, error) {
-	meta, err := c.topicLocked(topic)
-	if err != nil {
-		return nil, err
-	}
-	if id < 0 || id >= len(meta.Partitions) {
-		return nil, fmt.Errorf("cluster: %s has no partition %d", topic, id)
-	}
-	return &meta.Partitions[id], nil
-}
-
 // Topic returns a copy of a topic's metadata.
 func (c *Controller) Topic(name string) (*TopicMeta, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	meta, err := c.topicLocked(name)
+	meta, err := c.Snapshot().topic(name)
 	if err != nil {
 		return nil, err
 	}
@@ -241,20 +264,20 @@ func (c *Controller) Topic(name string) (*TopicMeta, error) {
 
 // Topics returns all topic names, sorted.
 func (c *Controller) Topics() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return slices.Sorted(maps.Keys(c.topics))
+	return slices.Sorted(maps.Keys(c.Snapshot().Topics))
 }
 
 // DeleteTopic removes a topic's metadata.
 func (c *Controller) DeleteTopic(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.topicLocked(name); err != nil {
+	next := *c.Snapshot()
+	if _, err := next.topic(name); err != nil {
 		return err
 	}
-	delete(c.topics, name)
-	c.bumpEpoch()
+	next.Topics = maps.Clone(next.Topics)
+	delete(next.Topics, name)
+	c.publish(next)
 	return nil
 }
 
@@ -263,7 +286,8 @@ func (c *Controller) DeleteTopic(name string) error {
 func (c *Controller) SetPartitions(name string, n int) (*TopicMeta, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	meta, err := c.topicLocked(name)
+	cur := c.Snapshot()
+	meta, err := cur.topic(name)
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +297,7 @@ func (c *Controller) SetPartitions(name string, n int) (*TopicMeta, error) {
 	if n == meta.Config.Partitions {
 		return meta.clone(), nil
 	}
-	brokers := slices.Sorted(maps.Keys(c.brokers))
+	brokers := slices.Sorted(maps.Keys(cur.Brokers))
 	if len(brokers) == 0 {
 		return nil, ErrNoBrokers
 	}
@@ -281,11 +305,12 @@ func (c *Controller) SetPartitions(name string, n int) (*TopicMeta, error) {
 	if rf > len(brokers) {
 		rf = len(brokers)
 	}
+	meta = meta.clone()
 	for p := meta.Config.Partitions; p < n; p++ {
 		meta.Partitions = append(meta.Partitions, c.assignLocked(name, p, brokers, rf))
 	}
 	meta.Config.Partitions = n
-	c.bumpEpoch()
+	c.publishTopic(meta)
 	return meta.clone(), nil
 }
 
@@ -294,27 +319,54 @@ func (c *Controller) SetPartitions(name string, n int) (*TopicMeta, error) {
 func (c *Controller) SetConfig(name string, cfg TopicConfig) (*TopicMeta, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	meta, err := c.topicLocked(name)
+	meta, err := c.Snapshot().topic(name)
 	if err != nil {
 		return nil, err
 	}
+	meta = meta.clone()
 	if cfg.Retention > 0 {
 		meta.Config.Retention = cfg.Retention
 	}
 	meta.Config.Compact = cfg.Compact
-	c.bumpEpoch()
+	c.publishTopic(meta)
 	return meta.clone(), nil
 }
 
 // Partition returns a copy of one partition's metadata.
 func (c *Controller) Partition(topic string, id int) (PartitionMeta, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	p, err := c.partitionLocked(topic, id)
+	p, err := c.Snapshot().partition(topic, id)
 	if err != nil {
 		return PartitionMeta{}, err
 	}
 	return p.clone(), nil
+}
+
+// updateWhere publishes the next snapshot with update applied to every
+// partition that match selects, returning copies of the updated
+// partitions. Topics are cloned only when one of their partitions
+// changes. The caller holds c.mu.
+func (c *Controller) updateWhere(match func(*PartitionMeta) bool, update func(*PartitionMeta)) []PartitionMeta {
+	next := *c.Snapshot()
+	next.Topics = maps.Clone(next.Topics)
+	var changed []PartitionMeta
+	for _, name := range slices.Sorted(maps.Keys(next.Topics)) {
+		meta := next.Topics[name]
+		cloned := false
+		for i := range meta.Partitions {
+			if !match(&meta.Partitions[i]) {
+				continue
+			}
+			if !cloned {
+				meta, cloned = meta.clone(), true
+				next.Topics[name] = meta
+			}
+			p := &meta.Partitions[i]
+			update(p)
+			changed = append(changed, p.clone())
+		}
+	}
+	c.publish(next)
+	return changed
 }
 
 // HandleBrokerFailure re-elects leaders for every partition led by the
@@ -326,28 +378,18 @@ func (c *Controller) Partition(topic string, id int) (PartitionMeta, error) {
 func (c *Controller) HandleBrokerFailure(brokerID int) []PartitionMeta {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var changed []PartitionMeta
-	for _, name := range slices.Sorted(maps.Keys(c.topics)) {
-		meta := c.topics[name]
-		for i := range meta.Partitions {
-			p := &meta.Partitions[i]
-			if !p.HasReplica(brokerID) {
-				continue
+	hosts := func(p *PartitionMeta) bool { return p.HasReplica(brokerID) }
+	return c.updateWhere(hosts, func(p *PartitionMeta) {
+		p.ISR = slices.DeleteFunc(p.ISR, func(r int) bool { return r == brokerID })
+		if p.Leader == brokerID {
+			if len(p.ISR) > 0 {
+				p.Leader = p.ISR[0]
+			} else {
+				p.Leader = -1
 			}
-			p.ISR = slices.DeleteFunc(p.ISR, func(r int) bool { return r == brokerID })
-			if p.Leader == brokerID {
-				if len(p.ISR) > 0 {
-					p.Leader = p.ISR[0]
-				} else {
-					p.Leader = -1
-				}
-				p.LeaderEpoch++
-			}
-			changed = append(changed, p.clone())
+			p.LeaderEpoch++
 		}
-	}
-	c.bumpEpoch()
-	return changed
+	})
 }
 
 // HandleBrokerRecovery restores a broker to the ISR of every partition
@@ -356,20 +398,8 @@ func (c *Controller) HandleBrokerFailure(brokerID int) []PartitionMeta {
 func (c *Controller) HandleBrokerRecovery(brokerID int) []PartitionMeta {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var changed []PartitionMeta
-	for _, name := range slices.Sorted(maps.Keys(c.topics)) {
-		meta := c.topics[name]
-		for i := range meta.Partitions {
-			p := &meta.Partitions[i]
-			if !p.HasReplica(brokerID) || p.InISR(brokerID) {
-				continue
-			}
-			p.rejoin(brokerID)
-			changed = append(changed, p.clone())
-		}
-	}
-	c.bumpEpoch()
-	return changed
+	outOfISR := func(p *PartitionMeta) bool { return p.HasReplica(brokerID) && !p.InISR(brokerID) }
+	return c.updateWhere(outOfISR, func(p *PartitionMeta) { p.rejoin(brokerID) })
 }
 
 // ExpandISR adds a caught-up replica back to one partition's in-sync
@@ -381,7 +411,7 @@ func (c *Controller) HandleBrokerRecovery(brokerID int) []PartitionMeta {
 func (c *Controller) ExpandISR(topic string, id, brokerID int) (PartitionMeta, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, err := c.partitionLocked(topic, id)
+	p, err := c.Snapshot().partition(topic, id)
 	if err != nil {
 		return PartitionMeta{}, err
 	}
@@ -391,9 +421,7 @@ func (c *Controller) ExpandISR(topic string, id, brokerID int) (PartitionMeta, e
 	if p.InISR(brokerID) {
 		return p.clone(), nil
 	}
-	p.rejoin(brokerID)
-	c.bumpEpoch()
-	return p.clone(), nil
+	return c.updatePartition(topic, id, func(p *PartitionMeta) { p.rejoin(brokerID) }), nil
 }
 
 // ShrinkISR removes a lagging replica from one partition's in-sync set,
@@ -403,14 +431,24 @@ func (c *Controller) ExpandISR(topic string, id, brokerID int) (PartitionMeta, e
 func (c *Controller) ShrinkISR(topic string, id, brokerID int) (PartitionMeta, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, err := c.partitionLocked(topic, id)
+	p, err := c.Snapshot().partition(topic, id)
 	if err != nil {
 		return PartitionMeta{}, err
 	}
 	if p.Leader == brokerID || !p.InISR(brokerID) {
 		return p.clone(), nil
 	}
-	p.ISR = slices.DeleteFunc(p.ISR, func(r int) bool { return r == brokerID })
-	c.bumpEpoch()
-	return p.clone(), nil
+	return c.updatePartition(topic, id, func(p *PartitionMeta) {
+		p.ISR = slices.DeleteFunc(p.ISR, func(r int) bool { return r == brokerID })
+	}), nil
+}
+
+// updatePartition publishes the next snapshot with update applied to
+// one existing partition and returns a copy of the result. The caller
+// holds c.mu.
+func (c *Controller) updatePartition(topic string, id int, update func(*PartitionMeta)) PartitionMeta {
+	meta := c.Snapshot().Topics[topic].clone()
+	update(&meta.Partitions[id])
+	c.publishTopic(meta)
+	return meta.Partitions[id].clone()
 }

@@ -3,9 +3,10 @@
 // leader election and in-sync-replica (ISR) tracking. The Controller
 // plays the role the paper's MSK control plane plus ZooKeeper play
 // (§IV-A, §IV-F): it is the source of truth for which brokers are live
-// and where every partition's replicas, leader and ISR are. It keeps
-// that state as typed Go values in memory; the topic ACLs live beside
-// it in auth.ACLStore.
+// and where every partition's replicas, leader and ISR are. It
+// publishes that state as one immutable Snapshot per change, which
+// readers load without a lock; the topic ACLs live beside it in
+// auth.ACLStore.
 package cluster
 
 import (

@@ -24,7 +24,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -510,22 +512,17 @@ type TopicStatus struct {
 
 func (s *Server) status(w http.ResponseWriter, _ *http.Request) {
 	var resp StatusResponse
-	for _, id := range s.Fabric.Ctl.LiveBrokers() {
-		info, err := s.Fabric.Ctl.BrokerInfo(id)
-		if err != nil {
-			continue
-		}
+	snap := s.Fabric.Ctl.Snapshot()
+	for _, id := range slices.Sorted(maps.Keys(snap.Brokers)) {
+		info := snap.Brokers[id]
 		live := true
 		if n, ok := s.Fabric.Node(id); ok {
 			live = !n.Down()
 		}
 		resp.Brokers = append(resp.Brokers, BrokerStatus{ID: id, VCPUs: info.VCPUs, MemGB: info.MemGB, Live: live})
 	}
-	for _, name := range s.Fabric.Ctl.Topics() {
-		meta, err := s.Fabric.Ctl.Topic(name)
-		if err != nil {
-			continue
-		}
+	for _, name := range slices.Sorted(maps.Keys(snap.Topics)) {
+		meta := snap.Topics[name]
 		ts := TopicStatus{
 			Name:             name,
 			Partitions:       meta.Config.Partitions,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 )
 
@@ -126,14 +127,14 @@ func (m *Manager) Stop() {
 }
 
 // follows reports whether this broker should be running a fetch loop
-// for the partition: it hosts a replica, someone else leads, and the
-// broker itself is up.
-func (m *Manager) follows(tp broker.TP) (epoch int64, ok bool) {
+// for the partition in snapshot s: it hosts a replica, someone else
+// leads, and the broker itself is up.
+func (m *Manager) follows(s *cluster.Snapshot, tp broker.TP) (epoch int64, ok bool) {
 	if n, up := m.f.Node(m.brokerID); !up || n.Down() {
 		return 0, false
 	}
-	meta, err := m.f.Ctl.Topic(tp.Topic)
-	if err != nil || tp.Partition >= len(meta.Partitions) {
+	meta, ok := s.Topics[tp.Topic]
+	if !ok || tp.Partition >= len(meta.Partitions) {
 		return 0, false
 	}
 	pm := &meta.Partitions[tp.Partition]
@@ -150,15 +151,12 @@ func (m *Manager) reconcile() {
 		m.mu.Unlock()
 		return
 	}
+	s := m.f.Ctl.Snapshot()
 	want := make(map[broker.TP]bool)
-	for _, topic := range m.f.Ctl.Topics() {
-		meta, err := m.f.Ctl.Topic(topic)
-		if err != nil {
-			continue
-		}
+	for topic, meta := range s.Topics {
 		for i := range meta.Partitions {
 			tp := broker.TP{Topic: topic, Partition: i}
-			if _, ok := m.follows(tp); ok {
+			if _, ok := m.follows(s, tp); ok {
 				want[tp] = true
 			}
 		}
@@ -202,7 +200,7 @@ func sleepOr(d time.Duration, stop chan struct{}) bool {
 func (m *Manager) run(tp broker.TP, l *fetchLoop) {
 	defer m.wg.Done()
 	buf := &broker.FetchBuffer{}
-	epoch, ok := m.follows(tp)
+	epoch, ok := m.follows(m.f.Ctl.Snapshot(), tp)
 	if !ok {
 		return
 	}
@@ -257,7 +255,7 @@ func (m *Manager) run(tp broker.TP, l *fetchLoop) {
 		case errors.Is(err, broker.ErrFencedEpoch):
 			// A newer leader exists. Adopt the new epoch; if the local
 			// log diverged, the next fetch's LogEnd reconciles it.
-			newEpoch, stillFollower := m.follows(tp)
+			newEpoch, stillFollower := m.follows(m.f.Ctl.Snapshot(), tp)
 			if !stillFollower {
 				return
 			}
@@ -265,7 +263,7 @@ func (m *Manager) run(tp broker.TP, l *fetchLoop) {
 		default:
 			// Leader unavailable, re-election in progress, transport
 			// trouble: back off and retry. The epoch may have moved.
-			if e, stillFollower := m.follows(tp); stillFollower {
+			if e, stillFollower := m.follows(m.f.Ctl.Snapshot(), tp); stillFollower {
 				epoch = e
 			} else {
 				return

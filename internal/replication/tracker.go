@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/cluster"
 	"repro/internal/event"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
@@ -38,12 +39,11 @@ type Tracker struct {
 
 // partState is one partition's tracked replication state.
 type partState struct {
-	// Metadata cache, refreshed when the controller epoch moves.
-	metaEpoch   int64
-	leaderEpoch int64
-	leader      int
-	isr         []int
-	replicas    int
+	// pm is the partition's metadata in snap, the controller snapshot it
+	// was last refreshed from: read-only, and empty before the first
+	// refresh.
+	snap *cluster.Snapshot
+	pm   *cluster.PartitionMeta
 
 	// leaderLEO is the leader's log end; followers maps each follower
 	// broker to the log end it has acked (via fetch offset or explicit
@@ -81,7 +81,7 @@ func (t *Tracker) stateLocked(tp broker.TP) *partState {
 	st := t.parts[tp]
 	if st == nil {
 		st = &partState{
-			metaEpoch: -1,
+			pm:        new(cluster.PartitionMeta),
 			followers: make(map[int]int64),
 			hwGauge:   t.f.Metrics.Gauge(fmt.Sprintf("replication.hw.%s", tp)),
 			lag:       make(map[int]*metrics.Gauge),
@@ -98,29 +98,25 @@ func (t *Tracker) stateLocked(tp broker.TP) *partState {
 	return st
 }
 
-// refreshLocked re-reads the partition's metadata when the controller
-// epoch moved since the last refresh, then recomputes the HW (an ISR
-// shrink can advance it) and the under-replicated gauge.
+// refreshLocked takes the partition's metadata from the controller's
+// current snapshot when a new one was published since the last refresh,
+// then recomputes the HW (an ISR shrink can advance it) and the
+// under-replicated gauge.
 func (t *Tracker) refreshLocked(tp broker.TP, st *partState) {
-	e := t.f.Ctl.Epoch()
-	if st.metaEpoch == e {
+	s := t.f.Ctl.Snapshot()
+	if st.snap == s {
 		return
 	}
-	meta, err := t.f.Ctl.Topic(tp.Topic)
-	if err != nil || tp.Partition < 0 || tp.Partition >= len(meta.Partitions) {
+	meta, ok := s.Topics[tp.Topic]
+	if !ok || tp.Partition < 0 || tp.Partition >= len(meta.Partitions) {
 		return
 	}
-	pm := &meta.Partitions[tp.Partition]
-	st.metaEpoch = e
-	st.leaderEpoch = pm.LeaderEpoch
-	st.leader = pm.Leader
-	st.isr = append(st.isr[:0], pm.ISR...)
-	st.replicas = len(pm.Replicas)
+	st.snap, st.pm = s, &meta.Partitions[tp.Partition]
 	t.recomputeLocked(st)
 
 	under := int64(0)
 	for _, s := range t.parts {
-		if s.metaEpoch >= 0 && len(s.isr) < s.replicas {
+		if len(s.pm.ISR) < len(s.pm.Replicas) {
 			under++
 		}
 	}
@@ -130,13 +126,13 @@ func (t *Tracker) refreshLocked(tp broker.TP, st *partState) {
 // recomputeLocked applies the HW advance rule and wakes committed-wait
 // callers when it moved. Callers hold t.mu.
 func (t *Tracker) recomputeLocked(st *partState) {
-	if len(st.isr) == 0 {
+	if len(st.pm.ISR) == 0 {
 		return
 	}
 	min := int64(-1)
-	for _, id := range st.isr {
+	for _, id := range st.pm.ISR {
 		leo := st.followers[id]
-		if id == st.leader {
+		if id == st.pm.Leader {
 			leo = st.leaderLEO
 		}
 		if min < 0 || leo < min {
@@ -182,15 +178,7 @@ func (t *Tracker) ackLocked(tp broker.TP, st *partState, followerID int, leo int
 	}
 	t.lagGaugeLocked(tp, st, followerID).Set(lag)
 	t.recomputeLocked(st)
-	if followerID == st.leader || st.followers[followerID] < st.leaderLEO {
-		return false
-	}
-	for _, id := range st.isr {
-		if id == followerID {
-			return false
-		}
-	}
-	return true
+	return followerID != st.pm.Leader && st.followers[followerID] >= st.leaderLEO && !st.pm.InISR(followerID)
 }
 
 // LeaderAppended implements broker.Replicator: the leader's own log
@@ -253,12 +241,12 @@ func (t *Tracker) evictLaggards(tp broker.TP, lastOffset int64) error {
 	t.mu.Lock()
 	st := t.stateLocked(tp)
 	var laggards []int
-	for _, id := range st.isr {
-		if id != st.leader && st.followers[id] <= lastOffset {
+	for _, id := range st.pm.ISR {
+		if id != st.pm.Leader && st.followers[id] <= lastOffset {
 			laggards = append(laggards, id)
 		}
 	}
-	isrSize := len(st.isr)
+	isrSize := len(st.pm.ISR)
 	t.mu.Unlock()
 
 	min := t.f.MinInsyncReplicas
@@ -277,7 +265,7 @@ func (t *Tracker) evictLaggards(tp broker.TP, lastOffset int64) error {
 	t.mu.Lock()
 	st = t.stateLocked(tp)
 	hw := st.hw
-	isrSize = len(st.isr)
+	isrSize = len(st.pm.ISR)
 	t.mu.Unlock()
 	if hw > lastOffset {
 		return nil
@@ -375,7 +363,7 @@ func (t *Tracker) Status(tp broker.TP) (broker.ReplicaStatus, bool) {
 	}
 	t.refreshLocked(tp, st)
 	s := broker.ReplicaStatus{
-		LeaderEpoch:   st.leaderEpoch,
+		LeaderEpoch:   st.pm.LeaderEpoch,
 		HighWatermark: st.hw,
 		LogEnd:        st.leaderLEO,
 	}

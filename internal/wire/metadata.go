@@ -347,6 +347,7 @@ func (m *MetadataResp) DecodeBody(b []byte) error {
 }
 
 // buildMetadataResp converts a fabric snapshot into the wire document.
+// The document is only encoded, so it shares the snapshot's slices.
 func buildMetadataResp(f *broker.Fabric, topics []string) *MetadataResp {
 	snap := f.ClusterSnapshot(topics)
 	resp := &MetadataResp{Epoch: snap.Epoch}
@@ -359,8 +360,8 @@ func buildMetadataResp(f *broker.Fabric, topics []string) *MetadataResp {
 			pm := &tm.Partitions[i]
 			t.Partitions = append(t.Partitions, PartitionLeadership{
 				Leader:   pm.Leader,
-				Replicas: append([]int(nil), pm.Replicas...),
-				ISR:      append([]int(nil), pm.ISR...),
+				Replicas: pm.Replicas,
+				ISR:      pm.ISR,
 			})
 		}
 		resp.Topics = append(resp.Topics, t)

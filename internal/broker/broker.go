@@ -443,22 +443,10 @@ func partitionFor(ev *event.Event, parts int) int {
 // key hash / round-robin. identity is checked for WRITE permission
 // unless empty (trusted in-process caller). It returns the base offset
 // of the first appended event on the (single) chosen partition when all
-// events map to one partition, else the offset of the last append.
+// events map to one partition, else the offset of the first partition's
+// append. The partition logs copy what they store, so the caller keeps
+// ownership of evs and may reuse its buffers once Produce returns.
 func (f *Fabric) Produce(identity, topic string, partition int, evs []event.Event, acks Acks) (int64, error) {
-	return f.produce(identity, topic, partition, evs, acks, false)
-}
-
-// ProduceDonated is Produce for callers that donate ownership of the
-// events' underlying buffers to the fabric: the Key/Value bytes are
-// stored as-is (no arena clone), so the caller must never modify or
-// reuse them afterwards — they live as long as the retained log records.
-// The wire server uses it to hand a decoded produce frame straight to
-// the log, deleting the second copy the seed made per remote produce.
-func (f *Fabric) ProduceDonated(identity, topic string, partition int, evs []event.Event, acks Acks) (int64, error) {
-	return f.produce(identity, topic, partition, evs, acks, true)
-}
-
-func (f *Fabric) produce(identity, topic string, partition int, evs []event.Event, acks Acks, donated bool) (int64, error) {
 	if len(evs) == 0 {
 		return 0, nil
 	}
@@ -480,42 +468,18 @@ func (f *Fabric) produce(identity, topic string, partition int, evs []event.Even
 	if err != nil {
 		return 0, err
 	}
-	parts := rt.meta.Config.Partitions
-	if partition >= parts {
+	if partition >= rt.meta.Config.Partitions {
 		return 0, fmt.Errorf("%w: %s/%d", ErrNoPartition, topic, partition)
 	}
-	// Route each event, then deep-copy the whole batch through one
-	// contiguous arena into pooled per-partition buckets: the seed's
-	// per-call partition map and per-event Clone were the produce path's
-	// dominant allocations. Donated batches skip the copy entirely —
-	// their bytes already belong to the fabric.
-	sc := scratchPool.Get().(*produceScratch)
-	sc.prepare(len(evs), parts)
-	for i := range evs {
-		p := partition
-		if p < 0 {
-			// Always in [0, parts): normalize() guarantees parts >= 1.
-			p = partitionFor(&evs[i], parts)
-		}
-		sc.pidx[i] = p
-	}
-	if donated {
-		bucketDonated(evs, sc.pidx, rt.meta.Name, sc)
+	var base int64
+	if partition >= 0 {
+		base, err = f.producePartition(rt, partition, evs, acks, h)
 	} else {
-		arenaClone(evs, sc.pidx, rt.meta.Name, sc)
+		base, err = f.produceRouted(rt, evs, acks, h)
 	}
-	var base int64 = -1
-	for _, p := range sc.order {
-		off, err := f.producePartition(rt, p, sc.buckets[p], acks, h)
-		if err != nil {
-			sc.release()
-			return 0, err
-		}
-		if base < 0 {
-			base = off
-		}
+	if err != nil {
+		return 0, err
 	}
-	sc.release()
 	f.cProduced.Add(int64(len(evs)))
 	if h != nil {
 		var nb int64
@@ -525,6 +489,26 @@ func (f *Fabric) produce(identity, topic string, partition int, evs []event.Even
 		h.bytesIn.Add(nb)
 		h.produceBatch.Observe(int64(len(evs)))
 		h.produceNs.Observe(int64(time.Since(t0)))
+	}
+	return base, nil
+}
+
+// produceRouted groups evs into pooled per-partition buckets by key hash
+// or round-robin and appends each bucket to its partition, returning the
+// first bucket's base offset.
+func (f *Fabric) produceRouted(rt *topicRoute, evs []event.Event, acks Acks, h *fabricHot) (int64, error) {
+	sc := scratchPool.Get().(*produceScratch)
+	defer sc.release()
+	sc.bucket(evs, rt.meta.Config.Partitions)
+	var base int64 = -1
+	for _, p := range sc.order {
+		off, err := f.producePartition(rt, p, sc.buckets[p], acks, h)
+		if err != nil {
+			return 0, err
+		}
+		if base < 0 {
+			base = off
+		}
 	}
 	return base, nil
 }
@@ -656,7 +640,8 @@ func (f *Fabric) Fetch(identity, topic string, partition int, offset int64, maxE
 // FetchInto is Fetch appending into dst (reusing its capacity) — the
 // in-process half of the consumer's zero-copy fetch session. Callers
 // pass dst with len 0; the returned FetchResult.Events is the grown
-// slice, whose events alias the partition log's records.
+// slice, whose events' Key and Value alias the partition log's stored
+// bytes and must not be modified.
 func (f *Fabric) FetchInto(identity, topic string, partition int, offset int64, maxEvents, maxBytes int, dst []event.Event) (FetchResult, error) {
 	if dst == nil {
 		dst = []event.Event{}
@@ -687,6 +672,10 @@ func (f *Fabric) fetch(identity, topic string, partition int, offset int64, maxE
 		// An offset below local retention may still live in the archive
 		// tier: serve it from there instead of failing the consumer.
 		return f.tieredFetch(pr, topic, partition, offset, maxEvents, maxBytes, dst, err)
+	}
+	// The log stores no routing; stamp it on what this call read.
+	for i := len(dst); i < len(evs); i++ {
+		evs[i].Topic, evs[i].Partition = topic, partition
 	}
 	f.cFetched.Add(int64(len(evs)))
 	if h != nil {

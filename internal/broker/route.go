@@ -146,33 +146,37 @@ func (f *Fabric) partitionRoute(topic string, partition int) (*partitionRoute, e
 	return pr, nil
 }
 
-// produceScratch is the reusable per-produce working set: the partition
-// assignment of each event and the per-partition buckets events are
-// grouped into. Pooled so the steady-state produce path allocates only
-// the batch arena.
+// produceScratch is the reusable working set of a produce that routes
+// per event: the per-partition buckets events are grouped into, and the
+// order partitions were first hit in. Pooled so routing allocates
+// nothing in the steady state.
 type produceScratch struct {
-	pidx    []int
 	order   []int
 	buckets [][]event.Event
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(produceScratch) }}
 
-// prepare sizes the scratch for nEvents events across parts partitions.
-func (s *produceScratch) prepare(nEvents, parts int) {
-	if cap(s.pidx) < nEvents {
-		s.pidx = make([]int, nEvents)
-	}
-	s.pidx = s.pidx[:nEvents]
+// bucket groups evs by partition (key hash, else round-robin) over
+// parts partitions.
+func (s *produceScratch) bucket(evs []event.Event, parts int) {
 	s.order = s.order[:0]
 	if cap(s.buckets) < parts {
 		s.buckets = make([][]event.Event, parts)
 	}
 	s.buckets = s.buckets[:parts]
+	for i := range evs {
+		// Always in [0, parts): normalize() guarantees parts >= 1.
+		p := partitionFor(&evs[i], parts)
+		if len(s.buckets[p]) == 0 {
+			s.order = append(s.order, p)
+		}
+		s.buckets[p] = append(s.buckets[p], evs[i])
+	}
 }
 
-// release clears event references (so the pool does not pin batch arenas
-// past the records' lifetime) and returns the scratch to the pool.
+// release clears event references (so the pool does not pin the
+// caller's buffers) and returns the scratch to the pool.
 func (s *produceScratch) release() {
 	for i := range s.buckets {
 		clear(s.buckets[i])
@@ -208,63 +212,4 @@ func PartitionForKey(key []byte, parts int) int {
 		return 0
 	}
 	return int(fnv1a(key) % uint32(parts))
-}
-
-// arenaClone deep-copies src into dst buckets (or a single flat batch
-// when buckets is nil) using one contiguous arena allocation for all keys
-// and values: the per-event Clone of the seed cost one to two allocations
-// per event. Headers, when present, still clone per event — the
-// steady-state fabric workloads are header-free. Returned events carry
-// topic/partition from their bucket assignment.
-// bucketDonated is arenaClone for donated batches: the caller has handed
-// over ownership of the events' buffers (a decoded wire frame, typically),
-// so events are bucketed and stamped with their routing without copying a
-// byte. Headers decoded from the wire already own their strings, so they
-// are kept as-is too.
-func bucketDonated(src []event.Event, pidx []int, topic string, scratch *produceScratch) {
-	for i := range src {
-		ev := src[i]
-		p := pidx[i]
-		ev.Topic = topic
-		ev.Partition = p
-		if len(scratch.buckets[p]) == 0 {
-			scratch.order = append(scratch.order, p)
-		}
-		scratch.buckets[p] = append(scratch.buckets[p], ev)
-	}
-}
-
-func arenaClone(src []event.Event, pidx []int, topic string, scratch *produceScratch) {
-	total := 0
-	for i := range src {
-		total += len(src[i].Key) + len(src[i].Value)
-	}
-	arena := make([]byte, 0, total)
-	for i := range src {
-		ev := src[i]
-		if len(ev.Key) > 0 {
-			n := len(arena)
-			arena = append(arena, ev.Key...)
-			ev.Key = arena[n:len(arena):len(arena)]
-		}
-		if len(ev.Value) > 0 {
-			n := len(arena)
-			arena = append(arena, ev.Value...)
-			ev.Value = arena[n:len(arena):len(arena)]
-		}
-		if ev.Headers != nil {
-			h := make(map[string]string, len(ev.Headers))
-			for k, v := range ev.Headers {
-				h[k] = v
-			}
-			ev.Headers = h
-		}
-		p := pidx[i]
-		ev.Topic = topic
-		ev.Partition = p
-		if len(scratch.buckets[p]) == 0 {
-			scratch.order = append(scratch.order, p)
-		}
-		scratch.buckets[p] = append(scratch.buckets[p], ev)
-	}
 }

@@ -2,9 +2,7 @@ package clusternet
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/broker"
 	"repro/internal/replication"
 	"repro/internal/wire"
 )
@@ -12,50 +10,6 @@ import (
 // replicationIdentity is the identity the per-broker replication
 // managers authenticate as on clusters that require credentials.
 const replicationIdentity = "octopus-replication"
-
-// wireReplicaClient adapts a routed wire.Client to replication.Client:
-// follower fetch loops pull over real OpReplicaFetch/OpReplicaAck
-// round trips, auto-routing to the current leader like any data-plane
-// caller.
-type wireReplicaClient struct{ c *wire.Client }
-
-func (w wireReplicaClient) ReplicaFetch(follower int, topic string, partition int, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.ReplicaFetchResult, error) {
-	batch, err := w.c.ReplicaFetch(follower, topic, partition, epoch, offset, maxEvents, maxBytes, wait, buf)
-	if err != nil {
-		return broker.ReplicaFetchResult{}, err
-	}
-	// Decoded Key/Value bytes alias buf's arena, which the next fetch
-	// overwrites — but the follower log retains appended records
-	// indefinitely. Give the batch one contiguous arena of its own
-	// (headers are already their own copies).
-	n := 0
-	for i := range batch.Events {
-		n += len(batch.Events[i].Key) + len(batch.Events[i].Value)
-	}
-	arena := make([]byte, 0, n)
-	for i := range batch.Events {
-		ev := &batch.Events[i]
-		if len(ev.Key) > 0 {
-			arena = append(arena, ev.Key...)
-			ev.Key = arena[len(arena)-len(ev.Key):]
-		}
-		if len(ev.Value) > 0 {
-			arena = append(arena, ev.Value...)
-			ev.Value = arena[len(arena)-len(ev.Value):]
-		}
-	}
-	return broker.ReplicaFetchResult{
-		Events:        batch.Events,
-		LeaderEpoch:   batch.LeaderEpoch,
-		HighWatermark: batch.HighWatermark,
-		LogStart:      batch.LogStart,
-		LogEnd:        batch.LogEnd,
-	}, nil
-}
-
-func (w wireReplicaClient) ReplicaAck(follower int, topic string, partition int, epoch, leo int64) error {
-	return w.c.ReplicaAck(follower, topic, partition, epoch, leo)
-}
 
 // replicaCredentials provisions (idempotently) the auth key the
 // replication managers dial with. Anonymous clusters skip it.
@@ -73,8 +27,9 @@ func (c *Cluster) replicaCredentials() (wire.Options, error) {
 
 // startManager dials the broker's own listener (the in-process
 // loopback a real broker's replication thread would use) and starts
-// its follower fetch loops. Callers must have the broker's listener
-// bound already.
+// its follower fetch loops, which pull through the routed wire.Client
+// over OpReplicaFetch/OpReplicaAck round trips. Callers must have the
+// broker's listener bound already.
 func (c *Cluster) startManager(id int) error {
 	c.mu.Lock()
 	bound := c.bound[id]
@@ -94,7 +49,7 @@ func (c *Cluster) startManager(id int) error {
 	if err != nil {
 		return fmt.Errorf("clusternet: broker %d replication dial: %w", id, err)
 	}
-	m := replication.NewManager(c.Fabric, id, wireReplicaClient{c: wc}, c.opts.ReplicationConfig)
+	m := replication.NewManager(c.Fabric, id, wc, c.opts.ReplicationConfig)
 	m.Start()
 	c.mu.Lock()
 	c.managers[id] = m

@@ -9,6 +9,7 @@
 package event
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -51,9 +52,8 @@ func (e *Event) Size() int {
 	return n
 }
 
-// Clone returns a deep copy of the event. The fabric clones events at the
-// produce boundary so that producer-side reuse of buffers cannot corrupt
-// stored records.
+// Clone returns a deep copy of the event, for holders that outlive the
+// buffers its Key, Value and Headers alias.
 func (e *Event) Clone() Event {
 	c := *e
 	if e.Key != nil {
@@ -142,28 +142,28 @@ var ErrTruncated = errors.New("event: truncated record")
 // bytes consumed so that records can be decoded from a concatenated batch.
 // Key and Value are copied out of b, so the caller may reuse the buffer.
 func Unmarshal(b []byte) (Event, int, error) {
-	return unmarshal(b, true)
+	var e Event
+	n, err := unmarshal(&e, b, true)
+	return e, n, err
 }
 
-func unmarshal(b []byte, copyBytes bool) (Event, int, error) {
-	read := readBytesZC
-	if copyBytes {
-		read = readBytes
-	}
-	var e Event
+// unmarshal decodes one event into e, which it sets only on success: in
+// place, so batch decoders fill their result slots without copying
+// Event values around.
+func unmarshal(e *Event, b []byte, copyBytes bool) (int, error) {
 	pos := 0
-	key, n, err := read(b[pos:])
+	key, n, err := readBytesZC(b[pos:])
 	if err != nil {
-		return e, 0, err
+		return 0, err
 	}
 	pos += n
-	val, n, err := read(b[pos:])
+	val, n, err := readBytesZC(b[pos:])
 	if err != nil {
-		return e, 0, err
+		return 0, err
 	}
 	pos += n
 	if len(b[pos:]) < 12 {
-		return e, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	ts := int64(binary.BigEndian.Uint64(b[pos:]))
 	pos += 8
@@ -173,26 +173,25 @@ func unmarshal(b []byte, copyBytes bool) (Event, int, error) {
 	if hc > 0 {
 		headers = make(map[string]string, hc)
 		for i := 0; i < hc; i++ {
-			// Header bytes become strings (their own copies) either way,
-			// so the zero-copy reader is always safe here.
+			// Header bytes become strings, their own copies.
 			k, n, err := readBytesZC(b[pos:])
 			if err != nil {
-				return e, 0, err
+				return 0, err
 			}
 			pos += n
 			v, n, err := readBytesZC(b[pos:])
 			if err != nil {
-				return e, 0, err
+				return 0, err
 			}
 			pos += n
 			headers[string(k)] = string(v)
 		}
 	}
-	if len(key) == 0 {
-		key = nil
+	if copyBytes {
+		key, val = bytes.Clone(key), bytes.Clone(val)
 	}
-	e = Event{Key: key, Value: val, Timestamp: time.Unix(0, ts), Headers: headers}
-	return e, pos, nil
+	e.Key, e.Value, e.Timestamp, e.Headers = key, val, time.Unix(0, ts), headers
+	return pos, nil
 }
 
 func appendBytes(buf, b []byte) []byte {
@@ -200,23 +199,8 @@ func appendBytes(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-func readBytes(b []byte) ([]byte, int, error) {
-	if len(b) < 4 {
-		return nil, 0, ErrTruncated
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	if len(b) < 4+n {
-		return nil, 0, ErrTruncated
-	}
-	if n == 0 {
-		return nil, 4, nil
-	}
-	return append([]byte(nil), b[4:4+n]...), 4 + n, nil
-}
-
-// readBytesZC is readBytes without the defensive copy: the returned slice
-// aliases b. Used by the batch decode path, where the caller owns the
-// buffer for the lifetime of the decoded events.
+// readBytesZC reads one length-prefixed field without copying: the
+// returned slice aliases b (nil when the field is empty).
 func readBytesZC(b []byte) ([]byte, int, error) {
 	if len(b) < 4 {
 		return nil, 0, ErrTruncated
@@ -251,9 +235,8 @@ func AppendBatchMarshal(buf []byte, evs []Event) []byte {
 // UnmarshalBatch decodes n concatenated records from b into one slice.
 // The decoded Key/Value fields alias b — b is the batch arena — so the
 // caller must not modify b afterwards. It returns the events and the
-// total bytes consumed. This is the fetch-side mirror of the broker's
-// produce arena: one events slice and zero per-field copies regardless
-// of batch size.
+// total bytes consumed: one events slice and zero per-field copies
+// regardless of batch size.
 func UnmarshalBatch(b []byte, n int) ([]Event, int, error) {
 	return AppendUnmarshalBatch(make([]Event, 0, n), b, n)
 }
@@ -266,12 +249,12 @@ func UnmarshalBatch(b []byte, n int) ([]Event, int, error) {
 func AppendUnmarshalBatch(dst []Event, b []byte, n int) ([]Event, int, error) {
 	pos := 0
 	for i := 0; i < n; i++ {
-		ev, sz, err := unmarshal(b[pos:], false)
+		dst = append(dst, Event{})
+		sz, err := unmarshal(&dst[len(dst)-1], b[pos:], false)
 		if err != nil {
 			return nil, 0, fmt.Errorf("event: record %d of %d: %w", i, n, err)
 		}
 		pos += sz
-		dst = append(dst, ev)
 	}
 	return dst, pos, nil
 }

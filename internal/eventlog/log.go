@@ -4,21 +4,19 @@
 // the moral equivalent of Kafka's log layer (§IV-A of the paper), built
 // from scratch on Go slices, with optional file-backed persistence.
 //
-// Persistence (Config.Dir) maps each in-memory segment to one file,
-// <dir>/<baseOffset, 20 decimal digits>.seg, holding framed records:
-//
-//	u32 crc32(IEEE, over body) | u32 bodyLen | body
-//	body = u64 offset | event.Marshal (key, value, timestamp, headers)
-//
-// Appends are encoded into a pending buffer and written with one write
-// per Append/AppendBatch call (fsync only when Config.Fsync is set), so
-// a batch is the durability unit. Open replays the segment files to
-// rebuild the index: records stream back in base-offset order, and the
-// first frame that fails its crc or length check — the torn tail of a
-// crash — truncates that file at the last intact boundary and deletes
-// any later files, keeping the recovered offset space contiguous.
-// Retention deletes whole segment files; compaction and Truncate
-// rewrite the affected file via temp file + rename.
+// The log copies and owns what it stores: each append encodes its events
+// once into immutable record frames (layout in persist.go) that a segment
+// keeps behind a pointer-free index of 16 bytes per record, and reads
+// decode events straight out of those bytes. With Config.Dir set the same
+// bytes are the segment's file, <dir>/<baseOffset, 20 decimal
+// digits>.seg, written with one write per append call (fsync only when
+// Config.Fsync is set), so a batch is the durability unit. Open replays
+// the files and keeps their bytes: the first frame that fails its crc or
+// length check — the torn tail of a crash — truncates that file at the
+// last intact boundary and deletes any later files, keeping the recovered
+// offset space contiguous. Retention deletes whole segment files;
+// compaction and Truncate rewrite the affected file via temp file +
+// rename.
 package eventlog
 
 import (
@@ -26,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,24 +87,32 @@ func DefaultConfig() Config {
 	}
 }
 
+// Frame positions in a segment file are 32-bit; these caps keep the file
+// far inside that range.
+const maxSegmentBytes, maxSegmentEvents = 1 << 30, 1 << 24
+
 func (c *Config) fill() {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 4 << 20
 	}
+	c.SegmentBytes = min(c.SegmentBytes, maxSegmentBytes)
 	if c.SegmentEvents <= 0 {
 		c.SegmentEvents = 65536
 	}
+	c.SegmentEvents = min(c.SegmentEvents, maxSegmentEvents)
 	if c.Retention <= 0 {
 		c.Retention = 7 * 24 * time.Hour
 	}
 }
 
+// record indexes one stored frame: 16 bytes and no pointer, so the
+// garbage collector never scans a segment's index. ts is the event's
+// timestamp in unix nanoseconds, pos the frame's position in the segment
+// file, and size caches Event.Size() for byte budgets, retention and
+// compaction. The offset is read from the frame.
 type record struct {
-	offset int64
-	// size caches ev.Size() at append time so fetch-side byte budgeting,
-	// retention and compaction never re-walk key/value/header lengths.
-	size int
-	ev   event.Event
+	ts        int64
+	pos, size uint32
 }
 
 // segment is a run of records covering the offset range
@@ -115,8 +122,14 @@ type record struct {
 type segment struct {
 	baseOffset int64
 	records    []record
+	// chunks hold the segment's frames in file order: one per append, or
+	// one for the whole segment after a replay, compaction or truncation.
+	// Concatenated they are the segment file, byte for byte; ends[i] is
+	// the file position one past chunks[i]. A stored chunk never changes,
+	// so returned events may alias it.
+	chunks     [][]byte
+	ends       []uint32
 	bytes      int
-	created    time.Time
 	lastAppend time.Time
 	sealed     bool
 	// end is the offset one past the segment's last assigned record,
@@ -133,6 +146,15 @@ func (s *segment) nextOffset() int64 {
 	// The active segment is dense from baseOffset: compaction only
 	// touches sealed segments.
 	return s.baseOffset + int64(len(s.records))
+}
+
+// search returns the index of the first record with offset >= off. In a
+// segment without compaction holes, record i holds baseOffset+i.
+func (s *segment) search(off int64) int {
+	if n := int64(len(s.records)); n == s.nextOffset()-s.baseOffset {
+		return int(min(max(off-s.baseOffset, 0), n))
+	}
+	return sort.Search(len(s.records), func(i int) bool { return s.offset(&s.records[i]) >= off })
 }
 
 // Log is a single partition's commit log. All methods are safe for
@@ -156,12 +178,13 @@ type Log struct {
 	// regression tests use to prove an idle consumer performs no log
 	// reads between appends.
 	reads atomic.Int64
-	// File-backed persistence state ("" / nil for in-memory logs):
-	// the backing directory, the active segment's append handle, and
-	// the pending encoded frames flushed once per append batch.
+	// slab is the unused rest of the slab small chunks are carved from
+	// (chunkBuf).
+	slab []byte
+	// File-backed persistence state ("" / nil for in-memory logs): the
+	// backing directory and the active segment's append handle.
 	dir        string
 	activeFile *os.File
-	wbuf       []byte
 }
 
 // New creates an empty log with the given configuration. With cfg.Dir
@@ -175,35 +198,85 @@ func New(cfg Config) *Log {
 	return l
 }
 
-// appendLocked stores one event on the active segment, rolling first if
-// the active segment is full. Callers hold l.mu. The returned error is
-// only ever non-nil for file-backed logs (segment roll I/O).
-func (l *Log) appendLocked(ev event.Event, now time.Time) error {
-	active := l.segments[len(l.segments)-1]
-	if active.bytes >= l.cfg.SegmentBytes || len(active.records) >= l.cfg.SegmentEvents {
-		active.end = l.next
-		active.sealed = true
-		if err := l.persistRollLocked(l.next); err != nil {
-			active.sealed = false
-			active.end = 0
+// Small chunks are carved from a shared slab, so a run of small appends
+// costs one allocation per slab rather than one per append. A slab holds
+// sixteen chunks of the size that opened it, or as many as fit in
+// maxSlab; a chunk above maxSlab/4 is allocated on its own, so a slab
+// never strands more than a quarter of itself. A slab lives until its
+// last chunk is dropped.
+const maxSlab = 256 << 10
+
+// chunkBuf returns an empty buffer with capacity exactly size for one
+// append's chunk. Callers hold l.mu.
+func (l *Log) chunkBuf(size int) []byte {
+	if size > maxSlab/4 {
+		return make([]byte, 0, size)
+	}
+	if len(l.slab) < size {
+		l.slab = make([]byte, min(16, maxSlab/size)*size)
+	}
+	b := l.slab[:0:size]
+	l.slab = l.slab[size:]
+	return b
+}
+
+// appendLocked stores evs at consecutive offsets from l.next, rolling a
+// segment once its payload bytes or record count reach the configured
+// limit (checked before each event). Each run of events that lands on one
+// segment is encoded once into a chunk that is written to the segment
+// file and kept as the segment's copy of those records; a failed write
+// indexes nothing. now stamps every event unless leaderStamped, where
+// each keeps its own Timestamp. Callers hold l.mu. The returned error is
+// only ever non-nil for file-backed logs.
+func (l *Log) appendLocked(evs []event.Event, now time.Time, leaderStamped bool) error {
+	for len(evs) > 0 {
+		seg := l.segments[len(l.segments)-1]
+		if seg.bytes >= l.cfg.SegmentBytes || len(seg.records) >= l.cfg.SegmentEvents {
+			if err := l.rollToLocked(l.next); err != nil {
+				return err
+			}
+			seg = l.segments[len(l.segments)-1]
+		}
+		n, payload, size := 0, seg.bytes, 0
+		for n < len(evs) && payload < l.cfg.SegmentBytes && len(seg.records)+n < l.cfg.SegmentEvents {
+			payload += evs[n].Size()
+			size += frameHeaderLen + evs[n].MarshaledSize()
+			n++
+		}
+		first, at := len(seg.records), uint32(0)
+		if len(seg.ends) > 0 {
+			at = seg.ends[len(seg.ends)-1] // the file size
+		}
+		chunk := l.chunkBuf(size)
+		for i := range evs[:n] {
+			ev, off := evs[i], l.next+int64(i)
+			if !leaderStamped {
+				ev.Timestamp = now
+			}
+			seg.records = append(seg.records, record{
+				ts:   ev.Timestamp.UnixNano(),
+				pos:  at + uint32(len(chunk)),
+				size: uint32(ev.Size()),
+			})
+			chunk = appendFrame(chunk, off, &ev)
+		}
+		if err := l.writeLocked(chunk); err != nil {
+			seg.records = seg.records[:first]
 			return err
 		}
-		active = &segment{baseOffset: l.next, created: now}
-		l.segments = append(l.segments, active)
-	}
-	if len(active.records) == 0 {
-		active.created = now
-	}
-	ev.Offset = l.next
-	ev.Timestamp = now
-	sz := ev.Size()
-	active.records = append(active.records, record{offset: l.next, size: sz, ev: ev})
-	active.bytes += sz
-	active.lastAppend = now
-	l.bytes += int64(sz)
-	l.next++
-	if l.dir != "" {
-		l.wbuf = appendRecordFrame(l.wbuf, ev.Offset, &ev)
+		seg.chunks = append(seg.chunks, chunk)
+		seg.ends = append(seg.ends, at+uint32(len(chunk)))
+		seg.lastAppend = now
+		if leaderStamped {
+			seg.lastAppend = evs[n-1].Timestamp
+		}
+		l.bytes += int64(payload - seg.bytes)
+		seg.bytes = payload
+		l.next += int64(n)
+		if err := l.syncLocked(); err != nil {
+			return err
+		}
+		evs = evs[n:]
 	}
 	return nil
 }
@@ -217,10 +290,7 @@ func (l *Log) Append(ev event.Event, now time.Time) (int64, error) {
 		return 0, ErrClosed
 	}
 	off := l.next
-	err := l.appendLocked(ev, now)
-	if err == nil {
-		err = l.flushLocked()
-	}
+	err := l.appendLocked([]event.Event{ev}, now, false)
 	fired := l.notifyLocked(make([]func(), 0, 8))
 	l.mu.Unlock()
 	runNotifies(fired)
@@ -233,7 +303,8 @@ func (l *Log) Append(ev event.Event, now time.Time) (int64, error) {
 // AppendBatch appends events in order, returning the first assigned
 // offset. A batch is appended atomically with respect to readers, and
 // for file-backed logs it is also the durability unit: one write (and
-// optional fsync) covers the whole batch.
+// optional fsync) covers the whole batch, or each segment's share of a
+// batch that rolls one.
 func (l *Log) AppendBatch(evs []event.Event, now time.Time) (int64, error) {
 	var t0 time.Time
 	if l.cfg.AppendLatency != nil {
@@ -246,15 +317,7 @@ func (l *Log) AppendBatch(evs []event.Event, now time.Time) (int64, error) {
 	}
 	first := l.next
 	startBytes := l.bytes
-	var err error
-	for i := range evs {
-		if err = l.appendLocked(evs[i], now); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = l.flushLocked()
-	}
+	err := l.appendLocked(evs, now, false)
 	appended := l.bytes - startBytes
 	var fired []func()
 	if len(evs) > 0 {
@@ -298,23 +361,24 @@ func (l *Log) AppendReplicated(evs []event.Event) error {
 	startBytes := l.bytes
 	var err error
 	appended := false
-	for i := range evs {
-		ev := evs[i]
-		if ev.Offset < l.next {
+	for len(evs) > 0 && err == nil {
+		if evs[0].Offset < l.next {
+			evs = evs[1:]
 			continue
 		}
-		if ev.Offset > l.next {
-			if err = l.rollToLocked(ev.Offset); err != nil {
+		if evs[0].Offset > l.next {
+			if err = l.rollToLocked(evs[0].Offset); err != nil {
 				break
 			}
 		}
-		if err = l.appendLocked(ev, ev.Timestamp); err != nil {
-			break
+		// The run of consecutive offsets lands densely from l.next.
+		n := 1
+		for n < len(evs) && evs[n].Offset == evs[n-1].Offset+1 {
+			n++
 		}
+		err = l.appendLocked(evs[:n], time.Time{}, true)
 		appended = true
-	}
-	if err == nil {
-		err = l.flushLocked()
+		evs = evs[n:]
 	}
 	addedBytes := l.bytes - startBytes
 	var fired []func()
@@ -333,8 +397,8 @@ func (l *Log) AppendReplicated(evs []event.Event) error {
 }
 
 // rollToLocked seals the active segment at the current end and starts
-// a fresh one at base (> l.next), so replicated records landing past a
-// leader-side hole never break the active segment's density.
+// a fresh one at base (>= l.next); a base past l.next lets replicated
+// records landing past a leader-side hole keep the active segment dense.
 func (l *Log) rollToLocked(base int64) error {
 	active := l.segments[len(l.segments)-1]
 	active.end = l.next
@@ -344,21 +408,9 @@ func (l *Log) rollToLocked(base int64) error {
 		active.end = 0
 		return err
 	}
-	l.segments = append(l.segments, &segment{baseOffset: base, created: l.lastNow()})
+	l.segments = append(l.segments, &segment{baseOffset: base})
 	l.next = base
 	return nil
-}
-
-// lastNow approximates "now" for bookkeeping timestamps on replica
-// rolls from the newest record the log holds; replicated records carry
-// their own leader-stamped timestamps, so this never reaches a reader.
-func (l *Log) lastNow() time.Time {
-	for i := len(l.segments) - 1; i >= 0; i-- {
-		if rs := l.segments[i].records; len(rs) > 0 {
-			return rs[len(rs)-1].ev.Timestamp
-		}
-	}
-	return time.Time{}
 }
 
 // notifyLocked appends to fired the registered append callbacks whose
@@ -473,9 +525,10 @@ func (l *Log) Read(offset int64, max int) ([]event.Event, error) {
 // payload byte budget (maxBytes <= 0 means unbounded). The byte budget is soft on the first event only:
 // at least one event is returned when any is available, and no event
 // beyond the first may push the cumulative size to or past maxBytes —
-// the semantics Fabric.Fetch and Log.ReadBytes share. Events stream out
-// of the segment index directly; nothing beyond the returned slice is
-// materialized.
+// the semantics Fabric.Fetch and Log.ReadBytes share. Events are decoded
+// out of the segments' chunks: Key and Value alias the log's bytes,
+// which never change, and must not be modified. Topic and Partition are
+// left unset; the log does not know them.
 func (l *Log) ReadBudget(offset int64, max, maxBytes int) ([]event.Event, error) {
 	return l.ReadBudgetInto(offset, max, maxBytes, nil)
 }
@@ -483,7 +536,7 @@ func (l *Log) ReadBudget(offset int64, max, maxBytes int) ([]event.Event, error)
 // ReadBudgetInto is ReadBudget appending into dst (reusing its
 // capacity), so a steady-state consumer fetch allocates nothing once its
 // receive slice has grown: the fetch session hands the same slice back
-// on every poll. Returned events alias the log's records, as with
+// on every poll. Returned events alias the log's chunks, as with
 // ReadBudget. A nil dst behaves exactly like ReadBudget.
 func (l *Log) ReadBudgetInto(offset int64, max, maxBytes int, dst []event.Event) ([]event.Event, error) {
 	l.reads.Add(1)
@@ -514,19 +567,24 @@ func (l *Log) ReadBudgetInto(offset int64, max, maxBytes int, dst []event.Event)
 		seg := l.segments[si]
 		idx := 0
 		if offset > seg.baseOffset {
-			// Records within a segment may start above baseOffset after
-			// compaction; binary-search the first record >= offset.
-			idx = searchRecords(seg.records, offset)
+			idx = seg.search(offset)
 		}
+		if idx == len(seg.records) {
+			continue
+		}
+		c := seg.chunkAt(seg.records[idx].pos)
 		for ; idx < len(seg.records); idx++ {
 			r := &seg.records[idx]
+			for r.pos >= seg.ends[c] {
+				c++
+			}
 			if maxBytes > 0 {
-				if total+r.size >= maxBytes && len(out) > 0 {
+				if total+int(r.size) >= maxBytes && len(out) > 0 {
 					return out, nil
 				}
-				total += r.size
+				total += int(r.size)
 			}
-			out = append(out, r.ev)
+			out = appendEvent(out, seg.frameIn(c, r), r.ts)
 			if len(out) >= max || (maxBytes > 0 && total >= maxBytes) {
 				return out, nil
 			}
@@ -548,6 +606,7 @@ func (l *Log) ReadBytes(offset int64, maxBytes int) ([]event.Event, error) {
 // search: first across segments (by each segment's last record), then
 // within the segment's records.
 func (l *Log) OffsetForTime(t time.Time) int64 {
+	tn := t.UnixNano()
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	// Find the first non-empty segment whose last record is at or after
@@ -568,8 +627,8 @@ func (l *Log) OffsetForTime(t time.Time) int64 {
 			hi = mid
 			continue
 		}
-		rs := l.segments[j].records
-		if rs[len(rs)-1].ev.Timestamp.Before(t) {
+		seg := l.segments[j]
+		if seg.records[len(seg.records)-1].ts < tn {
 			lo = j + 1
 		} else {
 			// Segment j qualifies; keep looking for an earlier one in
@@ -581,17 +640,9 @@ func (l *Log) OffsetForTime(t time.Time) int64 {
 	if best == len(l.segments) {
 		return l.next
 	}
-	rs := l.segments[best].records
-	rlo, rhi := 0, len(rs)
-	for rlo < rhi {
-		mid := (rlo + rhi) / 2
-		if rs[mid].ev.Timestamp.Before(t) {
-			rlo = mid + 1
-		} else {
-			rhi = mid
-		}
-	}
-	return rs[rlo].offset
+	seg := l.segments[best]
+	i := sort.Search(len(seg.records), func(i int) bool { return seg.records[i].ts >= tn })
+	return seg.offset(&seg.records[i])
 }
 
 // StartOffset returns the earliest retained offset.
@@ -665,10 +716,12 @@ func (l *Log) Compact() int {
 		return 0
 	}
 	latest := make(map[string]int64)
+	var one [1]event.Event
 	for _, seg := range l.segments {
-		for _, r := range seg.records {
-			if r.ev.Key != nil {
-				latest[string(r.ev.Key)] = r.offset
+		for i := range seg.records {
+			r := &seg.records[i]
+			if k := appendEvent(one[:0], seg.frame(r), r.ts)[0].Key; k != nil {
+				latest[string(k)] = seg.offset(r)
 			}
 		}
 	}
@@ -680,18 +733,19 @@ func (l *Log) Compact() int {
 		before := len(seg.records)
 		kept := seg.records[:0]
 		for _, r := range seg.records {
-			if r.ev.Key != nil && latest[string(r.ev.Key)] != r.offset {
+			if k := appendEvent(one[:0], seg.frame(&r), r.ts)[0].Key; k != nil && latest[string(k)] != seg.offset(&r) {
 				removed++
 				l.bytes -= int64(r.size)
-				seg.bytes -= r.size
+				seg.bytes -= int(r.size)
 				continue
 			}
 			kept = append(kept, r)
 		}
 		seg.records = kept
 		if len(seg.records) != before {
-			// Persist the hole-punched segment so replay does not
-			// resurrect superseded records.
+			// Repack (and persist) the hole-punched segment, so the
+			// superseded frames are freed and replay does not resurrect
+			// them.
 			l.rewriteSegmentLocked(seg)
 		}
 	}
@@ -704,28 +758,11 @@ func (l *Log) Compact() int {
 func (l *Log) Close() {
 	l.mu.Lock()
 	l.closed = true
-	if l.dir != "" {
-		l.flushLocked()
-		if l.activeFile != nil {
-			l.activeFile.Close()
-			l.activeFile = nil
-		}
+	if l.activeFile != nil {
+		l.activeFile.Close()
+		l.activeFile = nil
 	}
 	fired := l.notifyLocked(make([]func(), 0, 8))
 	l.mu.Unlock()
 	runNotifies(fired)
-}
-
-// searchRecords returns the index of the first record with offset >= off.
-func searchRecords(rs []record, off int64) int {
-	lo, hi := 0, len(rs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rs[mid].offset < off {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -4,11 +4,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/event"
 )
@@ -22,13 +25,16 @@ import (
 //	u32 crc32(IEEE, over body) | u32 bodyLen | body
 //	body = u64 offset | event.Marshal bytes (key, value, timestamp, headers)
 //
-// Records are appended with one write per batch and no fsync unless
-// Config.Fsync is set. Replay reads files in base-offset order and stops
-// at the first frame whose crc or length does not check out — a torn
-// tail from a crash — truncating the file at the last good boundary and
-// deleting any later segment files so the offset space stays contiguous.
+// The frames are also the log's in-memory copy: a segment's chunks,
+// concatenated, are its file. Replay reads files in base-offset order,
+// keeps their bytes, and stops at the first frame whose crc or length does
+// not check out — a torn tail from a crash — truncating the file at the
+// last good boundary and deleting any later segment files so the offset
+// space stays contiguous.
 
-const recordHeaderLen = 8 // u32 crc | u32 bodyLen
+// frameHeaderLen is the frame bytes before the event encoding:
+// u32 crc | u32 bodyLen | u64 offset.
+const frameHeaderLen = 16
 
 func segFileName(base int64) string {
 	return fmt.Sprintf("%020d.seg", base)
@@ -38,8 +44,8 @@ func segFilePath(dir string, base int64) string {
 	return filepath.Join(dir, segFileName(base))
 }
 
-// appendRecordFrame encodes one record frame into buf.
-func appendRecordFrame(buf []byte, offset int64, ev *event.Event) []byte {
+// appendFrame encodes one record frame into buf.
+func appendFrame(buf []byte, offset int64, ev *event.Event) []byte {
 	hdrAt := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // crc + len placeholders
 	bodyAt := len(buf)
@@ -51,29 +57,96 @@ func appendRecordFrame(buf []byte, offset int64, ev *event.Event) []byte {
 	return buf
 }
 
-// decodeRecordFrame decodes one frame from b, returning the record and
-// the number of bytes consumed. A short, oversized or corrupt frame
-// returns ok=false: replay treats it as the torn tail of a crash.
-func decodeRecordFrame(b []byte) (rec record, n int, ok bool) {
-	if len(b) < recordHeaderLen {
-		return record{}, 0, false
+// chunkAt returns the index of the chunk holding file position pos.
+func (s *segment) chunkAt(pos uint32) int {
+	return sort.Search(len(s.ends), func(i int) bool { return s.ends[i] > pos })
+}
+
+// frameIn returns the frame r indexes, which chunk c holds.
+func (s *segment) frameIn(c int, r *record) []byte {
+	f := s.chunks[c][r.pos-(s.ends[c]-uint32(len(s.chunks[c]))):]
+	return f[:8+int(binary.BigEndian.Uint32(f[4:]))]
+}
+
+// frame returns the frame r indexes.
+func (s *segment) frame(r *record) []byte { return s.frameIn(s.chunkAt(r.pos), r) }
+
+// offset returns the offset of the record r indexes.
+func (s *segment) offset(r *record) int64 {
+	return int64(binary.BigEndian.Uint64(s.frame(r)[8:]))
+}
+
+// appendEvent decodes the event in frame f, stamped ts, onto dst; Key and
+// Value alias the frame. A frame without headers — its length says so —
+// is decoded from its first bytes and the index's timestamp alone, so a
+// read does not touch the frame's tail, where the event encoding keeps
+// the timestamp and the header count. Every frame was encoded by this log
+// or checked by replay, so decoding cannot fail.
+func appendEvent(dst []event.Event, f []byte, ts int64) []event.Event {
+	be := binary.BigEndian
+	off := int64(be.Uint64(f[8:]))
+	k := int(be.Uint32(f[16:]))
+	v := int(be.Uint32(f[20+k:]))
+	if len(f) > frameHeaderLen+20+k+v { // headers follow the timestamp
+		dst, _, _ = event.AppendUnmarshalBatch(dst, f[frameHeaderLen:], 1)
+		dst[len(dst)-1].Offset = off
+		return dst
 	}
-	crc := binary.BigEndian.Uint32(b)
+	dst = slices.Grow(dst, 1)[:len(dst)+1]
+	ev := &dst[len(dst)-1]
+	*ev = event.Event{Offset: off, Timestamp: time.Unix(0, ts)}
+	if k > 0 {
+		ev.Key = f[20 : 20+k : 20+k]
+	}
+	if v > 0 {
+		ev.Value = f[24+k : 24+k+v : 24+k+v]
+	}
+	return dst
+}
+
+// pack concatenates the frames of s's records into one exactly sized
+// buffer, makes it the segment's only chunk and returns it. Compaction
+// and Truncate call it after dropping records, so the dropped frames are
+// freed once no reader holds an event aliasing them.
+func (s *segment) pack() []byte {
+	n := 0
+	for i := range s.records {
+		n += len(s.frame(&s.records[i]))
+	}
+	buf := make([]byte, 0, n)
+	for i := range s.records {
+		r := &s.records[i]
+		f := s.frame(r)
+		r.pos = uint32(len(buf))
+		buf = append(buf, f...)
+	}
+	s.chunks, s.ends = [][]byte{buf}, []uint32{uint32(len(buf))}
+	return buf
+}
+
+// decodeFrame checks the frame at the start of b, returning its index
+// record (pos unset), its offset and the number of bytes it spans. A
+// short, oversized or corrupt frame returns n == 0: replay treats it as
+// the torn tail of a crash.
+func decodeFrame(b []byte) (rec record, off int64, n int) {
+	if len(b) < 8 {
+		return
+	}
 	bodyLen := int(binary.BigEndian.Uint32(b[4:]))
-	if bodyLen < 8 || bodyLen > len(b)-recordHeaderLen {
-		return record{}, 0, false
+	if bodyLen < 8 || bodyLen > len(b)-8 {
+		return
 	}
-	body := b[recordHeaderLen : recordHeaderLen+bodyLen]
-	if crc32.ChecksumIEEE(body) != crc {
-		return record{}, 0, false
+	body := b[8 : 8+bodyLen]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(b) {
+		return
 	}
-	off := int64(binary.BigEndian.Uint64(body))
-	ev, used, err := event.Unmarshal(body[8:])
+	var one [1]event.Event
+	evs, used, err := event.AppendUnmarshalBatch(one[:0], body[8:], 1)
 	if err != nil || used != bodyLen-8 {
-		return record{}, 0, false
+		return
 	}
-	ev.Offset = off
-	return record{offset: off, size: ev.Size(), ev: ev}, recordHeaderLen + bodyLen, true
+	rec = record{ts: evs[0].Timestamp.UnixNano(), size: uint32(evs[0].Size())}
+	return rec, int64(binary.BigEndian.Uint64(body)), 8 + bodyLen
 }
 
 // Open creates a log from cfg. With cfg.Dir unset it is equivalent to
@@ -143,24 +216,27 @@ func (l *Log) replay(bases []int64) error {
 		if err != nil {
 			return fmt.Errorf("eventlog: replay %s: %w", path, err)
 		}
+		if len(data) > math.MaxUint32 {
+			return fmt.Errorf("eventlog: replay %s: %d bytes exceed a segment's 4 GiB", path, len(data))
+		}
 		seg := &segment{baseOffset: base}
 		good := 0
 		corrupt := false
-		for len(data[good:]) > 0 {
-			rec, n, ok := decodeRecordFrame(data[good:])
-			if !ok {
+		for good < len(data) {
+			rec, off, n := decodeFrame(data[good:])
+			if n == 0 {
 				corrupt = true
 				break
 			}
+			rec.pos = uint32(good)
 			seg.records = append(seg.records, rec)
-			seg.bytes += rec.size
-			if seg.created.IsZero() {
-				seg.created = rec.ev.Timestamp
-			}
-			seg.lastAppend = rec.ev.Timestamp
-			l.next = rec.offset + 1
+			seg.bytes += int(rec.size)
+			seg.lastAppend = time.Unix(0, rec.ts)
+			l.next = off + 1
 			good += n
 		}
+		// The file's bytes are the segment's chunk, not a copy.
+		seg.chunks, seg.ends = [][]byte{data[:good:good]}, []uint32{uint32(good)}
 		l.bytes += int64(seg.bytes)
 		l.segments = append(l.segments, seg)
 		if corrupt {
@@ -179,11 +255,7 @@ func (l *Log) replay(bases []int64) error {
 		l.segments[i].sealed = true
 		l.segments[i].end = l.segments[i+1].baseOffset
 	}
-	active := l.segments[len(l.segments)-1]
-	if active.sealed {
-		active.sealed = false
-	}
-	return l.openActiveFile(active.baseOffset)
+	return l.openActiveFile(l.segments[len(l.segments)-1].baseOffset)
 }
 
 // openActiveFile opens (creating if needed) the append handle for the
@@ -197,14 +269,11 @@ func (l *Log) openActiveFile(base int64) error {
 	return nil
 }
 
-// persistRollLocked flushes pending frames to the old active file,
-// closes it and opens the file for the new segment. Callers hold l.mu.
+// persistRollLocked closes the old active file and opens the file for
+// the new segment. Callers hold l.mu.
 func (l *Log) persistRollLocked(newBase int64) error {
 	if l.dir == "" {
 		return nil
-	}
-	if err := l.flushLocked(); err != nil {
-		return err
 	}
 	if l.activeFile != nil {
 		l.activeFile.Close()
@@ -213,41 +282,44 @@ func (l *Log) persistRollLocked(newBase int64) error {
 	return l.openActiveFile(newBase)
 }
 
-// flushLocked writes the pending encoded frames to the active segment
-// file in one write. Callers hold l.mu.
-func (l *Log) flushLocked() error {
-	if l.dir == "" || len(l.wbuf) == 0 {
+// writeLocked appends one chunk to the active segment file in one write.
+// Callers hold l.mu.
+func (l *Log) writeLocked(chunk []byte) error {
+	if l.dir == "" {
 		return nil
 	}
 	if l.activeFile == nil {
 		return fmt.Errorf("eventlog: no active segment file")
 	}
-	if _, err := l.activeFile.Write(l.wbuf); err != nil {
+	if _, err := l.activeFile.Write(chunk); err != nil {
 		return fmt.Errorf("eventlog: append segment: %w", err)
-	}
-	l.wbuf = l.wbuf[:0]
-	if l.cfg.Fsync {
-		if err := l.activeFile.Sync(); err != nil {
-			return fmt.Errorf("eventlog: fsync segment: %w", err)
-		}
 	}
 	return nil
 }
 
-// rewriteSegmentLocked re-encodes a segment's surviving records into its
-// file via a temp file + rename, used by Compact and Truncate. Callers
+// syncLocked fsyncs the active segment file when Config.Fsync is set.
+// Callers hold l.mu.
+func (l *Log) syncLocked() error {
+	if l.dir == "" || !l.cfg.Fsync {
+		return nil
+	}
+	if err := l.activeFile.Sync(); err != nil {
+		return fmt.Errorf("eventlog: fsync segment: %w", err)
+	}
+	return nil
+}
+
+// rewriteSegmentLocked packs a segment's surviving records into one
+// chunk and, for file-backed logs, writes that chunk as the segment's
+// file via a temp file + rename. Compact and Truncate use it. Callers
 // hold l.mu. If the rewritten segment is the active one, the append
 // handle is reopened on the new file.
 func (l *Log) rewriteSegmentLocked(seg *segment) error {
+	buf := seg.pack()
 	if l.dir == "" {
 		return nil
 	}
 	path := segFilePath(l.dir, seg.baseOffset)
-	var buf []byte
-	for i := range seg.records {
-		r := &seg.records[i]
-		buf = appendRecordFrame(buf, r.offset, &r.ev)
-	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
 		return fmt.Errorf("eventlog: rewrite segment: %w", err)
@@ -302,22 +374,19 @@ func (l *Log) Truncate(offset int64) error {
 	}
 	dropped := l.segments[cut+1:]
 	for _, seg := range dropped {
-		for i := range seg.records {
-			l.bytes -= int64(seg.records[i].size)
-		}
+		l.bytes -= int64(seg.bytes)
 	}
 	l.removeSegmentFiles(dropped)
 	clear(dropped) // unreachable through the backing array, as in EnforceRetention
 	l.segments = l.segments[:cut+1]
 	seg := l.segments[cut]
-	keep := searchRecords(seg.records, offset)
+	keep := seg.search(offset)
 	for i := keep; i < len(seg.records); i++ {
 		l.bytes -= int64(seg.records[i].size)
-		seg.bytes -= seg.records[i].size
+		seg.bytes -= int(seg.records[i].size)
 	}
 	seg.records = seg.records[:keep]
 	l.next = offset
-	l.wbuf = l.wbuf[:0]
 	if l.dir != "" && l.activeFile != nil {
 		l.activeFile.Close()
 		l.activeFile = nil
@@ -337,28 +406,19 @@ func (l *Log) Truncate(offset int64) error {
 		}
 	}
 	l.segments = append(l.segments, &segment{baseOffset: offset})
-	if l.dir != "" {
-		// Rewriting the (empty) new active segment truncates any stale
-		// file sharing its base offset and reopens the append handle.
-		return l.rewriteSegmentLocked(l.segments[len(l.segments)-1])
-	}
-	return nil
+	// Rewriting the (empty) new active segment truncates any stale file
+	// sharing its base offset and reopens the append handle.
+	return l.rewriteSegmentLocked(l.segments[len(l.segments)-1])
 }
 
 // Dir returns the backing directory ("" for an in-memory log).
 func (l *Log) Dir() string { return l.dir }
 
-// Sync flushes pending frames and, when file-backed, fsyncs the active
-// segment file regardless of Config.Fsync.
+// Sync fsyncs the active segment file of a file-backed log regardless
+// of Config.Fsync.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dir == "" {
-		return nil
-	}
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
 	if l.activeFile != nil {
 		if err := l.activeFile.Sync(); err != nil {
 			return fmt.Errorf("eventlog: fsync segment: %w", err)

@@ -142,7 +142,7 @@ func TestReplayCorruptMiddleDropsLaterFiles(t *testing.T) {
 	// Flip a byte inside the second file's first frame body.
 	path := filepath.Join(dir, segFileName(4))
 	data, _ := os.ReadFile(path)
-	data[recordHeaderLen+2] ^= 0xFF
+	data[frameHeaderLen+2] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -452,14 +452,12 @@ func TestPrefetchConsumerOverWire(t *testing.T) {
 	}
 }
 
-// --- produce frame donation ---
+// --- produce buffer ownership ---
 
-// TestDonatedProduceBufferNotReused proves the ownership rule of frame
-// donation: the wire server hands each produce frame to the fabric as
-// the batch arena, so nothing on the server may recycle that buffer
-// while the log records referencing it are live. Later traffic (which
-// exercises every pooled buffer on the server) must not corrupt earlier
-// events.
+// TestDonatedProduceBufferNotReused proves that later traffic never
+// corrupts earlier records: the partition log copies each produce into
+// its own chunk, so nothing the server recycles — pooled buffers,
+// payload buffers, fetch encodings — may reach a stored event.
 func TestDonatedProduceBufferNotReused(t *testing.T) {
 	f, addr, stop := startServer(t, true)
 	defer stop()
@@ -476,8 +474,8 @@ func TestDonatedProduceBufferNotReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Hammer the connection with produces and fetches sized like the
-	// original frame: if the server pooled or reused donated buffers,
-	// one of these would overwrite the first record's bytes in place.
+	// original frame: if a stored record aliased any buffer the server
+	// reuses, one of these would overwrite its bytes in place.
 	junk := bytes.Repeat([]byte("JUNKJUNK-"), 100)
 	for i := 0; i < 200; i++ {
 		if _, err := c.Produce("", "donate", 0, []event.Event{{Key: []byte("kx"), Value: junk}}, broker.AcksLeader); err != nil {
@@ -492,15 +490,16 @@ func TestDonatedProduceBufferNotReused(t *testing.T) {
 		t.Fatalf("fetch: %d events, %v", len(res.Events), err)
 	}
 	if !bytes.Equal(res.Events[0].Value, marker) || string(res.Events[0].Key) != "k0" {
-		t.Fatal("donated produce buffer was reused while its batch was live")
+		t.Fatal("later traffic overwrote an earlier record's bytes")
 	}
 }
 
-// TestProduceDonatedSkipsArenaClone pins the donation contract at the
-// fabric boundary: donated bytes are stored as-is (mutating the donated
-// buffer afterwards corrupts the record — which is exactly why donors
-// must hand over ownership), while the regular Produce still clones.
-func TestProduceDonatedSkipsArenaClone(t *testing.T) {
+// TestProduceNeverAliasesCallerBytes pins the ownership rule at every
+// produce path: the log copies what it stores, so mutating the caller's
+// buffer after an in-process produce (to an explicit partition or routed
+// by key) or after the wire server's produce (the decoded frame payload)
+// changes nothing read back.
+func TestProduceNeverAliasesCallerBytes(t *testing.T) {
 	f := broker.NewFabric(nil)
 	if err := f.AddBrokers(1, 2, 8); err != nil {
 		t.Fatal(err)
@@ -508,24 +507,35 @@ func TestProduceDonatedSkipsArenaClone(t *testing.T) {
 	if _, err := f.CreateTopic("d", "", cluster.TopicConfig{Partitions: 1, ReplicationFactor: 1}); err != nil {
 		t.Fatal(err)
 	}
-	donated := []byte("donated-bytes")
-	if _, err := f.ProduceDonated("", "d", 0, []event.Event{{Value: donated}}, broker.AcksLeader); err != nil {
+	explicit := []byte("explicit-bytes")
+	if _, err := f.Produce("", "d", 0, []event.Event{{Value: explicit}}, broker.AcksLeader); err != nil {
 		t.Fatal(err)
 	}
-	cloned := []byte("cloned-bytes!")
-	if _, err := f.Produce("", "d", 0, []event.Event{{Value: cloned}}, broker.AcksLeader); err != nil {
+	key, routed := []byte("key"), []byte("routed-bytes")
+	if _, err := f.Produce("", "d", -1, []event.Event{{Key: key, Value: routed}}, broker.AcksLeader); err != nil {
 		t.Fatal(err)
 	}
-	donated[0] = 'X'
-	cloned[0] = 'X'
-	res, err := f.Fetch("", "d", 0, 0, 2, 0)
-	if err != nil || len(res.Events) != 2 {
+	payload := EncodeEvents([]event.Event{{Value: []byte("wire-bytes")}})
+	srv := NewServer(f)
+	if _, _, err := srv.dispatch(&ProduceReq{Topic: "d", Partition: 0, NumEvents: 1, Acks: int(broker.AcksLeader)}, payload, "", true, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{explicit, key, routed, payload} {
+		for i := range b {
+			b[i] = 'X'
+		}
+	}
+	res, err := f.Fetch("", "d", 0, 0, 3, 0)
+	if err != nil || len(res.Events) != 3 {
 		t.Fatalf("fetch: %d events, %v", len(res.Events), err)
 	}
-	if string(res.Events[0].Value) != "Xonated-bytes" {
-		t.Fatalf("donated record did not alias the donated buffer: %q", res.Events[0].Value)
+	want := []string{"explicit-bytes", "routed-bytes", "wire-bytes"}
+	for i, ev := range res.Events {
+		if string(ev.Value) != want[i] {
+			t.Fatalf("event %d = %q, want %q: the log aliased the caller's buffer", i, ev.Value, want[i])
+		}
 	}
-	if string(res.Events[1].Value) != "cloned-bytes!" {
-		t.Fatalf("regular produce aliased the caller's buffer: %q", res.Events[1].Value)
+	if string(res.Events[1].Key) != "key" {
+		t.Fatalf("routed key = %q: the log aliased the caller's buffer", res.Events[1].Key)
 	}
 }

@@ -343,15 +343,26 @@ func errCodeOf(err error) uint8 {
 
 // errFromCode reconstructs the domain sentinel from a v2 error code, so
 // errors.Is works across the network. The detail string is the server's
-// full error text.
+// full error text, which already names the sentinel, so it becomes the
+// error's text unchanged.
 func errFromCode(code uint8, detail string) error {
 	for _, e := range errTable {
 		if e.code == code {
-			return fmt.Errorf("%w: %s", e.sentinel, detail)
+			return &remoteError{msg: detail, sentinel: e.sentinel}
 		}
 	}
 	return errors.New(detail)
 }
+
+// remoteError is a server's error text with the sentinel its code names
+// underneath.
+type remoteError struct {
+	msg      string
+	sentinel error
+}
+
+func (e *remoteError) Error() string { return e.msg }
+func (e *remoteError) Unwrap() error { return e.sentinel }
 
 // newReqMsg allocates the request message for a v2 op byte, nil for
 // unknown ops.

@@ -435,8 +435,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	// Buffered reads: a pipelined client coalesces many frames per
 	// write, so the read loop should not pay three syscalls per frame.
-	// Payload buffers are still allocated fresh per frame, which the
-	// produce donation path depends on.
+	// Payload buffers are allocated fresh per frame: a request's handler
+	// may still be running when the next frame is read.
 	rd := bufio.NewReaderSize(conn, 64<<10)
 	if !s.handshake(conn, rd) {
 		return
@@ -661,11 +661,9 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 		if err != nil {
 			return nil, nil, err
 		}
-		// The frame buffer is donated to the fabric as the batch arena:
-		// decoded events alias it, and from here it is owned by the log
-		// records. The read loop allocates a fresh payload buffer per
-		// frame, so it never reuses this one.
-		off, err := s.Fabric.ProduceDonated(identity, q.Topic, q.Partition, evs, broker.Acks(q.Acks))
+		// Decoded events alias the frame buffer only until the partition
+		// log has copied them into its own chunk.
+		off, err := s.Fabric.Produce(identity, q.Topic, q.Partition, evs, broker.Acks(q.Acks))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -911,3 +911,26 @@ func FuzzDecodeMetadataV2(f *testing.F) {
 		}
 	})
 }
+
+// TestRemoteErrorNamesSentinelOnce: an error mapped from a v2 code
+// matches its sentinel with errors.Is, and its text is the server's
+// text, which names the sentinel exactly once.
+func TestRemoteErrorNamesSentinelOnce(t *testing.T) {
+	_, addr, stop := startServer(t, true)
+	defer stop()
+	c, err := DialAnonymous(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Produce("", "nope", 0, []event.Event{{Value: []byte("x")}}, broker.AcksLeader)
+	if !errors.Is(err, cluster.ErrNoTopic) {
+		t.Fatalf("produce to an unknown topic: %v, want errors.Is %v", err, cluster.ErrNoTopic)
+	}
+	if n := strings.Count(err.Error(), cluster.ErrNoTopic.Error()); n != 1 {
+		t.Fatalf("%q names %q %d times, want once", err, cluster.ErrNoTopic, n)
+	}
+	if !strings.HasSuffix(err.Error(), "nope") {
+		t.Fatalf("%q lost the server's detail", err)
+	}
+}

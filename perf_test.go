@@ -22,14 +22,15 @@ import (
 //
 //	go test -bench 'Allocs' -benchmem -run '^$' .
 //
-// Budget: ≤2 allocs per produce of a 64-event batch (the batch arena plus
-// amortized log growth) and ≤2 per fetch (the result slice plus amortized
-// growth). The seed spent ~98 allocs on the same produce call.
+// Budget: ≤2 allocs per produce of a 64-event batch (the partition logs'
+// chunks, carved from shared slabs, plus amortized index growth) and ≤2
+// per fetch (the result slice plus amortized growth). The seed spent ~98
+// allocs on the same produce call.
 const allocBudget = 2.0
 
 // BenchmarkProduceAllocs measures steady-state allocations of a 64-event
-// produce on a warmed fabric: routing cached, scratch pooled, one arena
-// per batch.
+// produce on a warmed fabric: routing cached, scratch pooled, each log's
+// copy carved from its slab.
 func BenchmarkProduceAllocs(b *testing.B) {
 	f := newBenchFabric(b, 2, 2)
 	batch := oneKBBatch(64)

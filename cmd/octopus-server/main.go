@@ -1,33 +1,28 @@
 // Command octopus-server runs a single-region Octopus deployment: the
-// broker cluster, the wire (TCP) endpoint for producers and consumers,
+// broker cluster, the wire (TCP) endpoints for producers and consumers,
 // and the Octopus Web Service (HTTP) for topic/trigger/credential
 // management — the cloud half of Figure 2 in one process.
 //
-//	octopus-server -brokers 4 -wire :9092 -http :8080
+//	octopus-server -brokers 3 -wire 127.0.0.1:9092 -http 127.0.0.1:8080
 //
-// With -cluster, every broker gets its own wire listener (ports
-// ascending from -wire's port: broker 0 on the base port, broker 1 on
-// base+1, ...), scoped to the partitions it leads, and clients
-// discover the whole cluster from any one of them and dial partition
-// leaders directly:
+// Every broker gets its own wire listener, on ports ascending from
+// -wire's (broker 0 on the base port, broker 1 on base+1, ...), scoped
+// to the partitions it leads. Clients discover the whole cluster from
+// any one of them and dial partition leaders directly. Followers
+// replicate from partition leaders over the wire (OpReplicaFetch), ISR
+// membership and high watermarks are tracked per partition, and
+// acks=all gates on real replication. Add -data to back every broker's
+// logs with durable segment files that replay after a crash:
 //
-//	octopus-server -brokers 4 -cluster -wire 127.0.0.1:9092
-//
-// With -replication (requires -cluster), followers replicate from
-// partition leaders over wire-v2 OpReplicaFetch, ISR membership and
-// high watermarks are tracked per partition, and acks=all gates on
-// real replication; add -data to back every broker's logs with
-// durable segment files that replay after a crash:
-//
-//	octopus-server -brokers 3 -cluster -replication -data /var/lib/octopus
+//	octopus-server -brokers 3 -data /var/lib/octopus
 //
 // With -metrics-addr, the process serves Prometheus text exposition:
-// the fabric-wide registry plus one per-listener registry (labelled
-// broker="N" in cluster mode) from a single /metrics endpoint. With
+// the fabric-wide registry plus one registry per broker listener
+// (labelled broker="N") from a single /metrics endpoint. With
 // -pprof-addr, the standard net/http/pprof profiles are served on
 // their own listener, kept off the public web-service address:
 //
-//	octopus-server -brokers 3 -cluster -metrics-addr 127.0.0.1:9100 -pprof-addr 127.0.0.1:6060
+//	octopus-server -brokers 3 -metrics-addr 127.0.0.1:9100 -pprof-addr 127.0.0.1:6060
 //
 // For a first run, -bootstrap-user creates an identity and prints a
 // token and fabric key so the CLI can connect immediately.
@@ -55,9 +50,7 @@ import (
 func main() {
 	brokers := flag.Int("brokers", 2, "number of broker nodes")
 	vcpus := flag.Int("vcpus", 2, "vCPUs per broker (capacity model)")
-	wireAddr := flag.String("wire", "127.0.0.1:9092", "event fabric TCP listen address")
-	clusterMode := flag.Bool("cluster", false, "one wire listener per broker (ports ascending from -wire's), leader-direct routing")
-	replication := flag.Bool("replication", false, "inter-broker replication over OpReplicaFetch with ISR/high-watermark tracking (requires -cluster)")
+	wireAddr := flag.String("wire", "127.0.0.1:9092", "broker 0's wire listen address; broker i binds its port + i (port 0: every broker ephemeral)")
 	dataDir := flag.String("data", "", "durable segment directory; each broker persists its logs under <data>/broker-<id> (empty: in-memory)")
 	httpAddr := flag.String("http", "127.0.0.1:8080", "web service HTTP listen address")
 	bootstrapUser := flag.String("bootstrap-user", "", "create this identity at startup and print credentials")
@@ -67,9 +60,6 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty: disabled)")
 	flag.Parse()
 
-	if *replication && !*clusterMode {
-		log.Fatal("-replication requires -cluster (followers replicate over per-broker wire listeners)")
-	}
 	oct, err := core.Launch(core.Config{Brokers: *brokers, VCPUs: *vcpus, DataDir: *dataDir})
 	if err != nil {
 		log.Fatalf("launch: %v", err)
@@ -111,55 +101,31 @@ func main() {
 	if *anonymous {
 		mode = " (anonymous)"
 	}
+	addrs, err := clusterAddrs(*wireAddr, *brokers)
+	if err != nil {
+		log.Fatalf("wire listen: %v", err)
+	}
+	cnet, err := clusternet.Serve(oct.Fabric, clusternet.Options{AllowAnonymous: *anonymous, Addrs: addrs})
+	if err != nil {
+		log.Fatalf("wire listen: %v", err)
+	}
+	defer cnet.Close()
+	for _, id := range oct.Fabric.NodeIDs() {
+		log.Printf("broker %d wire endpoint%s on %s (leader-scoped, protocol v%d)", id, mode, cnet.Addr(id), wire.ProtocolV2)
+	}
+	log.Printf("replication: followers pull over OpReplicaFetch, acks=all gated on ISR high watermarks")
 	// promSources is rebuilt per scrape so a stopped/restarted broker's
 	// listener joins and leaves the exposition with its lifecycle.
-	var promSources func() []metrics.PromSource
-	if *clusterMode {
-		addrs, err := clusterAddrs(*wireAddr, *brokers)
-		if err != nil {
-			log.Fatalf("wire listen: %v", err)
-		}
-		cnet, err := clusternet.Serve(oct.Fabric, clusternet.Options{
-			AllowAnonymous: *anonymous, Addrs: addrs, Replication: *replication,
-		})
-		if err != nil {
-			log.Fatalf("wire listen: %v", err)
-		}
-		defer cnet.Close()
+	promSources := func() []metrics.PromSource {
+		srcs := []metrics.PromSource{{Reg: oct.Fabric.Metrics}}
 		for _, id := range oct.Fabric.NodeIDs() {
-			log.Printf("broker %d wire endpoint%s on %s (leader-scoped, protocol v%d)", id, mode, cnet.Addr(id), wire.ProtocolV2)
-		}
-		if *replication {
-			log.Printf("replication: followers pull over OpReplicaFetch, acks=all gated on ISR high watermarks")
-		}
-		promSources = func() []metrics.PromSource {
-			srcs := []metrics.PromSource{{Reg: oct.Fabric.Metrics}}
-			for _, id := range oct.Fabric.NodeIDs() {
-				if srv := cnet.Server(id); srv != nil {
-					srcs = append(srcs, metrics.PromSource{
-						Labels: fmt.Sprintf(`broker="%d"`, id), Reg: srv.Metrics(),
-					})
-				}
+			if srv := cnet.Server(id); srv != nil {
+				srcs = append(srcs, metrics.PromSource{
+					Labels: fmt.Sprintf(`broker="%d"`, id), Reg: srv.Metrics(),
+				})
 			}
-			return srcs
 		}
-	} else {
-		listen := oct.ListenWire
-		if *anonymous {
-			listen = oct.ListenWireAnonymous
-		}
-		addr, err := listen(*wireAddr)
-		if err != nil {
-			log.Fatalf("wire listen: %v", err)
-		}
-		log.Printf("wire endpoint%s on %s (protocol v%d, one fetch session per connection)", mode, addr, wire.ProtocolV2)
-		promSources = func() []metrics.PromSource {
-			srcs := []metrics.PromSource{{Reg: oct.Fabric.Metrics}}
-			if srv := oct.WireServer(); srv != nil {
-				srcs = append(srcs, metrics.PromSource{Reg: srv.Metrics()})
-			}
-			return srcs
-		}
+		return srcs
 	}
 
 	if *metricsAddr != "" {

@@ -13,21 +13,28 @@ import (
 	"repro/internal/broker"
 	"repro/internal/client"
 	"repro/internal/cluster"
+	"repro/internal/clusternet"
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/mirror"
-	"repro/internal/netsim"
 	"repro/internal/ows"
 	"repro/internal/store"
+	"repro/internal/testbed"
 	"repro/internal/trigger"
 	"repro/internal/wire"
 )
 
+// wanOneWay is half the paper's 46.5 ms median round trip between the
+// remote (Chameleon@TACC) clients and the cloud-hosted fabric (§V-A).
+const wanOneWay = 46500 * time.Microsecond / 2
+
 // TestFullStackScenario drives the complete system the way a paper user
 // would: REST provisioning with OAuth tokens, key issuance, remote
-// (WAN-profiled) production over the TCP wire protocol, pattern-filtered
-// triggers chaining into a derived topic, group consumption, geo
-// mirroring to a second fabric, and archival to durable storage.
+// production over the TCP wire protocol to an authenticated cluster
+// whose brokers sit behind an emulated WAN link and replicate over the
+// wire, pattern-filtered triggers chaining into a derived topic, group
+// consumption, geo mirroring to a second fabric, and archival to
+// durable storage.
 func TestFullStackScenario(t *testing.T) {
 	// --- Region A: full deployment ---
 	oct, err := core.Launch(core.Config{Brokers: 4})
@@ -37,10 +44,21 @@ func TestFullStackScenario(t *testing.T) {
 	defer oct.Shutdown()
 	web := httptest.NewServer(oct.Web)
 	defer web.Close()
-	wireAddr, err := oct.ListenWire("127.0.0.1:0")
+	// Every broker is reached through its own delay proxy, as a remote
+	// client reaches a cloud cluster; the listeners require credentials.
+	cnet, err := clusternet.Serve(oct.Fabric, clusternet.Options{
+		Advertise: func(_ int, bound string) (string, error) {
+			addr, stop, err := testbed.DelayProxy(bound, wanOneWay)
+			if err == nil {
+				t.Cleanup(stop)
+			}
+			return addr, err
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cnet.Close()
 
 	// 1. Authenticate and provision over REST.
 	alice, err := oct.Register("alice@uchicago.edu", "globus")
@@ -73,15 +91,14 @@ func TestFullStackScenario(t *testing.T) {
 		t.Fatalf("trigger deploy: %d %v", code, body)
 	}
 
-	// 3. A remote producer: authenticated wire connection wrapped in
-	// the 46.5 ms Chameleon profile, driving the SDK producer.
-	wc, err := wire.Dial(wireAddr, keyID, secret)
+	// 3. A remote producer: an authenticated wire connection across the
+	// 46.5 ms link, driving the SDK producer.
+	wc, err := wire.Dial(cnet.Addr(0), keyID, secret)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wc.Close()
-	remote := netsim.New(wc, netsim.Remote(), nil)
-	prod := client.NewProducer(remote, "instrument", client.ProducerConfig{BatchEvents: 32})
+	prod := client.NewProducer(wc, "instrument", client.ProducerConfig{BatchEvents: 32})
 	const created, modified = 12, 24
 	start := time.Now()
 	for i := 0; i < created; i++ {
@@ -97,8 +114,11 @@ func TestFullStackScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 46*time.Millisecond {
-		t.Fatalf("remote WAN profile not applied: %v", elapsed)
+		t.Fatalf("remote WAN link not crossed: %v", elapsed)
 	}
+	// Followers pull over the wire, across the same links, until every
+	// replica holds its leader's log.
+	waitReplicated(t, oct.Fabric, "instrument", 4)
 
 	// 4. The trigger chained exactly the created events.
 	waitForCount(t, func() int64 {
@@ -187,9 +207,12 @@ func TestFullStackScenario(t *testing.T) {
 	}
 
 	// 8. Broker failure mid-flight: kill a leader, produce again, and
-	// verify zero loss through failover.
+	// verify zero loss through failover. The derived events were
+	// produced acks=leader, so they survive a failover only once the
+	// followers hold them.
+	waitReplicated(t, oct.Fabric, "instrument-derived", 2)
 	pm, _ := oct.Fabric.Ctl.Partition("instrument", 0)
-	if err := oct.Fabric.StopBroker(pm.Leader); err != nil {
+	if err := cnet.StopBroker(pm.Leader); err != nil {
 		t.Fatal(err)
 	}
 	post := client.NewProducer(tr, "instrument", client.ProducerConfig{Retries: 5})
@@ -238,6 +261,29 @@ func mustSend(t *testing.T, p *client.Producer, doc map[string]any) {
 	t.Helper()
 	if err := p.SendJSON("", doc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitReplicated waits until every replica of the topic's partitions
+// holds its leader's whole log.
+func waitReplicated(t *testing.T, f *broker.Fabric, topic string, parts int) {
+	t.Helper()
+	for p := 0; p < parts; p++ {
+		pm, err := f.Ctl.Partition(topic, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaderEnd, err := f.EndOffset(topic, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range pm.Replicas {
+			log, err := f.BrokerLog(id, topic, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitForCount(t, log.EndOffset, int(leaderEnd), fmt.Sprintf("broker %d replica of %s/%d", id, topic, p))
+		}
 	}
 }
 

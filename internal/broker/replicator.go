@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/auth"
 	"repro/internal/event"
 	"repro/internal/eventlog"
 )
@@ -126,10 +127,35 @@ func (f *Fabric) tieredReader() TieredReader {
 	return nil
 }
 
+// ReplicationIdentity is the username of the principal inter-broker
+// replication authenticates as. A served cluster provisions it for its
+// replication managers; replica ops from any other authenticated
+// identity are refused (Kafka gates follower fetch on CLUSTER_ACTION
+// the same way), since they read every partition's log regardless of
+// topic grants and feed the high-watermark and ISR rules.
+const ReplicationIdentity = "octopus-replication"
+
+// checkReplicaCaller admits a replica op from the replication principal
+// or from the trusted identity "" (in-process callers and anonymous
+// connections).
+func (f *Fabric) checkReplicaCaller(identity string) error {
+	if identity == "" {
+		return nil
+	}
+	if ident, err := f.Auth.Identity(identity); err == nil && ident.Username == ReplicationIdentity {
+		return nil
+	}
+	return fmt.Errorf("%w: replica op for %s", auth.ErrDenied, identity)
+}
+
 // ReplicaFetch is the fabric entry point for the wire server's
-// OpReplicaFetch: it verifies this fabric hosts the partition leader and
-// delegates to the replication subsystem.
-func (f *Fabric) ReplicaFetch(followerID int, topic string, partition int, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, dst []event.Event) (ReplicaFetchResult, error) {
+// OpReplicaFetch: it admits only the replication principal, verifies
+// this fabric hosts the partition leader and delegates to the
+// replication subsystem.
+func (f *Fabric) ReplicaFetch(identity string, followerID int, topic string, partition int, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, dst []event.Event) (ReplicaFetchResult, error) {
+	if err := f.checkReplicaCaller(identity); err != nil {
+		return ReplicaFetchResult{}, err
+	}
 	r := f.Replicator()
 	if r == nil {
 		return ReplicaFetchResult{}, ErrNoReplicator
@@ -138,8 +164,11 @@ func (f *Fabric) ReplicaFetch(followerID int, topic string, partition int, epoch
 }
 
 // ReplicaAck is the fabric entry point for the wire server's
-// OpReplicaAck.
-func (f *Fabric) ReplicaAck(followerID int, topic string, partition int, epoch, leo int64) error {
+// OpReplicaAck, admitted like ReplicaFetch.
+func (f *Fabric) ReplicaAck(identity string, followerID int, topic string, partition int, epoch, leo int64) error {
+	if err := f.checkReplicaCaller(identity); err != nil {
+		return err
+	}
 	r := f.Replicator()
 	if r == nil {
 		return ErrNoReplicator

@@ -141,6 +141,54 @@ func TestProducerRetriesThroughFailover(t *testing.T) {
 	}
 }
 
+// outageTransport refuses its first heal produces with a Temporary()
+// error, then passes through: a network partition between producer and
+// fabric that heals.
+type outageTransport struct {
+	Transport
+	heal    int
+	refused int
+}
+
+type outageError struct{}
+
+func (outageError) Error() string   { return "network partitioned" }
+func (outageError) Temporary() bool { return true }
+
+func (o *outageTransport) Produce(identity, topic string, partition int, evs []event.Event, acks broker.Acks) (int64, error) {
+	if o.refused < o.heal {
+		o.refused++
+		return 0, outageError{}
+	}
+	return o.Transport.Produce(identity, topic, partition, evs, acks)
+}
+
+// TestProducerBuffersThroughPartition (§VII-B): events sent while the
+// network to the fabric is partitioned queue in the producer, whose
+// flush retries through the outage and delivers every one of them once
+// it heals.
+func TestProducerBuffersThroughPartition(t *testing.T) {
+	_, inner := newTransport(t, 1)
+	tr := &outageTransport{Transport: inner, heal: 3}
+	p := NewProducer(tr, "t", ProducerConfig{Retries: 50, RetryBackoff: time.Millisecond, Linger: time.Hour})
+	defer p.Close()
+	for i := 0; i < 10; i++ {
+		if err := p.Send(event.Event{Value: []byte("queued")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatalf("flush through partition: %v", err)
+	}
+	if tr.refused != tr.heal {
+		t.Fatalf("flush met %d refusals, want %d", tr.refused, tr.heal)
+	}
+	end, err := inner.EndOffset("t", 0)
+	if err != nil || end != 10 {
+		t.Fatalf("delivered %d of 10 after heal, %v", end, err)
+	}
+}
+
 func TestProducerDeliveryErrorSurfaces(t *testing.T) {
 	f, tr := newTransport(t, 1)
 	p := NewProducer(tr, "t", ProducerConfig{Retries: 1, RetryBackoff: time.Millisecond, Linger: time.Hour})

@@ -291,8 +291,9 @@ func (p *Producer) produceWithRetry(batch []event.Event) (int64, error) {
 	return 0, derr
 }
 
-// temporary is implemented by transient transport errors (e.g. network
-// partitions injected by internal/netsim).
+// temporary is implemented by transient errors: today the fabric's
+// per-identity rate limiting (broker.ErrRateLimited), and any transport
+// error that marks itself retryable.
 type temporary interface {
 	Temporary() bool
 }

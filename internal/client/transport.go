@@ -2,8 +2,8 @@
 // batching and configurable acknowledgments and retries, consumers with
 // group membership, committed offsets and seek-by-time, and an admin
 // surface. Clients speak to the fabric through a Transport, which may be
-// the in-process fabric, a latency-injecting wrapper (internal/netsim),
-// or the TCP wire protocol (internal/wire).
+// the in-process fabric (Direct) or the TCP wire protocol
+// (internal/wire).
 package client
 
 import (

@@ -1,7 +1,7 @@
 // Package clusternet is the cluster serving subsystem: it exposes a
-// fabric as the paper's cluster of brokers (§IV), each with its own
-// wire listener restricted to the partitions it leads, instead of one
-// listener fronting everything.
+// fabric as the paper's cluster of replicated brokers (§IV), each with
+// its own wire listener restricted to the partitions it leads. It is
+// the one way a fabric is served over the network.
 //
 // Serve binds one wire.Server per broker node to the broker's
 // configured (or an ephemeral) address, publishes the bound address as
@@ -13,12 +13,18 @@
 // current leader's id, never silently served from shared in-process
 // state.
 //
+// Followers replicate over the wire: Serve attaches a fabric-wide
+// replication tracker (ISR membership, high watermarks, acks=all
+// gating) and starts one manager per broker, whose fetch loops pull
+// from partition leaders with OpReplicaFetch/OpReplicaAck through a
+// routed wire.Client, exactly as a remote broker would.
+//
 // Failure injection mirrors the fabric's: StopBroker re-elects leaders
 // through the controller and then tears the broker's listener down, so
 // connected clients observe the connection failure only after fresh
 // metadata already names the new leaders — one metadata round trip
 // re-routes them. RestartBroker rebinds the same address, catches
-// replicas up, and rejoins ISRs.
+// replicas up over replication fetches, and rejoins ISRs.
 package clusternet
 
 import (
@@ -43,11 +49,9 @@ type Options struct {
 	// emulated WAN link (testbed.DelayProxy) in front of every broker
 	// while the listeners stay on loopback.
 	Advertise func(brokerID int, bound string) (string, error)
-	// Replication attaches the inter-broker replication subsystem: a
-	// fabric-wide tracker (ISR membership, high watermarks, acks=all
-	// gating) plus one manager per broker whose fetch loops pull from
-	// partition leaders over wire-v2 OpReplicaFetch. Without it the
-	// fabric keeps its single-process synchronous replication.
+	// Replication is ignored: every served cluster replicates over the
+	// wire. The field remains only because existing callers still set
+	// it.
 	Replication bool
 	// ReplicationConfig tunes the subsystem (zero value = defaults).
 	ReplicationConfig replication.Config
@@ -71,16 +75,10 @@ type Cluster struct {
 	// momentarily in neither.
 	retired []*wire.Server
 
-	// Replication subsystem state (Options.Replication).
-	replicated bool
-	tracker    *replication.Tracker
-	managers   map[int]*replication.Manager
-	mclients   map[int]*wire.Client
+	// Each broker's replication manager and the client it pulls with.
+	managers map[int]*replication.Manager
+	mclients map[int]*wire.Client
 }
-
-// Tracker returns the attached replication tracker, nil when the
-// cluster serves without Options.Replication.
-func (c *Cluster) Tracker() *replication.Tracker { return c.tracker }
 
 // Serve starts one scoped wire server per broker node of the fabric
 // and publishes each bound address as the broker's advertised address.
@@ -94,11 +92,7 @@ func Serve(f *broker.Fabric, opts Options) (*Cluster, error) {
 		managers:   make(map[int]*replication.Manager),
 		mclients:   make(map[int]*wire.Client),
 	}
-	if opts.Replication {
-		c.replicated = true
-		c.tracker = replication.NewTracker(f, opts.ReplicationConfig)
-		f.SetReplicator(c.tracker)
-	}
+	f.SetReplicator(replication.NewTracker(f, opts.ReplicationConfig))
 	for _, id := range f.NodeIDs() {
 		addr := opts.Addrs[id]
 		if addr == "" {
@@ -109,15 +103,13 @@ func Serve(f *broker.Fabric, opts Options) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if c.replicated {
-		// Managers start after every listener is up: a fetch loop's
-		// first metadata round trip must already see each leader's
-		// advertised address.
-		for _, id := range f.NodeIDs() {
-			if err := c.startManager(id); err != nil {
-				c.Close()
-				return nil, err
-			}
+	// Managers start after every listener is up: a fetch loop's first
+	// metadata round trip must already see each leader's advertised
+	// address.
+	for _, id := range f.NodeIDs() {
+		if err := c.startManager(id); err != nil {
+			c.Close()
+			return nil, err
 		}
 	}
 	return c, nil
@@ -271,10 +263,7 @@ func (c *Cluster) RestartBroker(id int) error {
 	c.mu.Lock()
 	c.servers[id] = srv
 	c.mu.Unlock()
-	if c.replicated {
-		return c.startManager(id)
-	}
-	return nil
+	return c.startManager(id)
 }
 
 // Close tears every broker listener down. Misroute counts survive
@@ -300,7 +289,5 @@ func (c *Cluster) Close() {
 	for _, srv := range servers {
 		srv.Close()
 	}
-	if c.replicated {
-		c.Fabric.SetReplicator(nil)
-	}
+	c.Fabric.SetReplicator(nil)
 }

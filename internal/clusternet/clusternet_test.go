@@ -14,8 +14,9 @@ import (
 	"repro/internal/wire"
 )
 
-// startCluster brings up an n-broker fabric with per-broker listeners
-// and one topic of parts partitions at replication factor rf.
+// startCluster brings up an n-broker fabric with per-broker listeners,
+// followers replicating over the wire, and one topic of parts
+// partitions at replication factor rf.
 func startCluster(t *testing.T, n int, topic string, parts, rf int) (*Cluster, *broker.Fabric) {
 	t.Helper()
 	f := broker.NewFabric(nil)
@@ -103,9 +104,11 @@ func TestLeaderDirectSteadyState(t *testing.T) {
 }
 
 // TestFailoverMidProduce kills a partition leader while producers are
-// mid-flight and asserts zero acked-event loss: every produce the
-// client saw succeed is readable from the re-elected leader, and the
-// surviving cluster serves the remainder of the workload.
+// mid-flight and asserts zero acked-event loss: every acks=all produce
+// the client saw succeed is readable from the re-elected leader, and
+// the surviving cluster serves the remainder of the workload. (An
+// acks=leader ack promises nothing once followers replicate
+// asynchronously: the leader can die before any follower fetched it.)
 func TestFailoverMidProduce(t *testing.T) {
 	cl, f := startCluster(t, 3, "fp", 3, 2)
 	wc := dialSeed(t, cl, 0)
@@ -127,7 +130,7 @@ func TestFailoverMidProduce(t *testing.T) {
 	)
 	produce := func(i int) error {
 		val := fmt.Sprintf("v%d", i)
-		_, err := wc.Produce("", "fp", 0, []event.Event{{Value: []byte(val)}}, broker.AcksLeader)
+		_, err := wc.Produce("", "fp", 0, []event.Event{{Value: []byte(val)}}, broker.AcksAll)
 		if err == nil {
 			mu.Lock()
 			acked = append(acked, val)
@@ -195,6 +198,8 @@ func TestFailoverMidProduce(t *testing.T) {
 // against the re-elected leader with no gap and no duplicate: the
 // consumer's offsets stay contiguous through the failover, and
 // everything produced — before and after the kill — is delivered.
+// Produces are acks=all, so every event the consumer can read before
+// the kill is already on the follower that takes over.
 func TestFailoverMidStream(t *testing.T) {
 	cl, f := startCluster(t, 3, "fs", 1, 2)
 	leader, err := f.PartitionLeader("fs", 0)
@@ -213,7 +218,7 @@ func TestFailoverMidStream(t *testing.T) {
 	}
 	for n := 0; n < before; n += len(evs) {
 		mk(n)
-		if _, err := wc.Produce("", "fs", 0, evs, broker.AcksLeader); err != nil {
+		if _, err := wc.Produce("", "fs", 0, evs, broker.AcksAll); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,7 +264,7 @@ func TestFailoverMidStream(t *testing.T) {
 	// produces against the new leader must all arrive, contiguously.
 	for n := before; n < before+after; n += len(evs) {
 		mk(n)
-		if _, err := wc.Produce("", "fs", 0, evs, broker.AcksLeader); err != nil {
+		if _, err := wc.Produce("", "fs", 0, evs, broker.AcksAll); err != nil {
 			t.Fatalf("produce after failover: %v", err)
 		}
 	}
@@ -278,7 +283,7 @@ func TestRestartRejoins(t *testing.T) {
 	cl, f := startCluster(t, 3, "rr", 3, 2)
 	wc := dialSeed(t, cl, 0)
 
-	if _, err := wc.Produce("", "rr", 0, []event.Event{{Value: []byte("a")}}, broker.AcksLeader); err != nil {
+	if _, err := wc.Produce("", "rr", 0, []event.Event{{Value: []byte("a")}}, broker.AcksAll); err != nil {
 		t.Fatal(err)
 	}
 	victim, err := f.PartitionLeader("rr", 0)
@@ -301,7 +306,7 @@ func TestRestartRejoins(t *testing.T) {
 			t.Fatalf("metadata lists stopped broker %d as up", victim)
 		}
 	}
-	if _, err := wc.Produce("", "rr", 0, []event.Event{{Value: []byte("b")}}, broker.AcksLeader); err != nil {
+	if _, err := wc.Produce("", "rr", 0, []event.Event{{Value: []byte("b")}}, broker.AcksAll); err != nil {
 		t.Fatalf("produce after failover: %v", err)
 	}
 
@@ -361,7 +366,7 @@ func TestDrainWithMetadataPush(t *testing.T) {
 		for i := range evs {
 			evs[i] = event.Event{Value: []byte(fmt.Sprintf("p%d-%d", p, i))}
 		}
-		if _, err := wc.Produce("", "dr", p, evs, broker.AcksLeader); err != nil {
+		if _, err := wc.Produce("", "dr", p, evs, broker.AcksAll); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -428,7 +433,7 @@ func TestDrainWithMetadataPush(t *testing.T) {
 	for p := 0; p < parts; p++ {
 		for i := 0; i < 10; i++ {
 			val := fmt.Sprintf("p%d-%d", p, perPart+i)
-			if _, err := wc.Produce("", "dr", p, []event.Event{{Value: []byte(val)}}, broker.AcksLeader); err != nil {
+			if _, err := wc.Produce("", "dr", p, []event.Event{{Value: []byte(val)}}, broker.AcksAll); err != nil {
 				t.Fatalf("produce %s after drain: %v", val, err)
 			}
 		}

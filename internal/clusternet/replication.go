@@ -3,21 +3,20 @@ package clusternet
 import (
 	"fmt"
 
+	"repro/internal/broker"
 	"repro/internal/replication"
 	"repro/internal/wire"
 )
 
-// replicationIdentity is the identity the per-broker replication
-// managers authenticate as on clusters that require credentials.
-const replicationIdentity = "octopus-replication"
-
 // replicaCredentials provisions (idempotently) the auth key the
-// replication managers dial with. Anonymous clusters skip it.
+// replication managers dial with, as broker.ReplicationIdentity — the
+// one authenticated principal the fabric admits replica ops from.
+// Anonymous clusters skip it.
 func (c *Cluster) replicaCredentials() (wire.Options, error) {
 	if c.opts.AllowAnonymous {
 		return wire.Options{Anonymous: true}, nil
 	}
-	ident := c.Fabric.Auth.RegisterIdentity(replicationIdentity, "cluster")
+	ident := c.Fabric.Auth.RegisterIdentity(broker.ReplicationIdentity, "cluster")
 	key, err := c.Fabric.Auth.CreateKey(ident.ID)
 	if err != nil {
 		return wire.Options{}, fmt.Errorf("clusternet: replication credentials: %w", err)
@@ -133,8 +132,5 @@ func (c *Cluster) RecoverBroker(id int) error {
 	c.mu.Lock()
 	c.servers[id] = srv
 	c.mu.Unlock()
-	if c.replicated {
-		return c.startManager(id)
-	}
-	return nil
+	return c.startManager(id)
 }

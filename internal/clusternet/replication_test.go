@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/auth"
 	"repro/internal/broker"
 	"repro/internal/cluster"
 	"repro/internal/event"
@@ -24,7 +25,7 @@ func startReplicated(t *testing.T, n int, topic string, parts, rf, minISR int, c
 			t.Fatal(err)
 		}
 	}
-	c, err := Serve(f, Options{AllowAnonymous: true, Replication: true, ReplicationConfig: cfg})
+	c, err := Serve(f, Options{AllowAnonymous: true, ReplicationConfig: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,4 +255,106 @@ func TestNoLeaderBoundedRetry(t *testing.T) {
 		}
 	}
 	t.Fatal("no surviving partition found")
+}
+
+// TestNoMisroutesAfterCreateTopic: follower fetch loops that start for
+// a freshly created topic learn its leaders before their first replica
+// fetch, so not one of them is refused with ErrNotLeader — even with no
+// client traffic to warm any routing table.
+func TestNoMisroutesAfterCreateTopic(t *testing.T) {
+	const parts = 6
+	cl, f := startCluster(t, 3, "fresh", parts, 2)
+	// A partition's tracked state appears with the first replica fetch
+	// its leader serves, and a misrouted fetch is counted before its
+	// retry reaches the leader.
+	waitCond(t, "every follower's first replica fetch", 5*time.Second, func() bool {
+		for p := 0; p < parts; p++ {
+			if _, ok := f.ReplicaStatusFor("fresh", p); !ok {
+				return false
+			}
+		}
+		return true
+	})
+	if n := cl.Misroutes(); n != 0 {
+		t.Fatalf("misroutes after CreateTopic = %d, want 0", n)
+	}
+}
+
+// TestReplicaOpsRequireReplicationIdentity: on an authenticated
+// cluster, replica fetch and ack read and advance any partition
+// regardless of topic grants, so only the replication principal may
+// send them. A user with no grant on a topic is refused both ops, as
+// it is refused a plain fetch, while the cluster's own managers keep
+// replicating.
+func TestReplicaOpsRequireReplicationIdentity(t *testing.T) {
+	f := broker.NewFabric(nil)
+	if err := f.AddBrokers(2, 2, 8); err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Serve(f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	dialAs := func(user string, seed int) *wire.Client {
+		t.Helper()
+		ident := f.Auth.RegisterIdentity(user, "test")
+		key, err := f.Auth.CreateKey(ident.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wc, err := wire.Dial(cl.Addr(seed), key.AccessKeyID, key.Secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { wc.Close() })
+		return wc
+	}
+	alice := dialAs("alice", 0)
+	aliceID := f.Auth.RegisterIdentity("alice", "test").ID
+	if _, err := f.CreateTopic("private", aliceID, cluster.TopicConfig{Partitions: 1, ReplicationFactor: 2}); err != nil {
+		t.Fatal(err)
+	}
+	// acks=all commits only once the follower's manager, authenticated
+	// as the replication principal, has fetched the event.
+	if _, err := alice.Produce("", "private", 0, []event.Event{{Value: []byte("classified")}}, broker.AcksAll); err != nil {
+		t.Fatalf("acks=all on an authenticated cluster: %v", err)
+	}
+	pm, err := f.Ctl.Partition("private", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := pm.Replicas[0]
+	if follower == pm.Leader {
+		follower = pm.Replicas[1]
+	}
+	flog, err := f.BrokerLog(follower, "private", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCond(t, "follower replicating", 5*time.Second, func() bool { return flog.EndOffset() == 1 })
+
+	// Seeded at the leader, so no routing answer masks the refusal.
+	bob := dialAs("bob", pm.Leader)
+	if _, err := bob.Fetch("", "private", 0, 0, 10, 0); !errors.Is(err, auth.ErrDenied) {
+		t.Fatalf("bob's fetch: %v, want auth.ErrDenied", err)
+	}
+	var buf broker.FetchBuffer
+	res, err := bob.ReplicaFetch(follower, "private", 0, pm.LeaderEpoch, 0, 10, 1<<20, 0, &buf)
+	if !errors.Is(err, auth.ErrDenied) {
+		t.Fatalf("bob's replica fetch: %d events, %v; want auth.ErrDenied", len(res.Events), err)
+	}
+	if err := bob.ReplicaAck(follower, "private", 0, pm.LeaderEpoch, 1); !errors.Is(err, auth.ErrDenied) {
+		t.Fatalf("bob's replica ack: %v, want auth.ErrDenied", err)
+	}
+
+	// The managers are unaffected: a second acks=all event commits and
+	// reaches the follower.
+	if _, err := alice.Produce("", "private", 0, []event.Event{{Value: []byte("still replicated")}}, broker.AcksAll); err != nil {
+		t.Fatalf("acks=all after refused replica ops: %v", err)
+	}
+	waitCond(t, "follower replicating", 5*time.Second, func() bool { return flog.EndOffset() == 2 })
+	if got := isrSize(t, f, "private", 0); got != 2 {
+		t.Fatalf("ISR size %d, want 2", got)
+	}
 }

@@ -4,6 +4,12 @@
 // service, the managed trigger runtime, and the SDK
 // factory methods, mirroring the architecture of Figure 2.
 //
+// Launch assembles the fabric in-process; it does not listen. Serving
+// it over the network — one wire listener per broker, followers
+// replicating over the wire — is clusternet.Serve(oct.Fabric, ...)'s
+// job, and remote clients dial any broker's advertised address with a
+// key from User.CreateKey.
+//
 // A minimal end-to-end flow:
 //
 //	oct, _ := core.Launch(core.Config{Brokers: 2})
@@ -26,11 +32,9 @@ import (
 	"repro/internal/broker"
 	"repro/internal/client"
 	"repro/internal/cluster"
-	"repro/internal/netsim"
 	"repro/internal/ows"
 	"repro/internal/trigger"
 	"repro/internal/vclock"
-	"repro/internal/wire"
 )
 
 // Config sizes a fabric deployment.
@@ -64,8 +68,6 @@ type Octopus struct {
 	Fabric   *broker.Fabric
 	Triggers *trigger.Runtime
 	Web      *ows.Server
-
-	wireServer *wire.Server
 }
 
 // Launch assembles and starts a deployment.
@@ -89,38 +91,10 @@ func Launch(cfg Config) (*Octopus, error) {
 	}, nil
 }
 
-// Shutdown stops triggers and network listeners.
+// Shutdown stops the deployment's triggers.
 func (o *Octopus) Shutdown() {
 	o.Triggers.StopAll()
-	if o.wireServer != nil {
-		o.wireServer.Close()
-	}
 }
-
-// ListenWire exposes the fabric over TCP and returns the bound address.
-// Connections must authenticate with an access key (see User.CreateKey).
-func (o *Octopus) ListenWire(addr string) (string, error) {
-	return o.listenWire(addr, false)
-}
-
-// ListenWireAnonymous exposes the fabric without authentication, for
-// single-user deployments and tests.
-func (o *Octopus) ListenWireAnonymous(addr string) (string, error) {
-	return o.listenWire(addr, true)
-}
-
-func (o *Octopus) listenWire(addr string, anonymous bool) (string, error) {
-	if o.wireServer == nil {
-		o.wireServer = wire.NewServer(o.Fabric)
-	}
-	o.wireServer.AllowAnonymous = anonymous
-	return o.wireServer.Listen(addr)
-}
-
-// WireServer returns the single-listener wire server, nil before
-// ListenWire — the handle a metrics endpoint exports listener-level
-// telemetry through.
-func (o *Octopus) WireServer() *wire.Server { return o.wireServer }
 
 // User is an authenticated principal with a live token.
 type User struct {
@@ -201,12 +175,6 @@ func (t *Topic) Grant(other *User, perms ...auth.Permission) error {
 // Transport returns the user's in-process transport.
 func (t *Topic) Transport() client.Transport {
 	return client.NewDirect(t.oct.Fabric)
-}
-
-// RemoteTransport returns a transport with the 46.5 ms WAN profile, for
-// experiments with geographically remote clients.
-func (t *Topic) RemoteTransport() client.Transport {
-	return netsim.New(client.NewDirect(t.oct.Fabric), netsim.Remote(), t.oct.Fabric.Clock)
 }
 
 // Producer opens an SDK producer bound to the user's identity.

@@ -27,7 +27,7 @@ type LocalClient struct {
 
 // ReplicaFetch implements Client.
 func (c LocalClient) ReplicaFetch(follower int, topic string, partition int, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.ReplicaFetchResult, error) {
-	res, err := c.F.ReplicaFetch(follower, topic, partition, epoch, offset, maxEvents, maxBytes, wait, nil, buf.Events[:0])
+	res, err := c.F.ReplicaFetch("", follower, topic, partition, epoch, offset, maxEvents, maxBytes, wait, nil, buf.Events[:0])
 	if err == nil {
 		buf.Events = res.Events
 	}
@@ -36,7 +36,7 @@ func (c LocalClient) ReplicaFetch(follower int, topic string, partition int, epo
 
 // ReplicaAck implements Client.
 func (c LocalClient) ReplicaAck(follower int, topic string, partition int, epoch, leo int64) error {
-	return c.F.ReplicaAck(follower, topic, partition, epoch, leo)
+	return c.F.ReplicaAck("", follower, topic, partition, epoch, leo)
 }
 
 // Manager is the follower half of replication for one broker: a fetch

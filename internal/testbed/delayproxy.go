@@ -13,10 +13,11 @@ import (
 // meaningful on a single host: on loopback there is no round trip to
 // hide, so pipelined, prefetching and streaming clients all converge
 // on per-op CPU cost — the regime the transport was built for is the
-// remote one. The CI benchmark gates (perf_test.go) and the
-// operator-facing octopus-bench -stream comparison share this one
-// implementation so they measure the same link. stop closes the
-// listener; established relays drain on their own.
+// remote one. It is the repository's one delay emulator: the CI
+// benchmark gates (perf_test.go), the scoreboard (bench/) and the
+// full-stack test place it in front of served brokers through
+// clusternet.Options.Advertise, so they all measure the same link.
+// stop closes the listener; established relays drain on their own.
 func DelayProxy(target string, oneWay time.Duration) (addr string, stop func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

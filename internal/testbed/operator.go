@@ -11,7 +11,6 @@ import (
 	"repro/internal/event"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/netsim"
 )
 
 // Operator is the benchmarking operator of §V-B: it orchestrates "the
@@ -44,8 +43,6 @@ type RunSpec struct {
 	Producers         int
 	Consumers         int
 	EventsPerProducer int
-	// Remote wraps each client in the 46.5 ms RTT network profile.
-	Remote bool
 }
 
 // RunResult aggregates a run per §V-B: throughput T = N/(t2−t1) over
@@ -62,14 +59,6 @@ type RunResult struct {
 
 func (o *Operator) transport() client.Transport {
 	return client.NewDirect(o.Fabric)
-}
-
-func (o *Operator) clientTransport(remote bool) client.Transport {
-	t := o.transport()
-	if remote {
-		return netsim.New(t, netsim.Remote(), nil)
-	}
-	return t
 }
 
 // Run executes the experiment: it provisions the topic, pre-populates
@@ -108,7 +97,7 @@ func (o *Operator) Run(spec RunSpec) (RunResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr := o.clientTransport(spec.Remote)
+			tr := o.transport()
 			batch := make([]event.Event, 0, 64)
 			for i := 0; i < spec.EventsPerProducer; i++ {
 				batch = append(batch, event.Event{Value: payload})
@@ -139,7 +128,7 @@ func (o *Operator) Run(spec RunSpec) (RunResult, error) {
 			cwg.Add(1)
 			go func(cidx int) {
 				defer cwg.Done()
-				tr := o.clientTransport(spec.Remote)
+				tr := o.transport()
 				c := client.NewConsumer(tr, client.ConsumerConfig{Start: client.StartEarliest})
 				defer c.Close()
 				for part := 0; part < spec.Partitions; part++ {

@@ -21,6 +21,13 @@ import (
 // receive buffer; returned events are valid until the next call with
 // the same buf.
 func (c *Client) ReplicaFetch(follower int, topic string, partition int, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.ReplicaFetchResult, error) {
+	if c.tableLeader(topic, partition) == follower {
+		// A follower never fetches from itself: this table predates the
+		// election that demoted it (a drained leader's new follower loop
+		// can start before the metadata push lands), and sending on it
+		// would only be refused with ErrNotLeader.
+		_ = c.refreshMetadata()
+	}
 	req := ReplicaFetchReq{
 		Topic: topic, Partition: partition, Follower: follower,
 		LeaderEpoch: epoch, Offset: offset,

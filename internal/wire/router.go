@@ -82,26 +82,55 @@ func (c *Client) MetadataEpoch() int64 {
 
 // dataAddr resolves the broker address a data-plane request for the
 // partition should dial: the leader's advertised address when the
-// routing table knows it and lists the broker as up, else the seed.
+// routing table knows it and lists the broker as up, else the seed. A
+// topic missing from the table (created after the last refresh) costs
+// one metadata fetch through produceParts' refresh-once path and
+// negative cache, not a request to the seed answered by ErrNotLeader.
 func (c *Client) dataAddr(topic string, partition int) string {
+	addr, known := c.leaderAddr(topic, partition)
+	if !known {
+		if _, ok := c.produceParts(topic); ok {
+			addr, _ = c.leaderAddr(topic, partition)
+		}
+	}
+	return addr
+}
+
+// leaderAddr is dataAddr from the table alone; known is false when the
+// routed table has no entry for the topic.
+func (c *Client) leaderAddr(topic string, partition int) (addr string, known bool) {
 	c.rt.mu.Lock()
 	defer c.rt.mu.Unlock()
 	if !c.rt.enabled || partition < 0 {
-		return c.seed
+		return c.seed, true
 	}
 	leaders, ok := c.rt.topics[topic]
-	if !ok || partition >= len(leaders) {
-		return c.seed
+	if !ok {
+		return c.seed, false
+	}
+	if partition >= len(leaders) {
+		return c.seed, true
 	}
 	id := leaders[partition]
 	if id < 0 {
-		return c.seed
+		return c.seed, true
 	}
 	br, ok := c.rt.brokers[id]
 	if !ok || !br.Up || br.Addr == "" {
-		return c.seed
+		return c.seed, true
 	}
-	return br.Addr
+	return br.Addr, true
+}
+
+// tableLeader reports the partition's leader in the routing table, -1
+// when the table has none.
+func (c *Client) tableLeader(topic string, partition int) int {
+	c.rt.mu.Lock()
+	defer c.rt.mu.Unlock()
+	if leaders := c.rt.topics[topic]; partition >= 0 && partition < len(leaders) {
+		return leaders[partition]
+	}
+	return -1
 }
 
 // partitionCount reports the routed partition count for a topic.
@@ -254,7 +283,7 @@ func (c *Client) adoptMetadata(resp *MetadataResp) {
 			}
 			sess.mu.Lock()
 			for _, sub := range sess.subsByTP {
-				if c.dataAddr(sub.topic, sub.partition) != addr {
+				if a, _ := c.leaderAddr(sub.topic, sub.partition); a != addr {
 					stale = append(stale, staleSub{sess, sub})
 				}
 			}

@@ -165,19 +165,49 @@ func (s *Server) Misroutes() int64 { return s.misroutes.Load() }
 // per-event-routed produces (partition < 0, the single-address
 // fallback path) pass through.
 func (s *Server) leaderCheck(topic string, partition int) error {
-	if s.LocalBroker < 0 || partition < 0 {
-		return nil
-	}
-	leader, err := s.Fabric.PartitionLeader(topic, partition)
-	if err != nil {
+	leader, err := s.otherLeader(topic, partition)
+	if err != nil || leader < 0 {
 		return err
 	}
-	if leader != s.LocalBroker {
-		s.misroutes.Add(1)
-		return fmt.Errorf("%w: %s/%d is led by broker %d, not broker %d",
-			ErrNotLeader, topic, partition, leader, s.LocalBroker)
+	return s.misrouted(topic, partition, leader)
+}
+
+// replicaCheck is leaderCheck for the replica ops, which carry the
+// follower's leader epoch. A follower whose epoch predates the
+// partition's current one is fenced wherever its request lands: it
+// acted on leadership the controller has since replaced (a follower
+// just elected leader, whose fetch loop has not been stopped yet), so
+// it must re-read the controller, not re-route, and the request is no
+// misroute.
+func (s *Server) replicaCheck(topic string, partition int, epoch int64) error {
+	leader, err := s.otherLeader(topic, partition)
+	if err != nil || leader < 0 {
+		return err
 	}
-	return nil
+	if pm, perr := s.Fabric.Ctl.Partition(topic, partition); perr == nil && epoch < pm.LeaderEpoch {
+		return fmt.Errorf("%w: %s/%d epoch %d, current %d", ErrFencedEpoch, topic, partition, epoch, pm.LeaderEpoch)
+	}
+	return s.misrouted(topic, partition, leader)
+}
+
+// otherLeader returns the partition's leader when a scoped server's
+// broker does not lead it, -1 when the request is in scope.
+func (s *Server) otherLeader(topic string, partition int) (int, error) {
+	if s.LocalBroker < 0 || partition < 0 {
+		return -1, nil
+	}
+	leader, err := s.Fabric.PartitionLeader(topic, partition)
+	if err != nil || leader == s.LocalBroker {
+		return -1, err
+	}
+	return leader, nil
+}
+
+// misrouted counts and refuses a request for a partition led elsewhere.
+func (s *Server) misrouted(topic string, partition, leader int) error {
+	s.misroutes.Add(1)
+	return fmt.Errorf("%w: %s/%d is led by broker %d, not broker %d",
+		ErrNotLeader, topic, partition, leader, s.LocalBroker)
 }
 
 // Listen starts accepting on addr ("127.0.0.1:0" for an ephemeral port)
@@ -742,17 +772,14 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 		off := s.Fabric.Groups.Committed(q.Group, q.Topic, q.Partition)
 		return &OffsetResp{Offset: off}, nil, nil
 	case *ReplicaFetchReq:
-		// leaderCheck doubles as coarse fencing: a follower pulling from
-		// a deposed leader's server is told to re-route before the
-		// epoch check even runs.
-		if err := s.leaderCheck(q.Topic, q.Partition); err != nil {
+		if err := s.replicaCheck(q.Topic, q.Partition, q.LeaderEpoch); err != nil {
 			return nil, nil, err
 		}
 		wait := time.Duration(q.WaitMaxMS) * time.Millisecond
 		if wait > MaxFetchWait {
 			wait = MaxFetchWait
 		}
-		res, err := s.Fabric.ReplicaFetch(q.Follower, q.Topic, q.Partition, q.LeaderEpoch, q.Offset, q.MaxEvents, q.MaxBytes, wait, stop, nil)
+		res, err := s.Fabric.ReplicaFetch(identity, q.Follower, q.Topic, q.Partition, q.LeaderEpoch, q.Offset, q.MaxEvents, q.MaxBytes, wait, stop, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -766,10 +793,10 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 		resp.SetOffsets(res.Events)
 		return resp, res.Events, nil
 	case *ReplicaAckReq:
-		if err := s.leaderCheck(q.Topic, q.Partition); err != nil {
+		if err := s.replicaCheck(q.Topic, q.Partition, q.LeaderEpoch); err != nil {
 			return nil, nil, err
 		}
-		if err := s.Fabric.ReplicaAck(q.Follower, q.Topic, q.Partition, q.LeaderEpoch, q.LogEnd); err != nil {
+		if err := s.Fabric.ReplicaAck(identity, q.Follower, q.Topic, q.Partition, q.LeaderEpoch, q.LogEnd); err != nil {
 			return nil, nil, err
 		}
 		return &EmptyResp{}, nil, nil

@@ -483,7 +483,6 @@ func BenchmarkReplicatedProduce(b *testing.B) {
 	var proxyStops []func()
 	cnet, err := clusternet.Serve(f, clusternet.Options{
 		AllowAnonymous: true,
-		Replication:    true,
 		Advertise: func(id int, bound string) (string, error) {
 			addr, stop, perr := testbed.DelayProxy(bound, oneWay)
 			if perr != nil {

@@ -229,8 +229,8 @@ type fabricHot struct {
 	commitWaitNs *metrics.BucketHist // fabric.commit_wait_ns
 	fetchNs      *metrics.BucketHist // fabric.fetch_ns
 	fetchBatch   *metrics.BucketHist // fabric.fetch_batch_events
-	bytesIn      *metrics.Counter    // fabric.bytes_in
-	bytesOut     *metrics.Counter    // fabric.bytes_out
+	bytesIn      *metrics.Counter    // fabric.bytes_in (Event.Size)
+	bytesOut     *metrics.Counter    // fabric.bytes_out (Event.Size)
 	// Eventlog-level observers, attached to partition logs at
 	// route-build time (eventlog.Config.AppendLatency / AppendBytes).
 	logAppendNs    *metrics.BucketHist // eventlog.append_ns
@@ -484,7 +484,7 @@ func (f *Fabric) Produce(identity, topic string, partition int, evs []event.Even
 	if h != nil {
 		var nb int64
 		for i := range evs {
-			nb += int64(len(evs[i].Key) + len(evs[i].Value))
+			nb += int64(evs[i].Size())
 		}
 		h.bytesIn.Add(nb)
 		h.produceBatch.Observe(int64(len(evs)))
@@ -650,17 +650,7 @@ func (f *Fabric) FetchInto(identity, topic string, partition int, offset int64, 
 }
 
 func (f *Fabric) fetch(identity, topic string, partition int, offset int64, maxEvents, maxBytes int, dst []event.Event) (FetchResult, error) {
-	h := f.hot.Load()
-	var t0 time.Time
-	if h != nil {
-		t0 = time.Now()
-	}
-	if identity != "" {
-		if err := f.ACL.Check(topic, identity, auth.PermRead); err != nil {
-			return FetchResult{}, err
-		}
-	}
-	pr, err := f.partitionRoute(topic, partition)
+	h, t0, pr, err := f.fetchRoute(identity, topic, partition)
 	if err != nil {
 		return FetchResult{}, err
 	}
@@ -674,26 +664,78 @@ func (f *Fabric) fetch(identity, topic string, partition int, offset int64, maxE
 		return f.tieredFetch(pr, topic, partition, offset, maxEvents, maxBytes, dst, err)
 	}
 	// The log stores no routing; stamp it on what this call read.
+	var nb int64
 	for i := len(dst); i < len(evs); i++ {
 		evs[i].Topic, evs[i].Partition = topic, partition
-	}
-	f.cFetched.Add(int64(len(evs)))
-	if h != nil {
-		var nb int64
-		for i := range evs {
-			nb += int64(len(evs[i].Key) + len(evs[i].Value))
+		if h != nil {
+			nb += int64(evs[i].Size())
 		}
+	}
+	res := f.fetched(h, t0, pr, TP{Topic: topic, Partition: partition}, len(evs)-len(dst), nb)
+	res.Events = evs
+	return res, nil
+}
+
+// FetchEncoded is Fetch for the wire: it appends the records' stored
+// encodings, offsets and sizes to b (eventlog.Log.ReadEncoded), which
+// callers pass empty, instead of decoding events — a fetch response's
+// payload is exactly those bytes. The access check, high watermark,
+// metrics and archive-tier fallback are Fetch's; the result carries no
+// Events.
+func (f *Fabric) FetchEncoded(identity, topic string, partition int, offset int64, maxEvents, maxBytes int, b *eventlog.Encoded) (FetchResult, error) {
+	h, t0, pr, err := f.fetchRoute(identity, topic, partition)
+	if err != nil {
+		return FetchResult{}, err
+	}
+	if maxEvents <= 0 {
+		maxEvents = 1 << 20
+	}
+	if err := pr.log.ReadEncoded(offset, maxEvents, maxBytes, b); err != nil {
+		// The archive tier is a cold path: encode the events it decodes.
+		res, err := f.tieredFetch(pr, topic, partition, offset, maxEvents, maxBytes, nil, err)
+		if err != nil {
+			return FetchResult{}, err
+		}
+		b.AppendEvents(res.Events)
+		res.Events = nil
+		return res, nil
+	}
+	return f.fetched(h, t0, pr, TP{Topic: topic, Partition: partition}, b.Events, int64(b.Bytes)), nil
+}
+
+// fetchRoute admits a fetch — READ permission for identity unless it
+// is empty — and resolves its partition, starting the fetch clock when
+// hot-path metrics are on.
+func (f *Fabric) fetchRoute(identity, topic string, partition int) (h *fabricHot, t0 time.Time, pr *partitionRoute, err error) {
+	if h = f.hot.Load(); h != nil {
+		t0 = time.Now()
+	}
+	if identity != "" {
+		if err := f.ACL.Check(topic, identity, auth.PermRead); err != nil {
+			return nil, t0, nil, err
+		}
+	}
+	pr, err = f.partitionRoute(topic, partition)
+	return h, t0, pr, err
+}
+
+// fetched records a local-log fetch of n events and nb payload bytes
+// (nb counts only with hot-path metrics on) and answers the partition's
+// high watermark and start offset.
+func (f *Fabric) fetched(h *fabricHot, t0 time.Time, pr *partitionRoute, tp TP, n int, nb int64) FetchResult {
+	f.cFetched.Add(int64(n))
+	if h != nil {
 		h.bytesOut.Add(nb)
-		h.fetchBatch.Observe(int64(len(evs)))
+		h.fetchBatch.Observe(int64(n))
 		h.fetchNs.Observe(int64(time.Since(t0)))
 	}
-	res := FetchResult{Events: evs, HighWatermark: pr.log.EndOffset(), StartOffset: pr.log.StartOffset()}
+	res := FetchResult{HighWatermark: pr.log.EndOffset(), StartOffset: pr.log.StartOffset()}
 	if r := f.Replicator(); r != nil {
-		if hw, ok := r.HighWatermark(TP{Topic: topic, Partition: partition}); ok {
+		if hw, ok := r.HighWatermark(tp); ok {
 			res.HighWatermark = hw
 		}
 	}
-	return res, nil
+	return res
 }
 
 // FetchWaitInto is FetchInto with a long-poll: when the partition has

@@ -32,11 +32,12 @@ type Replicator interface {
 	// the partition is not tracked (no acks=all produce or replica
 	// fetch has touched it yet).
 	HighWatermark(tp TP) (int64, bool)
-	// ReplicaFetch serves a follower pull on the leader: events from
-	// the leader log at offset (long-polling up to wait), fenced by the
+	// ReplicaFetch serves a follower pull on the leader: the stored
+	// encodings of the leader log's records at offset appended to b,
+	// which callers pass empty (long-polling up to wait), fenced by the
 	// follower's leader epoch. The fetch offset doubles as an ack for
 	// everything below it.
-	ReplicaFetch(followerID int, tp TP, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, dst []event.Event) (ReplicaFetchResult, error)
+	ReplicaFetch(followerID int, tp TP, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, b *eventlog.Encoded) (ReplicaFetchResult, error)
 	// ReplicaAck records a follower's log end offset after it appended
 	// a fetched batch, advancing the high watermark (and the follower
 	// back into the ISR once caught up) without waiting for its next
@@ -49,6 +50,9 @@ type Replicator interface {
 
 // ReplicaFetchResult is the leader's answer to one follower pull.
 type ReplicaFetchResult struct {
+	// Events are the fetched events on the follower side; the leader
+	// serves them as stored bytes (Replicator.ReplicaFetch) and leaves
+	// this nil.
 	Events []event.Event
 	// LeaderEpoch echoes the leader's current epoch.
 	LeaderEpoch int64
@@ -151,8 +155,8 @@ func (f *Fabric) checkReplicaCaller(identity string) error {
 // ReplicaFetch is the fabric entry point for the wire server's
 // OpReplicaFetch: it admits only the replication principal, verifies
 // this fabric hosts the partition leader and delegates to the
-// replication subsystem.
-func (f *Fabric) ReplicaFetch(identity string, followerID int, topic string, partition int, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, dst []event.Event) (ReplicaFetchResult, error) {
+// replication subsystem, which appends the batch to b.
+func (f *Fabric) ReplicaFetch(identity string, followerID int, topic string, partition int, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, b *eventlog.Encoded) (ReplicaFetchResult, error) {
 	if err := f.checkReplicaCaller(identity); err != nil {
 		return ReplicaFetchResult{}, err
 	}
@@ -160,7 +164,7 @@ func (f *Fabric) ReplicaFetch(identity string, followerID int, topic string, par
 	if r == nil {
 		return ReplicaFetchResult{}, ErrNoReplicator
 	}
-	return r.ReplicaFetch(followerID, TP{Topic: topic, Partition: partition}, epoch, offset, maxEvents, maxBytes, wait, stop, dst)
+	return r.ReplicaFetch(followerID, TP{Topic: topic, Partition: partition}, epoch, offset, maxEvents, maxBytes, wait, stop, b)
 }
 
 // ReplicaAck is the fabric entry point for the wire server's

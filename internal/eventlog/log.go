@@ -6,9 +6,11 @@
 //
 // The log copies and owns what it stores: each append encodes its events
 // once into immutable record frames (layout in persist.go) that a segment
-// keeps behind a pointer-free index of 16 bytes per record, and reads
-// decode events straight out of those bytes. With Config.Dir set the same
-// bytes are the segment's file, <dir>/<baseOffset, 20 decimal
+// keeps behind a pointer-free index of 16 bytes per record. A frame's
+// body past its header is the event's wire encoding, so wire reads
+// (ReadEncoded) copy those bytes out as they are, and in-process reads
+// (ReadBudgetInto) decode events straight out of them. With Config.Dir
+// set the same bytes are the segment's file, <dir>/<baseOffset, 20 decimal
 // digits>.seg, written with one write per append call (fsync only when
 // Config.Fsync is set), so a batch is the durability unit. Open replays
 // the files and keeps their bytes: the first frame that fails its crc or
@@ -20,8 +22,10 @@
 package eventlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"slices"
 	"sort"
@@ -174,8 +178,8 @@ type Log struct {
 	// none.
 	notifies map[uint64]appendNotify
 	notifyID uint64
-	// reads counts ReadBudgetInto calls — the probe the long-poll
-	// regression tests use to prove an idle consumer performs no log
+	// reads counts ReadBudgetInto and ReadEncoded calls — the probe the
+	// idle-consumer tests use to prove a parked consumer performs no log
 	// reads between appends.
 	reads atomic.Int64
 	// slab is the unused rest of the slab small chunks are carved from
@@ -542,55 +546,166 @@ func (l *Log) ReadBudgetInto(offset int64, max, maxBytes int, dst []event.Event)
 	l.reads.Add(1)
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	if err := l.checkReadLocked(offset); err != nil {
+		return nil, err
+	}
+	if dst == nil && offset < l.next && max != 0 {
+		hint := 64
+		if max > 0 {
+			hint = min(max, 64)
+		}
+		dst = make([]event.Event, 0, hint)
+	}
+	for f, r := range l.recordsLocked(offset, max, maxBytes) {
+		dst = appendEvent(dst, f, r.ts)
+	}
+	return dst, nil
+}
+
+// Run is a maximal stretch of consecutive offsets in a read: Count
+// records from Start.
+type Run struct {
+	Start, Count int64
+}
+
+// AppendRun appends count offsets from start to runs, extending the
+// last run when start continues it.
+func AppendRun(runs []Run, start, count int64) []Run {
+	if n := len(runs); n > 0 && runs[n-1].Start+runs[n-1].Count == start {
+		runs[n-1].Count += count
+		return runs
+	}
+	return append(runs, Run{Start: start, Count: count})
+}
+
+// Encoded is a read served as stored bytes (ReadEncoded): what a wire
+// fetch response carries, with no event decoded. It is a reusable
+// buffer; reads append to it and Reset empties it.
+type Encoded struct {
+	// Payload holds the records' event encodings (Event.Marshal form)
+	// back to back: the payload of a fetch response.
+	Payload []byte
+	// Runs lists the records' offsets, in order.
+	Runs []Run
+	// Events counts the records; Bytes sums their Event.Size().
+	Events, Bytes int
+}
+
+// Reset empties b, keeping its buffers.
+func (b *Encoded) Reset() {
+	b.Payload, b.Runs, b.Events, b.Bytes = b.Payload[:0], b.Runs[:0], 0, 0
+}
+
+// Charge is the records' fetch-session window charge: their payload
+// bytes plus one per record.
+func (b *Encoded) Charge() int { return b.Bytes + b.Events }
+
+// AppendEvents encodes evs onto b, for events that do not come from a
+// log's stored bytes.
+func (b *Encoded) AppendEvents(evs []event.Event) {
+	b.Payload = event.AppendBatchMarshal(b.Payload, evs)
+	for i := range evs {
+		b.Runs = AppendRun(b.Runs, evs[i].Offset, 1)
+		b.Bytes += evs[i].Size()
+	}
+	b.Events += len(evs)
+}
+
+// Decode appends b's events to dst, offsets set from b.Runs. Key and
+// Value alias b.Payload.
+func (b *Encoded) Decode(dst []event.Event) ([]event.Event, error) {
+	n := len(dst)
+	dst, used, err := event.AppendUnmarshalBatch(dst, b.Payload, b.Events)
+	if err != nil {
+		return nil, err
+	}
+	if used != len(b.Payload) {
+		return nil, fmt.Errorf("eventlog: %d bytes after %d encoded events", len(b.Payload)-used, b.Events)
+	}
+	for _, r := range b.Runs {
+		for k := int64(0); k < r.Count && n < len(dst); k++ {
+			dst[n].Offset = r.Start + k
+			n++
+		}
+	}
+	return dst, nil
+}
+
+// ReadEncoded is ReadBudgetInto serving stored bytes: it appends to b
+// the event encodings of the records ReadBudgetInto would return for
+// (offset, max, maxBytes), their offsets as runs, and their count and
+// payload bytes. A frame's body past its header is the record's wire
+// encoding (persist.go), so a read is one copy per record and no event
+// is built.
+func (l *Log) ReadEncoded(offset int64, max, maxBytes int, b *Encoded) error {
+	l.reads.Add(1)
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	if err := l.checkReadLocked(offset); err != nil {
+		return err
+	}
+	for f, r := range l.recordsLocked(offset, max, maxBytes) {
+		b.Payload = append(b.Payload, f[frameHeaderLen:]...)
+		b.Runs = AppendRun(b.Runs, int64(binary.BigEndian.Uint64(f[8:])), 1)
+		b.Events++
+		b.Bytes += int(r.size)
+	}
+	return nil
+}
+
+// checkReadLocked reports whether offset can be read: the log is open
+// and offset lies in [start, next]. Callers hold l.mu.
+func (l *Log) checkReadLocked(offset int64) error {
 	if l.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	if offset < l.start || offset > l.next {
-		return nil, fmt.Errorf("%w: offset %d not in [%d,%d]", ErrOffsetOutOfRange, offset, l.start, l.next)
+		return fmt.Errorf("%w: offset %d not in [%d,%d]", ErrOffsetOutOfRange, offset, l.start, l.next)
 	}
-	if offset == l.next || max == 0 {
-		return dst, nil
-	}
-	if max < 0 {
-		max = 1 << 30
-	}
-	out := dst
-	if out == nil {
-		hint := max
-		if hint > 64 {
-			hint = 64
+	return nil
+}
+
+// recordsLocked yields the frame and index entry of each record from
+// offset on, across segment rolls and compaction holes, under the read
+// budget both reads share (ReadBudget): at most max records (max < 0 is
+// unbounded), and with maxBytes > 0 no record past the first that takes
+// the payload bytes to or past maxBytes. Callers hold l.mu.
+func (l *Log) recordsLocked(offset int64, max, maxBytes int) iter.Seq2[[]byte, *record] {
+	return func(yield func([]byte, *record) bool) {
+		if max < 0 {
+			max = 1 << 30
 		}
-		out = make([]event.Event, 0, hint)
-	}
-	total := 0
-	for si := l.findSegment(offset); si < len(l.segments); si++ {
-		seg := l.segments[si]
-		idx := 0
-		if offset > seg.baseOffset {
-			idx = seg.search(offset)
-		}
-		if idx == len(seg.records) {
-			continue
-		}
-		c := seg.chunkAt(seg.records[idx].pos)
-		for ; idx < len(seg.records); idx++ {
-			r := &seg.records[idx]
-			for r.pos >= seg.ends[c] {
-				c++
+		n, total := 0, 0
+		for si := l.findSegment(offset); si < len(l.segments) && n < max; si++ {
+			seg := l.segments[si]
+			idx := 0
+			if offset > seg.baseOffset {
+				idx = seg.search(offset)
 			}
-			if maxBytes > 0 {
-				if total+int(r.size) >= maxBytes && len(out) > 0 {
-					return out, nil
+			if idx == len(seg.records) {
+				continue
+			}
+			c := seg.chunkAt(seg.records[idx].pos)
+			for ; idx < len(seg.records); idx++ {
+				r := &seg.records[idx]
+				for r.pos >= seg.ends[c] {
+					c++
 				}
-				total += int(r.size)
-			}
-			out = appendEvent(out, seg.frameIn(c, r), r.ts)
-			if len(out) >= max || (maxBytes > 0 && total >= maxBytes) {
-				return out, nil
+				if maxBytes > 0 {
+					if total+int(r.size) >= maxBytes && n > 0 {
+						return
+					}
+					total += int(r.size)
+				}
+				if !yield(seg.frameIn(c, r), r) {
+					return
+				}
+				if n++; n >= max || (maxBytes > 0 && total >= maxBytes) {
+					return
+				}
 			}
 		}
 	}
-	return out, nil
 }
 
 // ReadBytes returns events starting at offset until maxBytes of payload

@@ -26,7 +26,10 @@ import (
 //	body = u64 offset | event.Marshal bytes (key, value, timestamp, headers)
 //
 // The frames are also the log's in-memory copy: a segment's chunks,
-// concatenated, are its file. Replay reads files in base-offset order,
+// concatenated, are its file. The event bytes after the offset are the
+// event's wire encoding too — the timestamp is stamped before the frame
+// is encoded — so wire reads (ReadEncoded) copy them to the wire as
+// they are, and only in-process reads decode them. Replay reads files in base-offset order,
 // keeps their bytes, and stops at the first frame whose crc or length does
 // not check out — a torn tail from a crash — truncating the file at the
 // last good boundary and deleting any later segment files so the offset

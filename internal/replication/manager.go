@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/cluster"
+	"repro/internal/eventlog"
 	"repro/internal/metrics"
 )
 
@@ -25,13 +26,20 @@ type LocalClient struct {
 	F *broker.Fabric
 }
 
-// ReplicaFetch implements Client.
+// ReplicaFetch implements Client, decoding the leader's stored bytes
+// from buf's arena as the wire client decodes its payload.
 func (c LocalClient) ReplicaFetch(follower int, topic string, partition int, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, buf *broker.FetchBuffer) (broker.ReplicaFetchResult, error) {
-	res, err := c.F.ReplicaFetch("", follower, topic, partition, epoch, offset, maxEvents, maxBytes, wait, nil, buf.Events[:0])
-	if err == nil {
-		buf.Events = res.Events
+	b := eventlog.Encoded{Payload: buf.Arena[:0]}
+	res, err := c.F.ReplicaFetch("", follower, topic, partition, epoch, offset, maxEvents, maxBytes, wait, nil, &b)
+	if err != nil {
+		return res, err
 	}
-	return res, err
+	buf.Arena = b.Payload
+	if res.Events, err = b.Decode(buf.Events[:0]); err != nil {
+		return broker.ReplicaFetchResult{}, err
+	}
+	buf.Events = res.Events
+	return res, nil
 }
 
 // ReplicaAck implements Client.

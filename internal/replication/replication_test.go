@@ -9,6 +9,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/cluster"
 	"repro/internal/event"
+	"repro/internal/eventlog"
 )
 
 // testCluster assembles a 3-broker fabric with the replication
@@ -170,13 +171,13 @@ func TestReplicaFetchFencesStaleEpoch(t *testing.T) {
 			break
 		}
 	}
-	if _, err := f.ReplicaFetch("", follower, "t", 0, pm.LeaderEpoch+1, 0, 10, 0, 0, nil, nil); !errors.Is(err, broker.ErrFencedEpoch) {
+	if _, err := f.ReplicaFetch("", follower, "t", 0, pm.LeaderEpoch+1, 0, 10, 0, 0, nil, &eventlog.Encoded{}); !errors.Is(err, broker.ErrFencedEpoch) {
 		t.Fatalf("future epoch fetch: %v; want ErrFencedEpoch", err)
 	}
 	if err := f.ReplicaAck("", follower, "t", 0, pm.LeaderEpoch-1, 3); !errors.Is(err, broker.ErrFencedEpoch) {
 		t.Fatalf("stale epoch ack: %v; want ErrFencedEpoch", err)
 	}
-	if _, err := f.ReplicaFetch("", follower, "t", 0, pm.LeaderEpoch, 0, 10, 0, 0, nil, nil); err != nil {
+	if _, err := f.ReplicaFetch("", follower, "t", 0, pm.LeaderEpoch, 0, 10, 0, 0, nil, &eventlog.Encoded{}); err != nil {
 		t.Fatalf("current epoch fetch: %v", err)
 	}
 }
@@ -281,7 +282,7 @@ func TestLeaderFailoverNewEpochFencesOldFetches(t *testing.T) {
 		t.Fatalf("epoch %d after failover; want > %d", pm.LeaderEpoch, oldEpoch)
 	}
 	// A fetch still carrying the old epoch is fenced by the new leader.
-	if _, err := f.ReplicaFetch("", oldLeader, "t", 0, oldEpoch, 10, 10, 0, 0, nil, nil); !errors.Is(err, broker.ErrFencedEpoch) {
+	if _, err := f.ReplicaFetch("", oldLeader, "t", 0, oldEpoch, 10, 10, 0, 0, nil, &eventlog.Encoded{}); !errors.Is(err, broker.ErrFencedEpoch) {
 		t.Fatalf("stale epoch after failover: %v; want ErrFencedEpoch", err)
 	}
 	// The surviving replicas keep serving: all 10 acked events are on

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/broker"
 	"repro/internal/cluster"
-	"repro/internal/event"
 	"repro/internal/eventlog"
 	"repro/internal/metrics"
 )
@@ -284,11 +283,11 @@ func fence(tp broker.TP, have, want int64) error {
 }
 
 // ReplicaFetch implements broker.Replicator: serve one follower pull
-// from the leader log. The fetch offset acks everything below it. A
-// fetch outside the leader log's range is answered with empty events
-// and the log's framing offsets — the follower reconciles (reset to
-// LogStart, or truncate to LogEnd) and re-fetches.
-func (t *Tracker) ReplicaFetch(followerID int, tp broker.TP, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, dst []event.Event) (broker.ReplicaFetchResult, error) {
+// from the leader log, as the records' stored bytes. The fetch offset
+// acks everything below it. A fetch outside the leader log's range is
+// answered with no records and the log's framing offsets — the follower
+// reconciles (reset to LogStart, or truncate to LogEnd) and re-fetches.
+func (t *Tracker) ReplicaFetch(followerID int, tp broker.TP, epoch, offset int64, maxEvents, maxBytes int, wait time.Duration, stop <-chan struct{}, b *eventlog.Encoded) (broker.ReplicaFetchResult, error) {
 	log, curEpoch, err := t.f.LeaderLogInfo(tp.Topic, tp.Partition)
 	if err != nil {
 		return broker.ReplicaFetchResult{}, err
@@ -312,17 +311,14 @@ func (t *Tracker) ReplicaFetch(followerID int, tp broker.TP, epoch, offset int64
 	}
 
 	res := broker.ReplicaFetchResult{LeaderEpoch: curEpoch}
-	evs, rerr := log.ReadBudgetInto(offset, maxEvents, maxBytes, dst)
-	if rerr == nil && len(evs) == 0 && wait > 0 && eventlog.WaitReadable(log, offset, wait, stop) {
-		evs, rerr = log.ReadBudgetInto(offset, maxEvents, maxBytes, dst)
+	rerr := log.ReadEncoded(offset, maxEvents, maxBytes, b)
+	if rerr == nil && b.Events == 0 && wait > 0 && eventlog.WaitReadable(log, offset, wait, stop) {
+		rerr = log.ReadEncoded(offset, maxEvents, maxBytes, b)
 	}
-	if rerr == nil {
-		res.Events = evs
-		if len(evs) > 0 {
-			// Data-carrying serves only: a lapsed long poll says nothing
-			// about replication batch sizing.
-			t.hFetchServed.Observe(int64(len(evs)))
-		}
+	if rerr == nil && b.Events > 0 {
+		// Data-carrying serves only: a lapsed long poll says nothing
+		// about replication batch sizing.
+		t.hFetchServed.Observe(int64(b.Events))
 	}
 	// Out-of-range reads fall through with no events: the framing
 	// offsets below tell the follower how to reconcile.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/broker"
 	"repro/internal/cluster"
 	"repro/internal/event"
+	"repro/internal/eventlog"
 	"repro/internal/vclock"
 )
 
@@ -359,9 +360,18 @@ func TestTieredFetchThroughBroker(t *testing.T) {
 	if err != nil || len(res.Events) != 3 {
 		t.Fatalf("tiered fetch: %d events, %v", len(res.Events), err)
 	}
-	for i, ev := range res.Events {
-		want := fmt.Sprintf("big%02d", i)
-		if ev.Offset != int64(i) || string(ev.Value[:5]) != want {
+	// The wire's read serves the same archived events, encoded.
+	var enc eventlog.Encoded
+	if _, err := f.FetchEncoded("", "t", 0, 0, 3, 0, &enc); err != nil {
+		t.Fatalf("tiered encoded fetch: %v", err)
+	}
+	decoded, err := enc.Decode(nil)
+	if err != nil || len(decoded) != 3 {
+		t.Fatalf("tiered encoded fetch: %d events, %v", len(decoded), err)
+	}
+	for i, ev := range append(res.Events, decoded...) {
+		want := fmt.Sprintf("big%02d", i%3)
+		if ev.Offset != int64(i%3) || string(ev.Value[:5]) != want {
 			t.Fatalf("tiered event %d: offset %d value %q", i, ev.Offset, ev.Value[:5])
 		}
 	}

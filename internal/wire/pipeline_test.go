@@ -16,6 +16,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/event"
+	"repro/internal/replication"
 )
 
 // --- pipelined transport ---
@@ -220,23 +221,33 @@ func TestOutOfOrderResponseDelivery(t *testing.T) {
 }
 
 // TestSlowHandlerDoesNotBlockPipeline pipelines a cheap ping behind a
-// fetch that cannot finish on one connection against the real server:
-// the fetch long-polls an empty partition, so it stays parked until the
-// test appends, and the ping's response must arrive first in every
-// round. A serial server answers strictly in request order: it would
-// hold the ping behind the parked fetch until the long-poll lapsed.
+// request that cannot finish on one connection against the real
+// server: a follower's replica fetch long-polls the caught-up leader
+// log, so it stays parked until the test appends, and the ping's
+// response must arrive first in every round. A serial server answers
+// strictly in request order: it would hold the ping behind the parked
+// fetch until the long-poll lapsed.
 func TestSlowHandlerDoesNotBlockPipeline(t *testing.T) {
 	f, addr, stop := startServer(t, true)
 	defer stop()
-	if _, err := f.CreateTopic("slow", "", cluster.TopicConfig{Partitions: 1}); err != nil {
+	f.SetReplicator(replication.NewTracker(f, replication.Config{}))
+	if _, err := f.CreateTopic("slow", "", cluster.TopicConfig{Partitions: 1, ReplicationFactor: 2}); err != nil {
 		t.Fatal(err)
+	}
+	pm, err := f.Ctl.Partition("slow", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := pm.Replicas[0]
+	if follower == pm.Leader {
+		follower = pm.Replicas[1]
 	}
 	conn, rd := dialNegotiated(t, addr)
 	const rounds = 5
 	for r := 0; r < rounds; r++ {
 		fetchCorr, pingCorr := uint64(2*r+1), uint64(2*r+2)
 		// The partition holds r events, so a fetch at offset r is dry.
-		fetch := &FetchReq{Topic: "slow", Offset: int64(r), MaxEvents: 16, WaitMaxMS: 5000}
+		fetch := &ReplicaFetchReq{Topic: "slow", Follower: follower, LeaderEpoch: pm.LeaderEpoch, Offset: int64(r), MaxEvents: 16, WaitMaxMS: 5000}
 		frames, err := appendFrameRequestV2(nil, fetchCorr, fetch, nil)
 		if err == nil {
 			frames, err = appendFrameRequestV2(frames, pingCorr, &PingReq{}, nil)
@@ -253,10 +264,10 @@ func TestSlowHandlerDoesNotBlockPipeline(t *testing.T) {
 		if _, err := f.Produce("", "slow", 0, []event.Event{{Value: []byte("release")}}, broker.AcksLeader); err != nil {
 			t.Fatal(err)
 		}
-		var resp FetchResp
+		var resp ReplicaFetchResp
 		_, corr, err := DecodeResponseV2(readRespRaw(t, rd), &resp)
 		if err != nil || corr != fetchCorr || resp.NumEvents != 1 {
-			t.Fatalf("round %d: fetch response corr %d events %d, %v; want corr %d with the appended event", r, corr, resp.NumEvents, err, fetchCorr)
+			t.Fatalf("round %d: replica fetch response corr %d events %d, %v; want corr %d with the appended event", r, corr, resp.NumEvents, err, fetchCorr)
 		}
 	}
 }
@@ -515,7 +526,7 @@ func TestProduceNeverAliasesCallerBytes(t *testing.T) {
 	if _, err := f.Produce("", "d", -1, []event.Event{{Key: key, Value: routed}}, broker.AcksLeader); err != nil {
 		t.Fatal(err)
 	}
-	payload := EncodeEvents([]event.Event{{Value: []byte("wire-bytes")}})
+	payload := event.AppendBatchMarshal(nil, []event.Event{{Value: []byte("wire-bytes")}})
 	srv := NewServer(f)
 	if _, _, err := srv.dispatch(&ProduceReq{Topic: "d", Partition: 0, NumEvents: 1, Acks: int(broker.AcksLeader)}, payload, "", true, nil); err != nil {
 		t.Fatal(err)

@@ -188,12 +188,6 @@ func ReadFrame(r io.Reader, header any) (payload []byte, err error) {
 	return ReadPayloadInto(r, nil)
 }
 
-// EncodeEvents concatenates marshaled events into one payload, sized
-// exactly with a single allocation.
-func EncodeEvents(evs []event.Event) []byte {
-	return event.AppendBatchMarshal(nil, evs)
-}
-
 // DecodeEvents splits a payload into n events. The payload buffer becomes
 // the batch's arena: decoded keys and values alias it, so callers hand
 // over ownership (the server's read loop allocates a fresh buffer per

@@ -560,13 +560,6 @@ type FetchReq struct {
 	Offset    int64
 	MaxEvents int
 	MaxBytes  int
-	// WaitMaxMS, when > 0, long-polls: a fetch that finds nothing at
-	// Offset parks on the partition's tail waiter for up to this many
-	// milliseconds (server-capped at MaxFetchWait) instead of returning
-	// empty, so idle consumers stop hot-looping. Appended after the v2
-	// body the previous revision shipped — decoders tolerate trailing
-	// bytes, so older v2 peers ignore it.
-	WaitMaxMS int
 }
 
 func (*FetchReq) V2Op() uint8 { return v2OpFetch }
@@ -576,8 +569,7 @@ func (m *FetchReq) AppendBody(buf []byte) []byte {
 	buf = appendInt(buf, int64(m.Partition))
 	buf = appendInt(buf, m.Offset)
 	buf = appendInt(buf, int64(m.MaxEvents))
-	buf = appendInt(buf, int64(m.MaxBytes))
-	return appendInt(buf, int64(m.WaitMaxMS))
+	return appendInt(buf, int64(m.MaxBytes))
 }
 
 func (m *FetchReq) DecodeBody(b []byte) error { return m.decodeInterned(b, nil) }
@@ -599,19 +591,10 @@ func (m *FetchReq) decodeInterned(b []byte, in *Interner) error {
 		return err
 	}
 	m.MaxEvents = int(v)
-	if v, b, err = getInt(b); err != nil {
+	if v, _, err = getInt(b); err != nil {
 		return err
 	}
 	m.MaxBytes = int(v)
-	// WaitMaxMS is absent from bodies encoded by earlier v2 revisions;
-	// reset explicitly so a pooled message never carries a stale wait.
-	m.WaitMaxMS = 0
-	if len(b) > 0 {
-		if v, _, err = getInt(b); err != nil {
-			return err
-		}
-		m.WaitMaxMS = int(v)
-	}
 	return nil
 }
 
@@ -902,62 +885,85 @@ func (m *OffsetResp) DecodeBody(b []byte) error {
 	return err
 }
 
-// offsetRun is one maximal run of consecutive event offsets in a fetch
-// response: count events starting at start.
-type offsetRun struct {
-	start int64
-	count int64
+// offsetRuns carries a fetched batch's offsets as dense runs — one
+// (start, count) pair per contiguous stretch — not one entry per event.
+// A gapless read is two varints regardless of batch size, and decoded
+// runs live in an inline array for the common case, so the steady-state
+// header round trip allocates nothing. FetchResp and ReplicaFetchResp
+// embed it; neither may be copied by value once its runs are set or
+// decoded, since runs aliases the struct's own inline array.
+type offsetRuns struct {
+	runs    []eventlog.Run
+	runsBuf [4]eventlog.Run
 }
 
-// FetchResp describes a fetched batch; the events travel in the frame
-// payload. Offsets are carried as dense runs — one (start, count) pair
-// per contiguous stretch — not one entry per event. A
-// gapless read is two varints regardless of batch size, and the
-// decoded runs live in an inline array for the common case, so the
-// steady-state fetch header round trip allocates nothing.
-//
-// A FetchResp must not be copied by value once SetOffsets or
-// DecodeBody has run: the runs slice aliases the struct's own inline
-// array, so a copy would keep stamping from the original's storage.
-type FetchResp struct {
-	NumEvents     int
-	HighWatermark int64
-	StartOffset   int64
-
-	// runs is the dense-run offset encoding, backed by runsBuf while
-	// the response has ≤ 4 discontinuities.
-	runs    []offsetRun
-	runsBuf [4]offsetRun
-}
-
-// SetOffsets records the events' offsets in dense-run form (the server
-// side of the encoding).
-func (m *FetchResp) SetOffsets(evs []event.Event) {
-	m.runs = m.runsBuf[:0]
-	for i := range evs {
-		off := evs[i].Offset
-		if n := len(m.runs); n > 0 && m.runs[n-1].start+m.runs[n-1].count == off {
-			m.runs[n-1].count++
-			continue
-		}
-		m.runs = append(m.runs, offsetRun{start: off, count: 1})
-	}
+// setRuns records a log read's offset runs (the serving side).
+func (o *offsetRuns) setRuns(runs []eventlog.Run) {
+	o.runs = append(o.runsBuf[:0], runs...)
 }
 
 // Stamp fills the container-carried fields (topic, partition, offset)
-// on a decoded event batch, walking the dense runs — the client side of
-// the encoding.
-func (m *FetchResp) Stamp(evs []event.Event, topic string, partition int) {
+// on a decoded event batch, walking the runs — the receiving side.
+func (o *offsetRuns) Stamp(evs []event.Event, topic string, partition int) {
 	for i := range evs {
 		evs[i].Topic = topic
 		evs[i].Partition = partition
 	}
 	i := 0
-	for _, r := range m.runs {
-		for k := int64(0); k < r.count && i < len(evs); k++ {
-			evs[i].Offset = r.start + k
+	for _, r := range o.runs {
+		for k := int64(0); k < r.Count && i < len(evs); k++ {
+			evs[i].Offset = r.Start + k
 			i++
 		}
+	}
+}
+
+func (o *offsetRuns) appendRuns(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(o.runs)))
+	for _, r := range o.runs {
+		buf = appendInt(buf, r.Start)
+		buf = binary.AppendUvarint(buf, uint64(r.Count))
+	}
+	return buf
+}
+
+func (o *offsetRuns) decodeRuns(b []byte) error {
+	o.runs = o.runsBuf[:0]
+	n, b, err := getUint(b)
+	if err != nil || n > uint64(len(b)) {
+		return errShortMsg
+	}
+	for i := uint64(0); i < n; i++ {
+		var r eventlog.Run
+		if r.Start, b, err = getInt(b); err != nil {
+			return err
+		}
+		var c uint64
+		if c, b, err = getUint(b); err != nil {
+			return err
+		}
+		r.Count = int64(c)
+		o.runs = append(o.runs, r)
+	}
+	return nil
+}
+
+// FetchResp describes a fetched batch (OpFetch, and every pushed
+// session batch); the payload is the records' event encodings, copied
+// from the partition log's stored bytes. Offsets travel as dense runs
+// (offsetRuns).
+type FetchResp struct {
+	NumEvents     int
+	HighWatermark int64
+	StartOffset   int64
+	offsetRuns
+}
+
+// SetOffsets records the events' offsets in dense-run form.
+func (m *FetchResp) SetOffsets(evs []event.Event) {
+	m.runs = m.runsBuf[:0]
+	for i := range evs {
+		m.runs = eventlog.AppendRun(m.runs, evs[i].Offset, 1)
 	}
 }
 
@@ -965,12 +971,7 @@ func (m *FetchResp) AppendBody(buf []byte) []byte {
 	buf = appendInt(buf, m.HighWatermark)
 	buf = appendInt(buf, m.StartOffset)
 	buf = appendInt(buf, int64(m.NumEvents))
-	buf = binary.AppendUvarint(buf, uint64(len(m.runs)))
-	for _, r := range m.runs {
-		buf = appendInt(buf, r.start)
-		buf = binary.AppendUvarint(buf, uint64(r.count))
-	}
-	return buf
+	return m.appendRuns(buf)
 }
 
 func (m *FetchResp) DecodeBody(b []byte) error {
@@ -987,23 +988,7 @@ func (m *FetchResp) DecodeBody(b []byte) error {
 		return err
 	}
 	m.NumEvents = int(v)
-	n, b, err := getUint(b)
-	if err != nil || n > uint64(len(b)) {
-		return errShortMsg
-	}
-	for i := uint64(0); i < n; i++ {
-		var r offsetRun
-		if r.start, b, err = getInt(b); err != nil {
-			return err
-		}
-		var c uint64
-		if c, b, err = getUint(b); err != nil {
-			return err
-		}
-		r.count = int64(c)
-		m.runs = append(m.runs, r)
-	}
-	return nil
+	return m.decodeRuns(b)
 }
 
 // TopicMetaResp carries topic metadata. The metadata document is
@@ -1108,29 +1093,22 @@ func appendFrameRequestV2(buf []byte, corr uint64, m ReqMsg, payload []byte) ([]
 }
 
 // appendFrameResponseV2 appends a complete v2 response frame whose
-// payload is the marshaled event batch (fetch), encoded directly into
-// buf with no intermediate payload buffer. err != nil encodes an error response (no events).
-func appendFrameResponseV2(buf []byte, op uint8, corr uint64, m Msg, respErr error, evs []event.Event) ([]byte, error) {
+// payload (a fetched batch's stored event encodings) is copied directly
+// into buf. respErr != nil encodes an error response with no payload.
+func appendFrameResponseV2(buf []byte, op uint8, corr uint64, m Msg, respErr error, payload []byte) ([]byte, error) {
 	orig := len(buf)
 	buf = append(buf, 0, 0, 0, 0)
 	if respErr != nil {
 		buf = appendErrResponseV2(buf, op, corr, respErr)
-		evs = nil
+		payload = nil
 	} else {
 		buf = AppendResponseV2(buf, op, corr, m)
 	}
 	hlen := len(buf) - orig - 4
-	if hlen > MaxHeader {
+	if hlen > MaxHeader || len(payload) > MaxFrame {
 		return buf[:orig], ErrFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(buf[orig:], uint32(hlen))
-	lenAt := len(buf)
-	buf = binary.BigEndian.AppendUint32(buf, 0)
-	buf = event.AppendBatchMarshal(buf, evs)
-	plen := len(buf) - lenAt - 4
-	if plen > MaxFrame {
-		return buf[:orig], ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(buf[lenAt:], uint32(plen))
-	return buf, nil
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	return append(buf, payload...), nil
 }

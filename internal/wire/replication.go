@@ -1,11 +1,5 @@
 package wire
 
-import (
-	"encoding/binary"
-
-	"repro/internal/event"
-)
-
 // Inter-broker replication messages.
 //
 // Replication is pull-based: a follower issues OpReplicaFetch against
@@ -37,7 +31,8 @@ type ReplicaFetchReq struct {
 	MaxEvents   int
 	MaxBytes    int
 	// WaitMaxMS long-polls an up-to-date follower on the leader's tail
-	// waiter instead of returning empty, like FetchReq.WaitMaxMS.
+	// waiter for up to this many milliseconds (server-capped at
+	// MaxFetchWait) instead of returning empty.
 	WaitMaxMS int
 }
 
@@ -91,12 +86,10 @@ func (m *ReplicaFetchReq) decodeInterned(b []byte, in *Interner) error {
 	return nil
 }
 
-// ReplicaFetchResp answers a follower pull; the events travel in the
-// frame payload with offsets in FetchResp's dense-run form (compacted
-// partitions have holes, so runs are required, not an optimization).
-//
-// Like FetchResp, a ReplicaFetchResp must not be copied by value once
-// SetOffsets or DecodeBody has run: runs aliases the inline array.
+// ReplicaFetchResp answers a follower pull; the payload is the records'
+// stored event encodings with offsets in dense-run form (offsetRuns;
+// compacted partitions have holes, so runs are required, not an
+// optimization).
 type ReplicaFetchResp struct {
 	NumEvents int
 	// LeaderEpoch echoes the leader's current epoch; a follower seeing
@@ -109,37 +102,7 @@ type ReplicaFetchResp struct {
 	// LogStart; one above LogEnd diverged and truncates to LogEnd.
 	LogStart int64
 	LogEnd   int64
-
-	runs    []offsetRun
-	runsBuf [4]offsetRun
-}
-
-// SetOffsets records the events' offsets in dense-run form (the
-// leader side of the encoding).
-func (m *ReplicaFetchResp) SetOffsets(evs []event.Event) {
-	m.runs = m.runsBuf[:0]
-	for i := range evs {
-		off := evs[i].Offset
-		if n := len(m.runs); n > 0 && m.runs[n-1].start+m.runs[n-1].count == off {
-			m.runs[n-1].count++
-			continue
-		}
-		m.runs = append(m.runs, offsetRun{start: off, count: 1})
-	}
-}
-
-// Stamp fills the container-carried fields on a decoded event batch,
-// walking the dense runs — the follower side of the encoding.
-func (m *ReplicaFetchResp) Stamp(evs []event.Event, topic string, partition int) {
-	i := 0
-	for _, r := range m.runs {
-		for k := int64(0); k < r.count && i < len(evs); k++ {
-			evs[i].Topic = topic
-			evs[i].Partition = partition
-			evs[i].Offset = r.start + k
-			i++
-		}
-	}
+	offsetRuns
 }
 
 func (m *ReplicaFetchResp) AppendBody(buf []byte) []byte {
@@ -148,12 +111,7 @@ func (m *ReplicaFetchResp) AppendBody(buf []byte) []byte {
 	buf = appendInt(buf, m.LogStart)
 	buf = appendInt(buf, m.LogEnd)
 	buf = appendInt(buf, int64(m.NumEvents))
-	buf = binary.AppendUvarint(buf, uint64(len(m.runs)))
-	for _, r := range m.runs {
-		buf = appendInt(buf, r.start)
-		buf = binary.AppendUvarint(buf, uint64(r.count))
-	}
-	return buf
+	return m.appendRuns(buf)
 }
 
 func (m *ReplicaFetchResp) DecodeBody(b []byte) error {
@@ -176,23 +134,7 @@ func (m *ReplicaFetchResp) DecodeBody(b []byte) error {
 		return err
 	}
 	m.NumEvents = int(v)
-	n, b, err := getUint(b)
-	if err != nil || n > uint64(len(b)) {
-		return errShortMsg
-	}
-	for i := uint64(0); i < n; i++ {
-		var r offsetRun
-		if r.start, b, err = getInt(b); err != nil {
-			return err
-		}
-		var c uint64
-		if c, b, err = getUint(b); err != nil {
-			return err
-		}
-		r.count = int64(c)
-		m.runs = append(m.runs, r)
-	}
-	return nil
+	return m.decodeRuns(b)
 }
 
 // ReplicaAckReq pushes a follower's log end offset to the leader right

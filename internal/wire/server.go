@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/broker"
-	"repro/internal/event"
+	"repro/internal/eventlog"
 	"repro/internal/metrics"
 )
 
@@ -21,7 +21,7 @@ import (
 // a misbehaving peer cannot spawn unbounded handler goroutines.
 const maxConnConcurrency = 64
 
-// MaxFetchWait caps a long-poll fetch's WaitMaxMS server-side, keeping
+// MaxFetchWait caps a replica fetch's WaitMaxMS server-side, keeping
 // every parked handler comfortably inside the client's IOTimeout so a
 // long-poll can never be mistaken for a dead connection.
 const MaxFetchWait = 10 * time.Second
@@ -100,10 +100,9 @@ type serverMetrics struct {
 	metaPushes *metrics.Counter
 	// produceNs / fetchNs time the server-side dispatch of produce and
 	// fetch requests — decode, fabric call, response build — the
-	// broker's wire-visible service time, minus transport queueing.
-	// fetchNs includes any long-poll park (FetchReq.WaitMaxMS), so an
-	// idle consumer fleet shows up in the upper quantiles, not as an
-	// anomaly.
+	// broker's wire-visible service time, minus transport queueing. A
+	// fetch never parks: it answers what the log holds, empty at the
+	// tail.
 	produceNs *metrics.BucketHist
 	fetchNs   *metrics.BucketHist
 	// sessionBatch sizes every batch the session pumps push, in events
@@ -359,20 +358,20 @@ func newRespWriter(conn net.Conn) *respWriter {
 }
 
 // writeV2 enqueues one v2 response frame: a typed binary header (or an
-// error code + detail when respErr is non-nil) followed by the
-// marshaled event batch, encoded directly into the pending buffer — no
-// intermediate payload buffer, and no second copy of the frames already
-// pending: the buffer grows amortised (event.AppendBatchMarshal), and at
-// steady state not at all, since it is reused across flushes. It never
-// blocks on the peer; only session pumps wait, in waitPending.
-func (w *respWriter) writeV2(op uint8, corr uint64, m Msg, respErr error, evs []event.Event) error {
+// error code + detail when respErr is non-nil) followed by the payload —
+// a fetched batch's stored event encodings, as the partition log read
+// them — copied into the pending buffer. The buffer grows amortised
+// (append), and at steady state not at all, since it is reused across
+// flushes. It never blocks on the peer; only session pumps wait, in
+// waitPending.
+func (w *respWriter) writeV2(op uint8, corr uint64, m Msg, respErr error, payload []byte) error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
 		return err
 	}
-	buf, err := appendFrameResponseV2(w.buf, op, corr, m, respErr, evs)
+	buf, err := appendFrameResponseV2(w.buf, op, corr, m, respErr, payload)
 	if err != nil {
 		w.mu.Unlock()
 		return err
@@ -618,8 +617,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		go func(op uint8, corr uint64, m ReqMsg, payload []byte, identity string, authed bool) {
 			defer handlers.Done()
 			defer func() { <-sem }()
-			resp, evs, err := s.dispatch(m, payload, identity, authed, done)
-			if werr := w.writeV2(op, corr, resp, err, evs); errors.Is(werr, ErrFrameTooLarge) {
+			resp, out, err := s.dispatch(m, payload, identity, authed, done)
+			var data []byte
+			if out != nil {
+				data = out.Payload
+			}
+			if werr := w.writeV2(op, corr, resp, err, data); errors.Is(werr, ErrFrameTooLarge) {
 				// The success response didn't fit its frame bound
 				// (e.g. a pathologically fragmented offset run list):
 				// the caller must still get an answer, or it hangs
@@ -627,6 +630,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				// Error frames are tiny and always fit.
 				_ = w.writeV2(op, corr, nil, werr, nil)
 			}
+			putEncoded(out)
 			putReqMsg(op, m)
 		}(op, corr, m, payload, identity, authed)
 	}
@@ -670,12 +674,31 @@ func (s *Server) authenticate(a *AuthReq, identity *string, authed *bool) (*Auth
 	return &AuthResp{Identity: ident.ID}, nil
 }
 
+// encodedPool recycles the read buffers fetch and replica fetch
+// responses are served from.
+var encodedPool = sync.Pool{New: func() any { return new(eventlog.Encoded) }}
+
+// getEncoded returns an empty pooled read buffer.
+func getEncoded() *eventlog.Encoded {
+	b := encodedPool.Get().(*eventlog.Encoded)
+	b.Reset()
+	return b
+}
+
+// putEncoded recycles b (nil is ignored), dropping an outsized one.
+func putEncoded(b *eventlog.Encoded) {
+	if b != nil && cap(b.Payload) <= maxPooledFrame {
+		encodedPool.Put(b)
+	}
+}
+
 // dispatch executes one data-plane request against the fabric.
-// Responses with an event payload (fetch) return the events themselves;
-// the respWriter marshals them straight into the connection's pending
-// write buffer. stop interrupts long-poll waits when the connection
-// tears down.
-func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool, stop <-chan struct{}) (Msg, []event.Event, error) {
+// Responses with a payload (fetch, replica fetch) return the pooled
+// read that holds it — the records' stored encodings, which the
+// respWriter copies into the connection's pending write buffer; the
+// caller recycles it with putEncoded. stop interrupts replica-fetch
+// long-polls when the connection tears down.
+func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool, stop <-chan struct{}) (Msg, *eventlog.Encoded, error) {
 	if !authed {
 		return nil, nil, fmt.Errorf("%w: connection not authenticated", auth.ErrBadCredentials)
 	}
@@ -703,26 +726,17 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 		if err := s.leaderCheck(q.Topic, q.Partition); err != nil {
 			return nil, nil, err
 		}
-		// WaitMaxMS long-polls an empty partition on the log's tail
-		// waiter. The wait is capped below the transport IOTimeout and interrupted
-		// by connection teardown.
-		wait := time.Duration(q.WaitMaxMS) * time.Millisecond
-		if wait > MaxFetchWait {
-			wait = MaxFetchWait
-		}
 		t0 := time.Now()
-		res, err := s.Fabric.FetchWaitInto(identity, q.Topic, q.Partition, q.Offset, q.MaxEvents, q.MaxBytes, wait, stop, nil)
+		out := getEncoded()
+		res, err := s.Fabric.FetchEncoded(identity, q.Topic, q.Partition, q.Offset, q.MaxEvents, q.MaxBytes, out)
 		if err != nil {
+			putEncoded(out)
 			return nil, nil, err
 		}
-		resp := &FetchResp{
-			NumEvents:     len(res.Events),
-			HighWatermark: res.HighWatermark,
-			StartOffset:   res.StartOffset,
-		}
-		resp.SetOffsets(res.Events)
+		resp := &FetchResp{NumEvents: out.Events, HighWatermark: res.HighWatermark, StartOffset: res.StartOffset}
+		resp.setRuns(out.Runs)
 		s.met().fetchNs.Observe(int64(time.Since(t0)))
-		return resp, res.Events, nil
+		return resp, out, nil
 	case *EndOffsetReq:
 		off, err := s.Fabric.EndOffset(q.Topic, q.Partition)
 		if err != nil {
@@ -779,19 +793,21 @@ func (s *Server) dispatch(m ReqMsg, payload []byte, identity string, authed bool
 		if wait > MaxFetchWait {
 			wait = MaxFetchWait
 		}
-		res, err := s.Fabric.ReplicaFetch(identity, q.Follower, q.Topic, q.Partition, q.LeaderEpoch, q.Offset, q.MaxEvents, q.MaxBytes, wait, stop, nil)
+		out := getEncoded()
+		res, err := s.Fabric.ReplicaFetch(identity, q.Follower, q.Topic, q.Partition, q.LeaderEpoch, q.Offset, q.MaxEvents, q.MaxBytes, wait, stop, out)
 		if err != nil {
+			putEncoded(out)
 			return nil, nil, err
 		}
 		resp := &ReplicaFetchResp{
-			NumEvents:     len(res.Events),
+			NumEvents:     out.Events,
 			LeaderEpoch:   res.LeaderEpoch,
 			HighWatermark: res.HighWatermark,
 			LogStart:      res.LogStart,
 			LogEnd:        res.LogEnd,
 		}
-		resp.SetOffsets(res.Events)
-		return resp, res.Events, nil
+		resp.setRuns(out.Runs)
+		return resp, out, nil
 	case *ReplicaAckReq:
 		if err := s.replicaCheck(q.Topic, q.Partition, q.LeaderEpoch); err != nil {
 			return nil, nil, err

@@ -80,8 +80,9 @@ func splitSessCorr(corr uint64) (sessionID uint64, subID uint32) {
 // sessionBatchSize is the flow-control size of a session batch: the
 // events' payload bytes plus one per event. The +1 keeps every batch
 // nonzero-cost, so a window of W bytes bounds the number of un-granted
-// pushed frames at W even for zero-payload events. Computed identically
-// on both sides of the session so grants balance debits.
+// pushed frames at W even for zero-payload events. The client computes
+// it on the decoded batch, the server's pump charges the same quantity
+// from the log read (eventlog.Encoded.Charge), so grants balance debits.
 func sessionBatchSize(evs []event.Event) int {
 	n := len(evs)
 	for i := range evs {
@@ -312,8 +313,9 @@ type serverSession struct {
 	closed bool
 	stop   chan struct{} // closed with the session; fences late wakeups
 
-	// dst is the pump's reusable fetch buffer (pump-only).
-	dst []event.Event
+	// read is the pump's reusable fetch buffer (pump-only): the stored
+	// encodings of the batch being pushed.
+	read eventlog.Encoded
 }
 
 // srvSub is one subscription of a session. All fields are guarded by
@@ -620,9 +622,11 @@ func (ss *connSessions) pump(sess *serverSession) {
 			// ReadBudget semantics — taking the window negative).
 			maxBytes = creditBytes
 		}
-		res, err := ss.srv.Fabric.FetchWaitInto(
+		b := &sess.read
+		b.Reset()
+		res, err := ss.srv.Fabric.FetchEncoded(
 			sess.identity, sub.topic, sub.partition, next,
-			sess.maxEvents, maxBytes, 0, nil, sess.dst[:0])
+			sess.maxEvents, maxBytes, b)
 		if err != nil {
 			// Per-sub failure: push the typed error as this sub's close
 			// frame and drop the sub; the session and its other subs keep
@@ -631,10 +635,7 @@ func (ss *connSessions) pump(sess *serverSession) {
 			sess.removeSub(sub.subID)
 			continue
 		}
-		if cap(res.Events) > cap(sess.dst) {
-			sess.dst = res.Events
-		}
-		if len(res.Events) == 0 {
+		if b.Events == 0 {
 			// Dry: un-ready the sub and arm the log's append callback to
 			// restore readiness. The callback runs on the appender's
 			// goroutine and only flips state under sess.mu — cheap and
@@ -664,26 +665,25 @@ func (ss *connSessions) pump(sess *serverSession) {
 			sess.mu.Unlock()
 			continue
 		}
-		resp := &FetchResp{
-			NumEvents:     len(res.Events),
-			HighWatermark: res.HighWatermark,
-			StartOffset:   res.StartOffset,
-		}
-		resp.SetOffsets(res.Events)
+		resp := &FetchResp{NumEvents: b.Events, HighWatermark: res.HighWatermark, StartOffset: res.StartOffset}
+		resp.setRuns(b.Runs)
 		// Charge the window before the batch is queued: the client may
 		// consume it and grant it back before this goroutine runs again,
 		// and a grant applied ahead of its charge is clamped at the
 		// window cap and lost, shrinking the window until the pump wedges.
 		sess.mu.Lock()
-		if !sub.removed {
-			sub.next = res.Events[len(res.Events)-1].Offset + 1
+		if last := b.Runs[len(b.Runs)-1]; !sub.removed {
+			sub.next = last.Start + last.Count
 		}
-		sess.creditBytes -= sessionBatchSize(res.Events)
+		sess.creditBytes -= b.Charge()
 		sess.mu.Unlock()
-		if ss.w.writeV2(v2OpSessionBatch, sessCorr(sess.id, sub.subID), resp, nil, res.Events) != nil {
+		if ss.w.writeV2(v2OpSessionBatch, sessCorr(sess.id, sub.subID), resp, nil, b.Payload) != nil {
 			ss.closeSession(sess.id)
 			return
 		}
-		met.sessionBatch.Observe(int64(len(res.Events)))
+		met.sessionBatch.Observe(int64(b.Events))
+		if cap(b.Payload) > maxRetainedWriteBuf {
+			b.Payload = nil // kept no longer than the write buffer would be
+		}
 	}
 }

@@ -38,7 +38,7 @@ func fuzzReqSeeds() []ReqMsg {
 		&HeartbeatReq{Group: "g", Member: "m-1"},
 		&CommitReq{Group: "g", Member: "m", Generation: 4, Topic: "t", Partition: 1, Offset: 99},
 		&CommittedReq{Group: "g", Topic: "t", Partition: 1},
-		&FetchReq{Topic: "lp", Partition: 0, Offset: 12, MaxEvents: 100, MaxBytes: 1 << 20, WaitMaxMS: 2500},
+		&FetchReq{Topic: "lp", Partition: 0, Offset: 12, MaxEvents: 100, MaxBytes: 1 << 20},
 		&MetadataReq{},
 		&MetadataReq{Topics: []string{"a", "b"}},
 		&SessionOpenReq{ID: 3, MaxEvents: 500, MaxBytes: 1 << 20, CreditBytes: 1 << 20},
@@ -124,7 +124,7 @@ func fuzzRespSeeds() []struct {
 		}},
 		{v2OpReplicaFetch, func() Msg {
 			b := &ReplicaFetchResp{NumEvents: 4, LeaderEpoch: 9, HighWatermark: 62, LogStart: 8, LogEnd: 64}
-			b.SetOffsets([]event.Event{{Offset: 60}, {Offset: 61}, {Offset: 62}, {Offset: 63}})
+			b.setRuns([]eventlog.Run{{Start: 60, Count: 4}})
 			return b
 		}()},
 		{v2OpReplicaAck, &EmptyResp{}},
@@ -669,7 +669,7 @@ func FuzzDecodeSessionFrames(f *testing.F) {
 	f.Add(uint8(0), AppendRequestV2(nil, 11, &ReplicaFetchReq{Topic: "t", Partition: 1, Follower: 2, LeaderEpoch: 5, Offset: 40, MaxEvents: 500, MaxBytes: 1 << 20, WaitMaxMS: 100}))
 	f.Add(uint8(1), AppendRequestV2(nil, 12, &ReplicaAckReq{Topic: "t", Partition: 1, Follower: 2, LeaderEpoch: 5, LogEnd: 44}))
 	replicaBatch := &ReplicaFetchResp{NumEvents: 4, LeaderEpoch: 5, HighWatermark: 43, LogStart: 0, LogEnd: 44}
-	replicaBatch.SetOffsets([]event.Event{{Offset: 40}, {Offset: 41}, {Offset: 42}, {Offset: 43}})
+	replicaBatch.setRuns([]eventlog.Run{{Start: 40, Count: 4}})
 	f.Add(uint8(3), AppendResponseV2(nil, v2OpReplicaFetch, 11, replicaBatch))
 	f.Add(uint8(3), appendErrResponseV2(nil, v2OpReplicaFetch, 11, fmt.Errorf("%w: epoch 4 < 5", broker.ErrFencedEpoch)))
 	f.Fuzz(func(t *testing.T, kind uint8, b []byte) {

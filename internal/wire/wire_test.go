@@ -66,7 +66,7 @@ func TestEncodeDecodeEvents(t *testing.T) {
 		{Key: []byte("k"), Value: []byte("v1"), Timestamp: time.Unix(1, 0)},
 		{Value: []byte("v2"), Timestamp: time.Unix(2, 0), Headers: map[string]string{"h": "x"}},
 	}
-	payload := EncodeEvents(evs)
+	payload := event.AppendBatchMarshal(nil, evs)
 	got, err := DecodeEvents(payload, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -347,72 +347,6 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // idleWindow is how long the idle tests watch a parked consumer for
 // log reads.
 const idleWindow = 400 * time.Millisecond
-
-// TestLongPollIdleConsumerPerformsNoReads is the tail-waiter regression
-// test for the server's request/response long-poll: a FetchReq parked
-// on WaitMaxMS issues no log reads between appends — the CPU cost of an
-// idle poller is a blocked goroutine, not a poll loop — and an append
-// wakes it.
-func TestLongPollIdleConsumerPerformsNoReads(t *testing.T) {
-	f, addr, stop := startServer(t, true)
-	defer stop()
-	sessionTopic(t, f, "lp", 1, 5)
-	log, err := f.LeaderLog("lp", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, rd := dialNegotiated(t, addr)
-	frame, err := appendFrameRequestV2(nil, 7, &FetchReq{Topic: "lp", Offset: 5, MaxEvents: 100, MaxBytes: 1 << 20, WaitMaxMS: 5000}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads0 := log.Reads()
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
-	}
-	type fetchRes struct {
-		corr uint64
-		resp FetchResp
-		data []byte
-		err  error
-	}
-	done := make(chan fetchRes, 1)
-	go func() {
-		var r fetchRes
-		var hdr []byte
-		hb, err := readHeaderInto(rd, &hdr)
-		if err == nil {
-			_, r.corr, r.err = DecodeResponseV2(hb, &r.resp)
-			r.data, err = ReadPayloadInto(rd, nil)
-		}
-		if r.err == nil {
-			r.err = err
-		}
-		done <- r
-	}()
-	// One dry read, then the handler parks on the log's tail waiter.
-	waitUntil(t, "the long-poll's first read", func() bool { return log.Reads() > reads0 })
-	before := log.Reads()
-	time.Sleep(idleWindow)
-	if delta := log.Reads() - before; delta != 0 {
-		t.Fatalf("parked long-poll fetch performed %d log reads", delta)
-	}
-	if _, err := f.Produce("", "lp", 0, []event.Event{{Value: []byte("wake")}}, broker.AcksLeader); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-done:
-		if r.err != nil || r.corr != 7 {
-			t.Fatalf("long-poll answer corr %d: %v", r.corr, r.err)
-		}
-		evs, err := DecodeEvents(r.data, r.resp.NumEvents)
-		if err != nil || len(evs) != 1 || string(evs[0].Value) != "wake" {
-			t.Fatalf("parked fetch woke with %d events (%v)", len(evs), err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked long-poll did not wake on append")
-	}
-}
 
 // TestSessionIdleConsumerPerformsNoReads is the session twin: an SDK
 // consumer drained to the tail parks on its subscription's local queue
